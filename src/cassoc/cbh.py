@@ -89,8 +89,8 @@ class PQElement:
         if scal:
             comm._acc((0, 0), Fraction(scal))
         # [x_lin, y_comm]: prefixing by P multiplies by p, by Q multiplies by q
-        comm = comm + _prefix(self.lin_p, self.lin_q, other.comm)
-        comm = comm - _prefix(other.lin_p, other.lin_q, self.comm)
+        comm = comm + _times_linear(other.comm, self.lin_p, self.lin_q)
+        comm = comm - _times_linear(self.comm, other.lin_p, other.lin_q)
         comm._clean()
         return PQElement(0, 0, comm, order)
 
@@ -102,15 +102,12 @@ class PQElement:
         return out
 
 
-def _prefix(coef_p: Fraction, coef_q: Fraction, comm: BiSeries) -> BiSeries:
-    out = BiSeries(QQ, {}, comm.order)
-    for (i, j), c in comm.coeffs.items():
-        if coef_p and i + j + 1 <= out.order:
-            out._acc((i + 1, j), c * coef_p)
-        if coef_q and i + j + 1 <= out.order:
-            out._acc((i, j + 1), c * coef_q)
-    out._clean()
-    return out
+def _times_linear(comm: BiSeries, c1: Fraction, c2: Fraction) -> BiSeries:
+    """comm * (c1 lam + c2 mu) at comm's order: bracketing a commutator part
+    with the linear part c1 * (first letter) + c2 * (second letter)."""
+    ring = comm.ring
+    lin = BiSeries(ring, {(1, 0): ring.from_rational(c1), (0, 1): ring.from_rational(c2)}, comm.order)
+    return comm * lin
 
 
 def compressed_cbh(N: int) -> PQElement:
@@ -323,24 +320,10 @@ class L3Element:
         scal = self.ca * other.cb - self.cb * other.ca
         if scal:
             comm._acc((0, 0), ring.from_rational(scal))
-        comm = comm + _l3_mult(self.ca, self.cb, other.comm)
-        comm = comm - _l3_mult(other.ca, other.cb, self.comm)
+        comm = comm + _times_linear(other.comm, self.ca, self.cb)
+        comm = comm - _times_linear(self.comm, other.ca, other.cb)
         comm._clean()
         return L3Element(0, 0, 0, comm, order)
-
-
-def _l3_mult(ca: Fraction, cb: Fraction, comm: BiSeries) -> BiSeries:
-    ring = comm.ring
-    out = BiSeries(ring, {}, comm.order)
-    fca = ring.from_rational(ca) if ca else None
-    fcb = ring.from_rational(cb) if cb else None
-    for (k, l), c in comm.coeffs.items():
-        if fca is not None and k + l + 1 <= out.order:
-            out._acc((k + 1, l), c * fca)
-        if fcb is not None and k + l + 1 <= out.order:
-            out._acc((k, l + 1), c * fcb)
-    out._clean()
-    return out
 
 
 def l3_letter(name: str, order: int, ring=QQ) -> L3Element:
@@ -367,15 +350,9 @@ def hausdorff_in_l3(x: L3Element, y: L3Element, N: int) -> L3Element:
     base = y.bracket(x).comm.truncate(order - 2)
     if base.is_zero():
         return L3Element(x.ca + y.ca, x.cb + y.cb, x.cs + y.cs, base, order)
-    c_series = BiSeries(ring, {}, order - 2)
-    for m in range(1, order + 1):
-        for n in range(1, order - m + 2):
-            if (n - 1) + (m - 1) <= c_series.order:
-                c = ext_bernoulli_recursive(m, n)
-                if c:
-                    c_series.coeffs[(n - 1, m - 1)] = ring.from_rational(
-                        Fraction(c, factorial(m) * factorial(n))
-                    )
+    # C[m,n]/(m! n!) sits at key (m-1, n-1) of the closed form; here at (n-1, m-1)
+    cbh_comm = compressed_cbh(order).comm.swap()
+    c_series = BiSeries(ring, {kl: ring.from_rational(c) for kl, c in cbh_comm.coeffs.items()}, order - 2)
     mult = c_series.substitute_linear(((y.ca, y.cb), (x.ca, x.cb)))
     comm = x.comm.truncate(order - 2) + y.comm.truncate(order - 2) + mult * base
     return L3Element(x.ca + y.ca, x.cb + y.cb, x.cs + y.cs, comm, order)

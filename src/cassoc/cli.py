@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 = success / all checks pass, 1 = a verification failed,
-2 = usage error (argparse default).  Output is deterministic: identical
-invocations produce byte-identical bytes.
+2 = usage error: argparse's own message, or one JSON line {"error": ...} on
+stderr for out-of-range values and unreadable or malformed input files.
+Output is deterministic: identical invocations produce byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -11,13 +12,11 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import cbh, hexagon, pentagon, verify, zeta
 from .exact import bernoulli, ext_bernoulli_recursive, format_rational
-from .series import QQ
+from .series import MAX_DEGREE
 
-MAX_DEGREE = 16
 MAX_PENTAGON = 10
 MAX_ORACLE = 8
 
@@ -42,14 +41,29 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
+def _usage_error(message: str):
+    print(json.dumps({"error": message}), file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _check_degree(value: int, bound: int, what: str) -> int:
     if not 0 <= value <= bound:
-        print(f"error: {what} degree {value} out of bounds (0..{bound})", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(f"{what} degree {value} out of bounds (0..{bound})")
     return value
 
 
+def _load(path: str, parse):
+    """Parse an input file; an unreadable or malformed one is a usage error."""
+    try:
+        with open(path) as fh:
+            return parse(fh.read())
+    except (OSError, ValueError) as exc:
+        _usage_error(f"{path}: {exc}")
+
+
 def cmd_bernoulli(args) -> int:
+    if args.max < 0:
+        _usage_error(f"bernoulli --max {args.max} is negative")
     rows = [(n, bernoulli(n)) for n in range(args.max + 1)]
     if args.format == "json":
         _emit(json.dumps({str(n): format_rational(v) for n, v in rows}, indent=2), args.output)
@@ -95,22 +109,11 @@ def cmd_cbh(args) -> int:
 
 def _family_series(args):
     n = _check_degree(args.degree, MAX_DEGREE, "hexagon")
-    fam = args.family
-    if fam == "I":
-        return hexagon.family_I(n)
-    if fam == "II":
-        return hexagon.family_II(n)
-    if fam == "III":
-        return hexagon.family_III(n)
-    if fam == "custom":
+    if args.family == "custom":
         if not args.params:
-            print("error: --family custom requires --params FILE", file=sys.stderr)
-            raise SystemExit(2)
-        with open(args.params) as fh:
-            params = hexagon.ParamSet.from_json(fh.read())
-        return hexagon.build_f(params, n)
-    print(f"error: unknown family {fam!r}", file=sys.stderr)
-    raise SystemExit(2)
+            _usage_error("--family custom requires --params FILE")
+        return hexagon.build_f(_load(args.params, hexagon.ParamSet.from_json), n)
+    return {"I": hexagon.family_I, "II": hexagon.family_II, "III": hexagon.family_III}[args.family](n)
 
 
 def cmd_hexagon_solve(args) -> int:
@@ -124,8 +127,7 @@ def cmd_hexagon_solve(args) -> int:
 
 
 def cmd_hexagon_residual(args) -> int:
-    with open(args.input) as fh:
-        table = hexagon.AlphaTable.from_json(fh.read())
+    table = _load(args.input, hexagon.AlphaTable.from_json)
     res = hexagon.residual_15b(table.to_series())
     ok = res.is_zero()
     payload = {
@@ -139,8 +141,7 @@ def cmd_hexagon_residual(args) -> int:
 
 def cmd_pentagon_check(args) -> int:
     n = _check_degree(args.degree, MAX_PENTAGON, "pentagon")
-    with open(args.input) as fh:
-        table = hexagon.AlphaTable.from_json(fh.read())
+    table = _load(args.input, hexagon.AlphaTable.from_json)
     norms = pentagon.pentagon_check(table, n)
     ok = not any(norms.values())
     payload = {"pass": ok, "degree": n, "nonzero_coordinates": {str(d): v for d, v in sorted(norms.items())}}

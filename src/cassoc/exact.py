@@ -65,22 +65,27 @@ def check_bernoulli_identity(m: int, variant: str) -> bool:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def ext_bernoulli_recursive(m: int, n: int) -> Fraction:
-    """C[m,n] by the defining recursion seeded with C[1,n] = B_n.
+def _ext_recursion(m: int, n: int, seed, table: dict) -> Fraction:
+    """The two-index recursion with first row C[1,n] = seed(n):
 
-    C[m+1,n] = n/(n+1) C[m,n+1] - 1/(n+1) sum_{k=1}^{n} C(n+1,k) B_k C[m,n-k+1]
+    C[m+1,n] = n/(n+1) C[m,n+1] - 1/(n+1) sum_{k=1}^{n} C(n+1,k) seed(k) C[m,n-k+1]
     """
     if m < 1 or n < 1:
         raise ValueError("indices must be >= 1")
     if m == 1:
-        return bernoulli(n)
+        return seed(n)
     key = (m, n)
-    if key not in _C:
-        s = Fraction(n, n + 1) * ext_bernoulli_recursive(m - 1, n + 1)
+    if key not in table:
+        s = Fraction(n, n + 1) * _ext_recursion(m - 1, n + 1, seed, table)
         for k in range(1, n + 1):
-            s -= Fraction(comb(n + 1, k), n + 1) * bernoulli(k) * ext_bernoulli_recursive(m - 1, n - k + 1)
-        _C[key] = s
-    return _C[key]
+            s -= Fraction(comb(n + 1, k), n + 1) * seed(k) * _ext_recursion(m - 1, n - k + 1, seed, table)
+        table[key] = s
+    return table[key]
+
+
+def ext_bernoulli_recursive(m: int, n: int) -> Fraction:
+    """C[m,n] by the defining recursion seeded with C[1,n] = B_n."""
+    return _ext_recursion(m, n, bernoulli, _C)
 
 
 def ext_bernoulli_closed(m: int, n: int) -> Fraction:
@@ -90,21 +95,15 @@ def ext_bernoulli_closed(m: int, n: int) -> Fraction:
     return sum((comb(m, k) * bernoulli(n + k) for k in range(m)), Fraction(0))
 
 
+def _prime_seed(n: int) -> Fraction:
+    return Fraction(1, 2) if n == 1 else bernoulli(n)
+
+
 def ext_bernoulli_prime(m: int, n: int) -> Fraction:
-    """The mirrored family C'[m,n]: seeds C'[1,1] = 1/2, C'[1,n] = B_n (n >= 2),
-    same recursion with C'[1,k] replacing B_k.  Satisfies C'[m,n] = (-1)^{m+n-1} C[m,n].
+    """The mirrored family C'[m,n]: the same recursion seeded with C'[1,1] = 1/2,
+    C'[1,n] = B_n (n >= 2).  Satisfies C'[m,n] = (-1)^{m+n-1} C[m,n].
     """
-    if m < 1 or n < 1:
-        raise ValueError("indices must be >= 1")
-    if m == 1:
-        return Fraction(1, 2) if n == 1 else bernoulli(n)
-    key = (m, n)
-    if key not in _C_PRIME:
-        s = Fraction(n, n + 1) * ext_bernoulli_prime(m - 1, n + 1)
-        for k in range(1, n + 1):
-            s -= Fraction(comb(n + 1, k), n + 1) * ext_bernoulli_prime(1, k) * ext_bernoulli_prime(m - 1, n - k + 1)
-        _C_PRIME[key] = s
-    return _C_PRIME[key]
+    return _ext_recursion(m, n, _prime_seed, _C_PRIME)
 
 
 def gamma_coefficients(N: int) -> list[Fraction]:
@@ -133,4 +132,10 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    """Parse "p/q" or "p"; anything else, a zero denominator included, raises ValueError."""
+    if not isinstance(text, str):
+        raise ValueError(f"rational must be a \"p/q\" string, got {text!r}")
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None

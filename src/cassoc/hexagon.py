@@ -77,8 +77,9 @@ class AlphaTable:
     @classmethod
     def from_json(cls, text: str, ring=QQ) -> "AlphaTable":
         data = json.loads(text)
-        f = BiSeries.from_records(ring, data["alpha"], int(data["truncation_order"]))
-        return cls.from_series(f)
+        if not isinstance(data, dict) or not {"truncation_order", "alpha"} <= data.keys():
+            raise ValueError("alpha table needs 'truncation_order' and 'alpha'")
+        return cls.from_series(BiSeries.from_records(ring, data["alpha"], data["truncation_order"]))
 
     def to_csv(self) -> str:
         lines = ["k,l,alpha"]
@@ -120,16 +121,21 @@ class ParamSet:
 
     @classmethod
     def from_json(cls, text: str, ring=QQ) -> "ParamSet":
+        """Parse ``to_json`` output or ``zeta solve-betas`` output; malformed
+        input raises ValueError."""
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("parameter file must hold a JSON object")
 
-        def dec(v):
-            if isinstance(v, dict):  # theta-valued: {"poly": [[exponents, "p/q"], ...]}
-                return ring.parse_poly(v)
-            return ring.parse(v)
+        def entries(name: str) -> dict:
+            items = data.get(name, [])
+            if not isinstance(items, list) or not all(
+                isinstance(e, list) and len(e) == 3 and type(e[0]) is int and type(e[1]) is int for e in items
+            ):
+                raise ValueError(f"{name} must be a list of [n, k, value] with int n, k")
+            return {(n, k): ring.parse(v) for n, k, v in items}
 
-        beta = {(int(n), int(k)): dec(v) for n, k, v in data.get("beta", [])}
-        beta_tilde = {(int(n), int(k)): dec(v) for n, k, v in data.get("beta_tilde", [])}
-        return cls(beta, beta_tilde, ring)
+        return cls(entries("beta"), entries("beta_tilde"), ring)
 
 
 def g_from_f(f: BiSeries) -> BiSeries:
@@ -319,53 +325,13 @@ def decompose_symmetric_series(h: BiSeries) -> dict:
         monoms = [(i, d - i) for i in range(d + 1)]
         matrix = [[b.coeffs.get(mo, Fraction(0)) for b in basis] for mo in monoms]
         rhs = [part.get(mo, ring.zero) for mo in monoms]
-        coeffs, residual_free = _solve_rational_matrix(matrix, rhs, ring)
-        if not residual_free:
+        coeffs, kernel = linalg.solve_exact(matrix, rhs)
+        if coeffs is None:
             raise ArithmeticError("residual outside span")
+        if kernel:
+            raise ArithmeticError("decomposition basis is degenerate")
         out[d] = coeffs
     return out
-
-
-def _solve_rational_matrix(matrix: list, rhs: list, ring) -> tuple:
-    """Solve an exactly-determined rational system whose RHS lives in ``ring``.
-
-    The matrix is over Q; ring elements are handled by solving the rational
-    system symbolically: eliminate with Fraction pivots, applying the same row
-    operations to the ring-valued right-hand side.
-    """
-    rows = [list(map(Fraction, r)) for r in matrix]
-    vec = list(rhs)
-    n_rows, n_cols = len(rows), len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pr = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        vec[r], vec[pr] = vec[pr], vec[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        vec[r] = vec[r] * ring.from_rational(1 / pv)
-        for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                fct = rows[i][c]
-                rows[i] = [x - fct * y for x, y in zip(rows[i], rows[r])]
-                vec[i] = vec[i] - vec[r] * ring.from_rational(fct)
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    # consistency: zero rows must carry zero RHS
-    for i in range(n_rows):
-        if all(x == 0 for x in rows[i]) and not ring.is_zero(vec[i]):
-            return [], False
-    if len(pivots) < n_cols:
-        raise ArithmeticError("decomposition basis is degenerate")
-    sol = [ring.zero] * n_cols
-    for i, c in enumerate(pivots):
-        sol[c] = vec[i]
-    return sol, True
 
 
 # -- the general solution (1.5c) ----------------------------------------------------------

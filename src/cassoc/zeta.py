@@ -8,7 +8,6 @@ certifies that no polynomial relation between odd zeta values is implied.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import factorial
 
@@ -202,8 +201,11 @@ class ThetaRing:
     def format(c: ThetaPoly) -> str:
         return c.format()
 
-    def parse(self, text: str) -> ThetaPoly:
-        return ThetaPoly.const(self.gens, parse_rational(text))
+    def parse(self, obj) -> ThetaPoly:
+        """Inverse of ``ThetaPoly.to_json_obj``: a "p/q" string or a {"poly": ...} object."""
+        if isinstance(obj, dict):
+            return self.parse_poly(obj)
+        return ThetaPoly.const(self.gens, parse_rational(obj))
 
     def parse_poly(self, obj) -> ThetaPoly:
         return ThetaPoly(self.gens, {tuple(e): parse_rational(c) for e, c in obj["poly"]})
@@ -260,12 +262,7 @@ def verify_even_S_identity(N: int) -> bool:
     for n in range(1, N // 2 + 1):
         cs[2 * n] = -2 * theta_even(n)
     arg = UniSeries(QQ, cs, N).as_biseries((1, 0), N)  # series in rho alone
-    lhs = arg.exp()
-    rhs_cs = [Fraction(0)] * (N + 1)
-    for j in range(0, N + 1, 2):
-        rhs_cs[j] = Fraction(1, factorial(j + 1))
-    rhs = UniSeries(QQ, rhs_cs, N).as_biseries((1, 0), N)
-    return lhs == rhs
+    return arg.exp() == standard_series("sinhc", N).as_biseries((1, 0), N)
 
 
 def theta_series(N: int, ring: ThetaRing | None = None) -> BiSeries:
@@ -286,13 +283,8 @@ def theta_series(N: int, ring: ThetaRing | None = None) -> BiSeries:
 
 def _sqrt_sinhc_product(N: int, ring: ThetaRing) -> BiSeries:
     """sqrt(sinhc(lam+mu) sinhc(lam) sinhc(mu)) -- a rational unit series."""
-    def sinhc_uni(direction):
-        cs = [Fraction(0)] * (N + 1)
-        for j in range(0, N + 1, 2):
-            cs[j] = Fraction(1, factorial(j + 1))
-        return UniSeries(ring, [ring.from_rational(c) for c in cs], N).as_biseries(direction, N)
-
-    prod = sinhc_uni((1, 1)) * sinhc_uni((1, 0)) * sinhc_uni((0, 1))
+    sinhc = standard_series("sinhc", N, ring)
+    prod = sinhc.as_biseries((1, 1), N) * sinhc.as_biseries((1, 0), N) * sinhc.as_biseries((0, 1), N)
     return prod.sqrt()
 
 
@@ -314,14 +306,13 @@ def solve_betas_in_theta(N: int, ring: ThetaRing | None = None) -> ParamSet:
     M = N + 3
     ring = ring or ring_for_degree(M)
     th = theta_series(M, ring)
-    cosh_t = _cosh(th)
-    sinh_t = _sinh(th)
+    cosh_t, sinh_t = _cosh_sinh(th)
     inv_sq = _sqrt_sinhc_product(M, ring).inverse()
     h = cosh_t * inv_sq
     h_tilde = (sinh_t * inv_sq).divide_monomial(1, 1).divide_lam_plus_mu()
     # Even(f) at degree N needs the even family through degree N + 2, the odd
     # part of f at degree N needs the tilde family through degree N - 1 only.
-    even_coeffs = decompose_symmetric_series(h.truncate(N + 1))
+    even_coeffs = decompose_symmetric_series(h.truncate(N + 2))
     odd_coeffs = decompose_symmetric_series(h_tilde.truncate(N - 1))
     gam = gamma_coefficients(N + 2)
     beta = {}
@@ -348,29 +339,10 @@ def solve_betas_in_theta(N: int, ring: ThetaRing | None = None) -> ParamSet:
     return ParamSet(beta=beta, beta_tilde=beta_tilde, ring=ring)
 
 
-def _cosh(s: BiSeries) -> BiSeries:
-    out = BiSeries.constant(s.ring, s.ring.one, s.order)
-    term = BiSeries.constant(s.ring, s.ring.one, s.order)
+def _cosh_sinh(s: BiSeries) -> tuple:
+    """cosh(s) and sinh(s), both composed in s^2 (s has no constant term)."""
     s2 = s * s
-    k = 0
-    while True:
-        k += 2
-        term = (term * s2).scale_rational(Fraction(1, (k - 1) * k))
-        if term.is_zero():
-            break
-        out = out + term
-    return out
-
-
-def _sinh(s: BiSeries) -> BiSeries:
-    out = s
-    term = s
-    s2 = s * s
-    k = 1
-    while True:
-        k += 2
-        term = (term * s2).scale_rational(Fraction(1, (k - 1) * k))
-        if term.is_zero():
-            break
-        out = out + term
-    return out
+    n = s.order // 2 + 1
+    cosh = s2.compose([Fraction(1, factorial(2 * j)) for j in range(n)])
+    sinh = s * s2.compose([Fraction(1, factorial(2 * j + 1)) for j in range(n)])
+    return cosh, sinh

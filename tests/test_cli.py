@@ -146,3 +146,45 @@ def test_output_dir_env(tmp_path, capsys, monkeypatch):
                       "--output", "bern.csv")
     assert code == 0
     assert (tmp_path / "bern.csv").read_text().startswith("n,B_n")
+
+
+def run_usage_error(capsys, *argv) -> dict:
+    """Run the CLI expecting exit 2 and a one-line JSON error on stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1
+    return json.loads(err)
+
+
+def test_missing_input_file(tmp_path, capsys):
+    err = run_usage_error(capsys, "hexagon", "residual", "--input", str(tmp_path / "nope.json"))
+    assert "nope.json" in err["error"]
+
+
+@pytest.mark.parametrize("case, text", [
+    ("not-json", "{alpha: ]"),
+    ("zero-denominator", json.dumps({"truncation_order": 2, "alpha": [{"k": 0, "l": 0, "coeff": "1/0"}]})),
+    ("not-a-rational", json.dumps({"truncation_order": 2, "alpha": [{"k": 0, "l": 0, "coeff": "x"}]})),
+    ("negative-exponent", json.dumps({"truncation_order": 2, "alpha": [{"k": -1, "l": 0, "coeff": "1"}]})),
+    ("beyond-order", json.dumps({"truncation_order": 3, "alpha": [{"k": 5, "l": 0, "coeff": "1"}]})),
+    ("order-too-large", json.dumps({"truncation_order": 17, "alpha": []})),
+])
+def test_malformed_alpha_table(tmp_path, capsys, case, text):
+    path = tmp_path / f"{case}.json"
+    path.write_text(text)
+    run_usage_error(capsys, "hexagon", "residual", "--input", str(path))
+    run_usage_error(capsys, "pentagon", "check", "--degree", "6", "--input", str(path))
+
+
+def test_param_index_out_of_range(tmp_path, capsys):
+    pfile = tmp_path / "params.json"
+    pfile.write_text(json.dumps({"beta": [[3, 2, "1"]]}))
+    err = run_usage_error(capsys, "hexagon", "solve", "--family", "custom",
+                          "--params", str(pfile), "--degree", "6")
+    assert "out of range" in err["error"]
+
+
+def test_bernoulli_negative_max(capsys):
+    run_usage_error(capsys, "bernoulli", "--max", "-3")

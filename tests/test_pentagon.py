@@ -189,7 +189,7 @@ def test_l4_dimensions_bound():
     assert report[1]["dimension"] == 6
     assert report[2]["dimension"] == 4
     for d in range(3, 9):
-        assert report[d]["dimension"] <= 5 * (d - 1)
+        assert report[d]["dimension"] == 5 * (d - 1)
 
 
 def test_reducer_degree_bound_error():

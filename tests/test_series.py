@@ -75,6 +75,16 @@ def test_exp_log_roundtrip():
         assert u.sqrt() * u.sqrt() == u
 
 
+def test_compose_geometric_series():
+    rng = random.Random(29)
+    t = rand_series(rng, order=10)
+    t = t - BiSeries.constant(QQ, t.coeff(0, 0), 10)
+    assert t.compose([F(1)] * 11) == (ONE.truncate(10) - t).inverse()
+    assert t.compose([F(0), F(1)]) == t and t.compose([F(2)]) == ONE.truncate(10) * 2
+    with pytest.raises(ValueError, match="without constant term"):
+        ONE.compose([F(1), F(1)])
+
+
 def test_exp_drinfeld_low_degree():
     # 1 + lam mu f starts 1 + lam mu / 6 because -2 theta_2 = 1/6
     s = BiSeries(QQ, {(1, 1): F(1, 6), (2, 0): F(-1, 12) + F(1, 12)}, 2)

@@ -112,8 +112,10 @@ def test_solve_betas_printed_parameters():
 
 
 def test_solve_betas_round_trip():
-    params = solve_betas_in_theta(9)
-    assert build_f(params, 9) == drinfeld_f(9, params.ring)
+    # even N needs the even family through degree N + 2
+    for N in (8, 9, 10):
+        params = solve_betas_in_theta(N)
+        assert build_f(params, N) == drinfeld_f(N, params.ring)
 
 
 def test_odd_to_zero_recovers_even_family():
@@ -133,11 +135,11 @@ def test_weight_grading():
 
 def test_cosh_side_is_one_on_diagonal():
     # both sides of the even identity collapse to 1 at mu = -lam
-    from cassoc.zeta import _sqrt_sinhc_product, _cosh
+    from cassoc.zeta import _cosh_sinh, _sqrt_sinhc_product
 
     ring = ring_for_degree(9)
     th = theta_series(9, ring)
-    lhs = _cosh(th).diagonal()
+    lhs = _cosh_sinh(th)[0].diagonal()
     assert lhs.coeff(0) == ring.one and all(
         ring.is_zero(lhs.coeff(n)) for n in range(1, 10)
     )
@@ -152,3 +154,33 @@ def test_ring_bound_guard():
     with pytest.raises(ValueError):
         drinfeld_s(12, ThetaRing(9))
     assert ring_for_degree(11).gens == (3, 5, 7, 9, 11)
+
+
+def test_compositions_over_theta_ring():
+    from cassoc.series import BiSeries
+    from cassoc.zeta import _cosh_sinh
+
+    ring = ring_for_degree(9)
+    th = theta_series(9, ring)
+    one = BiSeries.constant(ring, ring.one, 9)
+    cosh, sinh = _cosh_sinh(th)
+    assert cosh * cosh - sinh * sinh == one
+    u = one + th
+    assert th.exp().log() == th
+    assert u.log().exp() == u
+    assert u.sqrt() * u.sqrt() == u
+    assert u * u.inverse() == one
+
+
+def test_solve_exact_with_theta_rhs():
+    from cassoc.linalg import solve_exact
+
+    ring = ring_for_degree(9)
+    t3, t5 = ring.generator(3), ring.generator(5)
+    matrix = [[F(1), F(1), F(0)], [F(0), F(0), F(1)], [F(1), F(1), F(1)]]
+    particular, kernel = solve_exact(matrix, [t3, t5, t3 + t5])
+    assert particular == [t3, ring.zero, t5]
+    assert all(isinstance(x, ThetaPoly) for x in particular)
+    assert kernel == [[F(-1), F(1), F(0)]]
+    particular, kernel = solve_exact(matrix, [t3, t5, t3])
+    assert particular is None and kernel == [[F(-1), F(1), F(0)]]
