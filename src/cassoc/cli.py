@@ -183,12 +183,7 @@ def cmd_zeta_drinfeld(args) -> int:
 
 def cmd_zeta_solve_betas(args) -> int:
     n = _check_degree(args.degree, MAX_DEGREE, "zeta")
-    params = zeta.solve_betas_in_theta(n)
-    payload = {
-        "beta": [[nn, kk, v.to_json_obj()] for (nn, kk), v in sorted(params.beta.items())],
-        "beta_tilde": [[nn, kk, v.to_json_obj()] for (nn, kk), v in sorted(params.beta_tilde.items())],
-    }
-    _emit(json.dumps(payload, indent=2), args.output)
+    _emit(zeta.solve_betas_in_theta(n).to_json(), args.output)
     return 0
 
 

@@ -108,9 +108,9 @@ class ParamSet:
                 raise ValueError(f"beta_tilde index out of range: {(n, k)}")
 
     def to_json(self) -> str:
-        def enc(v):
-            return self.ring.format(v)
-
+        """JSON that ``from_json`` reads back: each value is written by
+        ``ring.to_json_obj`` ("p/q" for a rational, {"poly": ...} otherwise)."""
+        enc = self.ring.to_json_obj
         return json.dumps(
             {
                 "beta": [[n, k, enc(v)] for (n, k), v in sorted(self.beta.items())],
@@ -121,8 +121,8 @@ class ParamSet:
 
     @classmethod
     def from_json(cls, text: str, ring=QQ) -> "ParamSet":
-        """Parse ``to_json`` output or ``zeta solve-betas`` output; malformed
-        input raises ValueError."""
+        """Parse ``to_json`` output (which ``zeta solve-betas`` prints);
+        malformed input raises ValueError."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("parameter file must hold a JSON object")

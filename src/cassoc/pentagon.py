@@ -14,6 +14,11 @@ The defining relations of the quotient ([a,e] = [b,v] = [c,d] = 0 and the
 x, y, z, u identifications) generate, as monomial multiples, a linear
 subspace per degree; ``QuotientReducer`` row-reduces that subspace once and
 then reduces arbitrary elements to canonical coordinates on the complement.
+Each relation row goes straight into normal form, one ``_norm_core`` call per
+core term of the relation, and the elimination runs over Python ints: the
+L4bar and L3bar relations have coefficients +-1 and all their pivots are
+units (checked through degree 11), so pivot rows stay integral; a non-unit
+pivot falls back to exact Fractions.
 The hand-derived rewrite identities of the source theory are *checked*
 against this generic reduction, never assumed.
 """
@@ -112,7 +117,7 @@ class MetabelianModel:
                 break
         if small is None or small >= j:
             key = (i, j, mono)
-            v = out.get(key, Fraction(0)) + coeff
+            v = out.get(key, 0) + coeff
             if v:
                 out[key] = v
             elif key in out:
@@ -247,7 +252,14 @@ class QuotientReducer:
     The relation subspace at degree n is spanned by monomial * r over the
     quadratic relations r (bracketing a relation into another commutator dies
     in the metabelian quotient, so monomial multiples generate everything).
-    Deterministic processing order makes the canonical coordinates stable.
+    The letters act on the commutator part as commuting variables, so the row
+    of monomial * r is the sum of c * monomial * [x_i, x_j] over the terms of
+    r, each put in normal form by ``MetabelianModel._norm_core``.  Rows are
+    eliminated in turn into monic pivot rows.  A unit pivot (+-1) is its own
+    inverse, so integral relations give integral pivot rows; any other pivot
+    is inverted as a Fraction, which keeps the elimination exact for any
+    relation set.  Deterministic processing order (monomials, then relations)
+    makes the canonical coordinates stable.
     """
 
     def __init__(self, model: MetabelianModel, relations: list, max_degree: int = 0):
@@ -259,19 +271,31 @@ class QuotientReducer:
         for d in range(2, max_degree + 1):
             self._build(d)
 
+    def _relation_rows(self, degree: int):
+        """Yield mono * r in normal form, {key: coeff}, for every monomial of
+        degree - 2 and, within it, every relation r in order."""
+        norm = self.model._norm_core
+        # each quadratic relation as (i, j, c) over its core keys (i, j, 0...);
+        # integral coefficients become ints so unit-pivot rows stay integral
+        cores = [
+            [(i, j, c.numerator if c.denominator == 1 else c) for (i, j, _), c in rel[1].items()]
+            for rel in self.relations
+        ]
+        for mono in _monomials(self.model.n, degree - 2):
+            for core in cores:
+                elem: dict = {}
+                for i, j, c in core:
+                    norm(i, j, mono, c, elem)
+                yield elem
+
     def _build(self, degree: int) -> None:
         if degree in self._rows or degree < 2:
             return
-        model = self.model
-        keys = model.basis_keys(degree)
+        keys = self.model.basis_keys(degree)
         col_of = {k: idx for idx, k in enumerate(keys)}
         pivot_rows: dict = {}
-        for mono in _monomials(model.n, degree - 2):
-            powers = {s: e for s, e in enumerate(mono) if e}
-            for rel in self.relations:
-                elem = model.mono_mult(rel, powers) if powers else rel
-                row = {col_of[k]: c for k, c in elem[1].items()}
-                self._insert(row, pivot_rows)
+        for elem in self._relation_rows(degree):
+            self._insert({col_of[k]: c for k, c in elem.items()}, pivot_rows)
         self._cols[degree] = col_of
         self._keys[degree] = keys
         self._rows[degree] = pivot_rows
@@ -291,12 +315,12 @@ class QuotientReducer:
                 continue
             piv = pivot_rows.get(c)
             if piv is None:
-                # new pivot: normalize monic and store
-                inv = Fraction(1) / val
+                # new pivot: normalize monic and store; a unit is its own inverse
+                inv = val if abs(val) == 1 else Fraction(1, val)
                 pivot_rows[c] = {cc: vv * inv for cc, vv in row.items() if vv}
                 return
             for cc, vv in piv.items():
-                nv = row.get(cc, Fraction(0)) - val * vv
+                nv = row.get(cc, 0) - val * vv
                 if nv:
                     row[cc] = nv
                     if cc not in seen:

@@ -60,7 +60,12 @@ class RationalRing:
         return format_rational(c)
 
     @staticmethod
+    def to_json_obj(c) -> str:
+        return format_rational(c)
+
+    @staticmethod
     def parse(text: str):
+        """Inverse of ``to_json_obj``: a "p/q" string."""
         return parse_rational(text)
 
 
@@ -401,9 +406,10 @@ class BiSeries:
     # -- serialization -------------------------------------------------------------------
 
     def to_records(self) -> list:
-        """Deterministic list of (k, l, coefficient-string) records."""
+        """Deterministic list of (k, l, coefficient) records; each coefficient
+        is written by ``ring.to_json_obj``, so ``ring.parse`` reads it back."""
         return [
-            {"k": k, "l": l, "coeff": self.ring.format(c)}
+            {"k": k, "l": l, "coeff": self.ring.to_json_obj(c)}
             for (k, l), c in sorted(self.coeffs.items(), key=_term_sort_key)
         ]
 

@@ -215,12 +215,11 @@ def check_section5(kmax: int = 4, lmax: int = 4) -> tuple:
 
 def check_l3_dimensions(degree: int = 10) -> tuple:
     """Three- and four-strand quotient dimensions equal their references at every degree."""
-    l4_degree = min(degree, 8)
-    for variant, top in (("L3bar", degree), ("L4bar", l4_degree)):
-        for d, entry in pentagon.dimension_report(top, variant).items():
+    for variant in ("L3bar", "L4bar"):
+        for d, entry in pentagon.dimension_report(degree, variant).items():
             if entry["dimension"] != entry["reference"]:
                 return False, f"{variant} dimension at degree {d}: {entry['dimension']} != {entry['reference']}"
-    return True, f"L3 dimensions match the model to degree {degree}; L4 dimensions are 6, 4, 5(d-1) to degree {l4_degree}"
+    return True, f"L3 dimensions match the model to degree {degree}; L4 dimensions are 6, 4, 5(d-1) to degree {degree}"
 
 
 def check_zeta(solve_degree: int = 9, family_degree: int = 12) -> tuple:

@@ -201,6 +201,10 @@ class ThetaRing:
     def format(c: ThetaPoly) -> str:
         return c.format()
 
+    @staticmethod
+    def to_json_obj(c: ThetaPoly):
+        return c.to_json_obj()
+
     def parse(self, obj) -> ThetaPoly:
         """Inverse of ``ThetaPoly.to_json_obj``: a "p/q" string or a {"poly": ...} object."""
         if isinstance(obj, dict):

@@ -18,6 +18,7 @@ GOLDEN = [
     ("zeta drinfeld --degree 16 --format json", "7d550a04d57c826c334cae162c77af39a26e3fc0f6484e4b4b2f918cb8234483"),
     ("zeta solve-betas --degree 15", "de87ee928f8fc146c9f7343ee360b79e52283be9412ecc3735e954a0185ed8f0"),
     ("pentagon dims --degree 10 --variant L3bar", "a409bd84cd49c58ef9558e015633ac8f0467b0876f665c21176d1cdafbd2a757"),
+    ("pentagon dims --degree 10 --variant L4bar", "45146f88b8691740631cfbd93b9a08989b65e8f8cf638a3330ee83a023bef9bb"),
 ]
 
 

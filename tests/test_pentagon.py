@@ -4,9 +4,13 @@ from fractions import Fraction as F
 import pytest
 
 from cassoc.hexagon import AlphaTable, family_I
+from cassoc.linalg import rref
 from cassoc.pentagon import (
     L3_MODEL,
     L4_MODEL,
+    QuotientReducer,
+    _l4_relations,
+    _monomials,
     claim_53_span_checks,
     dimension_report,
     identity_suite,
@@ -185,11 +189,52 @@ def test_l3_dimensions_match_model():
 
 
 def test_l4_dimensions_bound():
-    report = dimension_report(8, "L4bar")
+    report = dimension_report(10, "L4bar")
     assert report[1]["dimension"] == 6
     assert report[2]["dimension"] == 4
-    for d in range(3, 9):
+    for d in range(3, 11):
         assert report[d]["dimension"] == 5 * (d - 1)
+
+
+def test_relation_rows_match_bracket_chains(red):
+    rels = _l4_relations()
+    for degree in range(2, 8):
+        rows = list(red._relation_rows(degree))
+        expected = [
+            L4_MODEL.mono_mult(rel, {s: e for s, e in enumerate(mono) if e})[1]
+            for mono in _monomials(6, degree - 2)
+            for rel in rels
+        ]
+        assert rows == expected, degree
+
+
+def test_pivot_rows_are_integral_and_monic(red):
+    for d in range(2, 11):
+        red.dimension(d)
+        for col, row in red._rows[d].items():
+            assert min(row) == col and row[col] == 1
+            assert all(type(v) is int for v in row.values())
+
+
+def test_reducer_with_non_unit_pivots():
+    m = L3_MODEL
+    a, b, c = (m.letter(i) for i in range(3))
+    rels = [m.sub(m.scale(m.bracket(a, b), 2), m.bracket(b, c)), m.sub(m.bracket(b, c), m.bracket(c, a))]
+    red = QuotientReducer(m, rels)
+    for d in range(2, 7):
+        keys = m.basis_keys(d)
+        multiples = [
+            m.mono_mult(rel, {s: e for s, e in enumerate(mono) if e})
+            for mono in _monomials(3, d - 2)
+            for rel in rels
+        ]
+        _, pivots = rref([[elem[1].get(k, F(0)) for k in keys] for elem in multiples])
+        assert red.dimension(d) == len(keys) - len(pivots) == d - 1
+        for elem in multiples:
+            assert red.is_zero(elem)
+        assert any(v.denominator > 1 for row in red._rows[d].values() for v in row.values())
+    coords = red.reduce(m.bracket(a, m.bracket(a, b)))[3]
+    assert coords and all(type(v) is F for v in coords.values())
 
 
 def test_reducer_degree_bound_error():

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cassoc.hexagon import build_f, residual_15b, split_residuals
+from cassoc.hexagon import AlphaTable, ParamSet, build_f, residual_15b, split_residuals
 from cassoc.series import QQ
 from cassoc.zeta import (
     ThetaPoly,
@@ -116,6 +116,15 @@ def test_solve_betas_round_trip():
     for N in (8, 9, 10):
         params = solve_betas_in_theta(N)
         assert build_f(params, N) == drinfeld_f(N, params.ring)
+
+
+def test_theta_json_round_trip():
+    params = solve_betas_in_theta(9)
+    back = ParamSet.from_json(params.to_json(), params.ring)
+    assert back.beta == params.beta and back.beta_tilde == params.beta_tilde
+    assert any(not v.is_rational() for v in params.beta.values())
+    table = AlphaTable.from_series(drinfeld_f(7, params.ring))
+    assert AlphaTable.from_json(table.to_json(), params.ring).to_series() == table.to_series()
 
 
 def test_odd_to_zero_recovers_even_family():
