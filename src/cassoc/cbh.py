@@ -1,18 +1,27 @@
 """Hausdorff series log(exp P * exp Q) in the quotient where commutators commute.
 
-Elements of the two-generator quotient are a linear part x_P P + x_Q Q plus a
-commutator part: a BiSeries in (p, q) whose (i, j) coefficient multiplies the
-basis bracket [Q^j P^i Q P] (so the (i, j) term has word degree i + j + 2).
+One element class, ``ModelElement``, serves both models here.  It holds
 
-Three independent computations of the same series live here:
+    x X + y Y + s S + comm(lam, mu) [X, Y],
+
+where S is central and bracketing with X (resp. Y) multiplies a commutator
+part by lam (resp. mu), so the (k, l) coefficient of ``comm`` multiplies
+X^k Y^l [X, Y] (word degree k + l + 2).  The coefficient ring is comm's ring.
+
+* In the Hausdorff model X = Q, Y = P and s = 0: the (n-1, m-1) coefficient
+  multiplies the basis bracket [Q^{n-1} P^{m-1} Q P].
+* In the three-letter model of the hexagon checks X = a, Y = b and
+  S = a + b + c.
+
+Three independent computations of the Hausdorff series live here:
 
 * ``compressed_cbh``         -- the closed form with coefficients C[m,n]/(m! n!)
 * ``classical_cbh_in_model`` -- the derivation recursion H_m = (1/m) D(H_{m-1})
 * ``associative_log_oracle`` -- log of truncated exponentials in the free
   associative algebra, pushed back to brackets by the Dynkin projection
 
-plus the analogous Hausdorff product for the three-letter model used by the
-hexagon checks.
+plus the Hausdorff product ``hausdorff_in_l3`` of any two model elements,
+used by the hexagon checks.
 """
 
 from __future__ import annotations
@@ -24,93 +33,71 @@ from .exact import bernoulli, ext_bernoulli_recursive
 from .series import QQ, BiSeries
 
 __all__ = [
-    "PQElement",
+    "ModelElement",
     "compressed_cbh",
     "classical_cbh_in_model",
     "associative_log_oracle",
     "word_to_canonical",
-    "L3Element",
-    "l3_letter",
     "hausdorff_in_l3",
 ]
 
 
-class PQElement:
-    """Model element: linear part in P, Q plus commuting-commutator part."""
+class ModelElement:
+    """x X + y Y + s S + comm(lam, mu) [X, Y] with S central, truncated at word
+    degree comm.order + 2."""
 
-    __slots__ = ("lin_p", "lin_q", "comm", "order")
+    __slots__ = ("x", "y", "s", "comm")
 
-    def __init__(self, lin_p: Fraction, lin_q: Fraction, comm: BiSeries, order: int):
-        self.lin_p = Fraction(lin_p)
-        self.lin_q = Fraction(lin_q)
-        self.comm = comm  # coefficient of [Q^j P^i Q P] at key (i, j)
-        self.order = order  # word-degree truncation; comm is valid to order - 2
+    def __init__(self, x, y, s, comm: BiSeries):
+        self.x = Fraction(x)
+        self.y = Fraction(y)
+        self.s = Fraction(s)
+        self.comm = comm  # coefficient of X^k Y^l [X, Y] at key (k, l)
 
-    @classmethod
-    def zero(cls, order: int) -> "PQElement":
-        return cls(0, 0, BiSeries(QQ, {}, order - 2), order)
+    def __add__(self, other: "ModelElement") -> "ModelElement":
+        return ModelElement(self.x + other.x, self.y + other.y, self.s + other.s, self.comm + other.comm)
 
-    @classmethod
-    def letter(cls, name: str, order: int) -> "PQElement":
-        if name == "P":
-            return cls(1, 0, BiSeries(QQ, {}, order - 2), order)
-        if name == "Q":
-            return cls(0, 1, BiSeries(QQ, {}, order - 2), order)
-        raise ValueError(name)
+    def __sub__(self, other: "ModelElement") -> "ModelElement":
+        return ModelElement(self.x - other.x, self.y - other.y, self.s - other.s, self.comm - other.comm)
 
-    def __add__(self, other: "PQElement") -> "PQElement":
-        return PQElement(
-            self.lin_p + other.lin_p,
-            self.lin_q + other.lin_q,
-            self.comm + other.comm,
-            min(self.order, other.order),
-        )
-
-    def __sub__(self, other: "PQElement") -> "PQElement":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, q: Fraction) -> "PQElement":
-        return PQElement(self.lin_p * q, self.lin_q * q, self.comm.scale_rational(q), self.order)
+    def scale(self, q: Fraction) -> "ModelElement":
+        return ModelElement(self.x * q, self.y * q, self.s * q, self.comm.scale_rational(q))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, PQElement):
+        if not isinstance(other, ModelElement):
             return NotImplemented
-        return self.lin_p == other.lin_p and self.lin_q == other.lin_q and self.comm == other.comm
+        return self.x == other.x and self.y == other.y and self.s == other.s and self.comm == other.comm
 
     def is_zero(self) -> bool:
-        return self.lin_p == 0 and self.lin_q == 0 and self.comm.is_zero()
+        return self.x == 0 and self.y == 0 and self.s == 0 and self.comm.is_zero()
 
-    def bracket(self, other: "PQElement") -> "PQElement":
+    def _acting(self, order: int) -> BiSeries:
+        """x lam + y mu: how bracketing with self acts on a commutator part."""
+        ring = self.comm.ring
+        return BiSeries(ring, {(1, 0): ring.from_rational(self.x), (0, 1): ring.from_rational(self.y)}, order)
+
+    def bracket(self, other: "ModelElement") -> "ModelElement":
         """[self, other] in the quotient: lands entirely in the commutator part."""
-        order = min(self.order, other.order)
-        comm = BiSeries(QQ, {}, order - 2)
-        # [x_lin, y_lin]: [P,Q] = -[QP] sits at key (0, 0)
-        scal = self.lin_q * other.lin_p - self.lin_p * other.lin_q
-        if scal:
-            comm._acc((0, 0), Fraction(scal))
-        # [x_lin, y_comm]: prefixing by P multiplies by p, by Q multiplies by q
-        comm = comm + _times_linear(other.comm, self.lin_p, self.lin_q)
-        comm = comm - _times_linear(self.comm, other.lin_p, other.lin_q)
-        comm._clean()
-        return PQElement(0, 0, comm, order)
+        ring = self.comm.ring
+        n = min(self.comm.order, other.comm.order)
+        comm = BiSeries.constant(ring, ring.from_rational(self.x * other.y - self.y * other.x), n)
+        comm = comm + other.comm * self._acting(n) - self.comm * other._acting(n)
+        return ModelElement(0, 0, 0, comm)
 
     def records(self) -> list:
-        """Canonical-basis dump: (n, m, coefficient) for [Q^{n-1} P^{m-1} Q P]."""
-        out = []
-        for (i, j), c in sorted(self.comm.coeffs.items(), key=lambda t: (t[0][0] + t[0][1], t[0])):
-            out.append((j + 1, i + 1, c))
-        return out
+        """Hausdorff-model dump: (n, m, coefficient) for [Q^{n-1} P^{m-1} Q P],
+        by word degree, then m."""
+        keys = sorted(self.comm.coeffs, key=lambda kl: (kl[0] + kl[1], kl[1], kl[0]))
+        return [(k + 1, l + 1, self.comm.coeffs[(k, l)]) for k, l in keys]
 
 
-def _times_linear(comm: BiSeries, c1: Fraction, c2: Fraction) -> BiSeries:
-    """comm * (c1 lam + c2 mu) at comm's order: bracketing a commutator part
-    with the linear part c1 * (first letter) + c2 * (second letter)."""
-    ring = comm.ring
-    lin = BiSeries(ring, {(1, 0): ring.from_rational(c1), (0, 1): ring.from_rational(c2)}, comm.order)
-    return comm * lin
+def _pq_letters(N: int) -> tuple:
+    """P = Y and Q = X of the Hausdorff model, truncated at word degree N."""
+    empty = BiSeries(QQ, {}, N - 2)
+    return ModelElement(0, 1, 0, empty), ModelElement(1, 0, 0, empty)
 
 
-def compressed_cbh(N: int) -> PQElement:
+def compressed_cbh(N: int) -> ModelElement:
     """P + Q + sum C[m,n]/(m! n!) [Q^{n-1} P^{m-1} Q P], truncated at word degree N."""
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -119,45 +106,44 @@ def compressed_cbh(N: int) -> PQElement:
         for n in range(1, N - m + 1):
             c = ext_bernoulli_recursive(m, n)
             if c:
-                comm.coeffs[(m - 1, n - 1)] = Fraction(c, factorial(m) * factorial(n))
-    return PQElement(1, 1, comm, N)
+                comm.coeffs[(n - 1, m - 1)] = Fraction(c, factorial(m) * factorial(n))
+    return ModelElement(1, 1, 0, comm)
 
 
-def _h1(N: int) -> PQElement:
+def _h1(N: int) -> ModelElement:
     """H_1 = P + sum_{k>=1} B_k/k! [Q^k P]."""
     comm = BiSeries(QQ, {}, N - 2)
     for k in range(1, N):
         b = bernoulli(k)
         if b:
-            comm.coeffs[(0, k - 1)] = Fraction(b, factorial(k))
-    return PQElement(1, 0, comm, N)
+            comm.coeffs[(k - 1, 0)] = Fraction(b, factorial(k))
+    return ModelElement(0, 1, 0, comm)
 
 
-def _derive(elem: PQElement, h1: PQElement) -> PQElement:
+def _derive(elem: ModelElement, h1: ModelElement) -> ModelElement:
     """The derivation D = H_1 d/dQ: Q -> H_1, P -> 0, with the basis rule
 
     D [Q^{n-1} P^{m-1} Q P] = (n-1) [Q^{n-2} P^m Q P] - sum_k B_k/k! [Q^{k+n-2} P^m Q P].
     """
-    N = elem.order
-    out = h1.scale(elem.lin_q)
-    comm = BiSeries(QQ, {}, N - 2)
+    out = h1.scale(elem.x)
+    comm = BiSeries(QQ, {}, elem.comm.order)
     for (i, j), c in elem.comm.coeffs.items():
-        # key (i, j) is [Q^j P^i Q P]; n - 1 = j, m - 1 = i
-        if j >= 1 and (i + 1) + (j - 1) <= comm.order:
-            comm._acc((i + 1, j - 1), c * j)
+        # key (i, j) is [Q^i P^j Q P]; n - 1 = i, m - 1 = j
+        if i >= 1 and (i - 1) + (j + 1) <= comm.order:
+            comm._acc((i - 1, j + 1), c * i)
         for k in range(1, comm.order - i - j + 2):
             b = bernoulli(k)
-            if b and (i + 1) + (j + k - 1) <= comm.order:
-                comm._acc((i + 1, j + k - 1), c * Fraction(-b, factorial(k)))
+            if b and (i + k - 1) + (j + 1) <= comm.order:
+                comm._acc((i + k - 1, j + 1), c * Fraction(-b, factorial(k)))
     comm._clean()
-    return out + PQElement(0, 0, comm, N)
+    return out + ModelElement(0, 0, 0, comm)
 
 
-def classical_cbh_in_model(N: int) -> PQElement:
+def classical_cbh_in_model(N: int) -> ModelElement:
     """Sum of the recursion H_0 = Q, H_1, H_m = (1/m) D(H_{m-1}), inside the model."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    total = PQElement.letter("Q", N)
+    total = _pq_letters(N)[1]
     h1 = _h1(N)
     h = h1
     total = total + h
@@ -207,24 +193,24 @@ def _nc_log(f: dict, N: int) -> dict:
     return {w: c for w, c in out.items() if c}
 
 
-def _eval_long_commutator(word: tuple, N: int) -> PQElement:
+def _eval_long_commutator(word: tuple, letters: tuple) -> ModelElement:
     """Right-nested [s_1, [s_2, [... s_k]]] evaluated in the model."""
-    elems = [PQElement.letter("PQ"[s], N) for s in word]
-    acc = elems[-1]
-    for e in reversed(elems[:-1]):
-        acc = e.bracket(acc)
+    acc = letters[word[-1]]
+    for s in reversed(word[:-1]):
+        acc = letters[s].bracket(acc)
         if acc.is_zero():
             return acc
     return acc
 
 
-def associative_log_oracle(N: int) -> PQElement:
+def associative_log_oracle(N: int) -> ModelElement:
     """log(exp P * exp Q) in the truncated free algebra, converted degree by
     degree to the model through the Dynkin projection (left-bracketing / n)."""
     if N < 1:
         raise ValueError("N must be >= 1")
     h = _nc_log(_nc_mul(_nc_exp_letter(P_LETTER, N), _nc_exp_letter(Q_LETTER, N), N), N)
-    total = PQElement.zero(N)
+    letters = _pq_letters(N)  # indexed by P_LETTER, Q_LETTER
+    total = ModelElement(0, 0, 0, BiSeries(QQ, {}, N - 2))
     for w, c in h.items():
         n = len(w)
         if n == 0:
@@ -232,16 +218,15 @@ def associative_log_oracle(N: int) -> PQElement:
                 raise ArithmeticError("log has a constant term")
             continue
         if n == 1:
-            lin = PQElement.letter("PQ"[w[0]], N).scale(c)
-            total = total + lin
+            total = total + letters[w[0]].scale(c)
             continue
-        total = total + _eval_long_commutator(w, N).scale(Fraction(c, n))
+        total = total + _eval_long_commutator(w, letters).scale(Fraction(c, n))
     return total
 
 
 def word_to_canonical(word: str) -> tuple | None:
     """Map a printed long commutator like "PQQPQ" to (key, sign) in the
-    [Q^j P^i Q P] basis, or None when the word evaluates to zero.
+    [Q^i P^j Q P] basis, or None when the word evaluates to zero.
 
     The prefix letters commute in the quotient, so only the letter counts of
     word[:-2] and the orientation of the innermost pair matter.
@@ -252,107 +237,24 @@ def word_to_canonical(word: str) -> tuple | None:
     if last == second:
         return None
     prefix = word[:-2]
-    i = prefix.count("P")
-    j = prefix.count("Q")
     sign = 1 if (second, last) == ("Q", "P") else -1
-    return (i, j), sign
+    return (prefix.count("Q"), prefix.count("P")), sign
 
 
-# -- three-letter model -----------------------------------------------------------------
-
-
-class L3Element:
-    """Element of the three-letter quotient model.
-
-    Value = ca * a + cb * b + cs * (a + b + c) + comm(lam, mu) * [a, b], where
-    a + b + c is central and bracketing with a (resp. b) multiplies the
-    commutator part by lam (resp. mu).
-    """
-
-    __slots__ = ("ca", "cb", "cs", "comm", "order")
-
-    def __init__(self, ca, cb, cs, comm: BiSeries, order: int):
-        self.ca = Fraction(ca)
-        self.cb = Fraction(cb)
-        self.cs = Fraction(cs)
-        self.comm = comm
-        self.order = order
-
-    @classmethod
-    def zero(cls, order: int, ring=QQ) -> "L3Element":
-        return cls(0, 0, 0, BiSeries(ring, {}, order - 2), order)
-
-    def __add__(self, other: "L3Element") -> "L3Element":
-        return L3Element(
-            self.ca + other.ca,
-            self.cb + other.cb,
-            self.cs + other.cs,
-            self.comm + other.comm,
-            min(self.order, other.order),
-        )
-
-    def __sub__(self, other: "L3Element") -> "L3Element":
-        return L3Element(
-            self.ca - other.ca,
-            self.cb - other.cb,
-            self.cs - other.cs,
-            self.comm - other.comm,
-            min(self.order, other.order),
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, L3Element):
-            return NotImplemented
-        return (
-            self.ca == other.ca
-            and self.cb == other.cb
-            and self.cs == other.cs
-            and self.comm == other.comm
-        )
-
-    def is_zero(self) -> bool:
-        return self.ca == 0 and self.cb == 0 and self.cs == 0 and self.comm.is_zero()
-
-    def bracket(self, other: "L3Element") -> "L3Element":
-        ring = self.comm.ring
-        order = min(self.order, other.order)
-        comm = BiSeries(ring, {}, order - 2)
-        scal = self.ca * other.cb - self.cb * other.ca
-        if scal:
-            comm._acc((0, 0), ring.from_rational(scal))
-        comm = comm + _times_linear(other.comm, self.ca, self.cb)
-        comm = comm - _times_linear(self.comm, other.ca, other.cb)
-        comm._clean()
-        return L3Element(0, 0, 0, comm, order)
-
-
-def l3_letter(name: str, order: int, ring=QQ) -> L3Element:
-    comm = BiSeries(ring, {}, order - 2)
-    if name == "a":
-        return L3Element(1, 0, 0, comm, order)
-    if name == "b":
-        return L3Element(0, 1, 0, comm, order)
-    if name == "c":
-        return L3Element(-1, -1, 1, comm, order)
-    raise ValueError(name)
-
-
-def hausdorff_in_l3(x: L3Element, y: L3Element, N: int) -> L3Element:
-    """log(exp(x) * exp(y)) in the three-letter model.
+def hausdorff_in_l3(x: ModelElement, y: ModelElement, N: int) -> ModelElement:
+    """log(exp(x) * exp(y)) for any two model elements.
 
     With P = x and Q = y every basis bracket becomes
-    [Q^{n-1} P^{m-1} Q P] = u_y^{n-1} u_x^{m-1} [y, x] where u_z = z_a lam + z_b mu,
-    so the commutator correction is the C-generating series evaluated at
-    (u_y, u_x) times [y, x].
+    [Q^{n-1} P^{m-1} Q P] = u_y^{n-1} u_x^{m-1} [y, x], where u_z = z.x lam + z.y mu
+    is how bracketing with z acts on a commutator part, so the commutator
+    correction is the closed form's commutator part evaluated at (u_y, u_x),
+    times [y, x].
     """
     ring = x.comm.ring
-    order = min(x.order, y.order, N)
-    base = y.bracket(x).comm.truncate(order - 2)
-    if base.is_zero():
-        return L3Element(x.ca + y.ca, x.cb + y.cb, x.cs + y.cs, base, order)
-    # C[m,n]/(m! n!) sits at key (m-1, n-1) of the closed form; here at (n-1, m-1)
-    cbh_comm = compressed_cbh(order).comm.swap()
-    c_series = BiSeries(ring, {kl: ring.from_rational(c) for kl, c in cbh_comm.coeffs.items()}, order - 2)
-    mult = c_series.substitute_linear(((y.ca, y.cb), (x.ca, x.cb)))
-    comm = x.comm.truncate(order - 2) + y.comm.truncate(order - 2) + mult * base
-    return L3Element(x.ca + y.ca, x.cb + y.cb, x.cs + y.cs, comm, order)
+    n = min(x.comm.order, y.comm.order, N - 2)
+    base = y.bracket(x).comm.truncate(n)
+    cbh_comm = compressed_cbh(n + 2).comm
+    c_series = BiSeries(ring, {kl: ring.from_rational(c) for kl, c in cbh_comm.coeffs.items()}, n)
+    mult = c_series.substitute_linear(((y.x, y.y), (x.x, x.y)))
+    comm = x.comm.truncate(n) + y.comm.truncate(n) + mult * base
+    return ModelElement(x.x + y.x, x.y + y.y, x.s + y.s, comm)

@@ -19,6 +19,7 @@ from .series import MAX_DEGREE
 
 MAX_PENTAGON = 10
 MAX_ORACLE = 8
+MIN_VERIFY = 3  # the pentagon check perturbs some alpha[k, l], k < l, k + l <= degree - 2
 
 
 def _out_path(path: str | None):
@@ -46,9 +47,9 @@ def _usage_error(message: str):
     raise SystemExit(2)
 
 
-def _check_degree(value: int, bound: int, what: str) -> int:
-    if not 0 <= value <= bound:
-        _usage_error(f"{what} degree {value} out of bounds (0..{bound})")
+def _check_degree(value: int, bound: int, what: str, low: int = 0) -> int:
+    if not low <= value <= bound:
+        _usage_error(f"{what} degree {value} out of bounds ({low}..{bound})")
     return value
 
 
@@ -188,7 +189,7 @@ def cmd_zeta_solve_betas(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    degree = _check_degree(args.degree, MAX_PENTAGON, "verify")
+    degree = _check_degree(args.degree, MAX_PENTAGON, "verify", MIN_VERIFY)
     overrides = {
         "pentagon": {"degree": degree},
         "cbh": {"oracle_degree": min(degree, MAX_ORACLE)},

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from . import linalg
-from .cbh import L3Element, hausdorff_in_l3, l3_letter
+from .cbh import ModelElement, hausdorff_in_l3
 from .exact import bernoulli, gamma_coefficients
 from .series import QQ, BiSeries, UniSeries, exp_linear, standard_series
 
@@ -438,7 +438,10 @@ def free_parameter_census(degree: int) -> int:
     return n // 3 + 1
 
 
-def solve_degreewise(N: int, lookahead: int = 3) -> dict:
+_LOOKAHEAD = 3  # degrees solved past N; see solve_degreewise
+
+
+def solve_degreewise(N: int) -> dict:
     """Solve the hexagon degree by degree, carrying free directions forward.
 
     A single degree-d slice of the residual does not pin its unknowns: some
@@ -446,7 +449,7 @@ def solve_degreewise(N: int, lookahead: int = 3) -> dict:
     degrees (the degree-2 slice, for instance, has a spurious direction that
     degree 3 rules out).  The sweep therefore keeps every undetermined
     symmetric alpha[k,l] as a formal parameter, lets higher degrees impose
-    their constraints retroactively, and runs ``lookahead`` degrees past N so
+    their constraints retroactively, and runs ``_LOOKAHEAD`` degrees past N so
     the reported dimensions are the dimensions of genuinely extendable
     solution families.
 
@@ -455,7 +458,7 @@ def solve_degreewise(N: int, lookahead: int = 3) -> dict:
     they must match, and the kernel directions in the unknown basis.
     """
     ring = QQ
-    horizon = N + lookahead
+    horizon = N + _LOOKAHEAD
     # affine forms: {None: const, pid: coeff}; vars maps (k, l) with k <= l
     vars_: dict = {}
     param_degree: dict = {}  # pid -> degree introduced
@@ -609,14 +612,13 @@ def model_hexagon_check(alpha: AlphaTable, N: int) -> bool:
     ring = alpha.ring
     f = alpha.to_series().truncate(N - 2)
     g = g_from_f(f)
-    g_mr = g.substitute_linear(_SUB_MU_RHO)
-    g_rl = g.substitute_linear(_SUB_RHO_LAM)
-    psi_ab = l3_letter("a", N, ring) + L3Element(0, 0, 0, g, N)
-    psi_bc = l3_letter("b", N, ring) + L3Element(0, 0, 0, g_mr, N)
-    psi_ca = l3_letter("c", N, ring) + L3Element(0, 0, 0, g_rl, N)
+    # a = X, b = Y and c = S - a - b
+    psi_ab = ModelElement(1, 0, 0, g)
+    psi_bc = ModelElement(0, 1, 0, g.substitute_linear(_SUB_MU_RHO))
+    psi_ca = ModelElement(-1, -1, 1, g.substitute_linear(_SUB_RHO_LAM))
     inner = hausdorff_in_l3(psi_bc, psi_ab, N)
     total = hausdorff_in_l3(psi_ca, inner, N)
-    target = L3Element(0, 0, 1, BiSeries(ring, {}, N - 2), N)
+    target = ModelElement(0, 0, 1, BiSeries(ring, {}, N - 2))
     return total == target
 
 

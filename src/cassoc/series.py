@@ -25,7 +25,6 @@ __all__ = [
     "UniSeries",
     "BiSeries",
     "standard_series",
-    "STANDARD_SERIES_NAMES",
 ]
 
 MAX_DEGREE = 16  # largest truncation order the command line computes or reads
@@ -50,10 +49,6 @@ class RationalRing:
         if c == 0:
             raise ZeroDivisionError("non-unit constant term")
         return Fraction(1) / c
-
-    @staticmethod
-    def divide_by_rational(c, q: Fraction):
-        return c / q
 
     @staticmethod
     def format(c) -> str:
@@ -413,12 +408,6 @@ class BiSeries:
             for (k, l), c in sorted(self.coeffs.items(), key=_term_sort_key)
         ]
 
-    def to_text(self) -> str:
-        lines = [f"truncation_order {self.order}"]
-        for (k, l), c in sorted(self.coeffs.items(), key=_term_sort_key):
-            lines.append(f"({k},{l}): {self.ring.format(c)}")
-        return "\n".join(lines)
-
     @classmethod
     def from_records(cls, ring, records, order: int) -> "BiSeries":
         """Inverse of ``to_records``; malformed input raises ValueError."""
@@ -463,16 +452,6 @@ def _linear_power_table(a: Fraction, b: Fraction, n: int) -> list:
                 nxt[key] = nxt.get(key, Fraction(0)) + s * t
         table.append(nxt)
     return table
-
-
-STANDARD_SERIES_NAMES = (
-    "x_over_expm1",
-    "expm1_over_x",
-    "two_x_over_sinh2x",
-    "sinhc",
-    "sinh_factor_bivariate",
-    "c_generating_closed",
-)
 
 
 def standard_series(name: str, N: int, ring=QQ):

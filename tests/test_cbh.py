@@ -1,45 +1,53 @@
+import random
 from fractions import Fraction as F
 from math import factorial
 
 import pytest
 
 from cassoc.cbh import (
-    L3Element,
-    PQElement,
+    ModelElement,
     associative_log_oracle,
     classical_cbh_in_model,
     compressed_cbh,
     hausdorff_in_l3,
-    l3_letter,
     word_to_canonical,
 )
 from cassoc.exact import bernoulli, ext_bernoulli_prime, ext_bernoulli_recursive
 from cassoc.series import QQ, BiSeries, standard_series
 
 
+def empty(N):
+    return BiSeries(QQ, {}, N - 2)
+
+
+def letters(N):
+    """X = a = Q, Y = b = P and the central S."""
+    return ModelElement(1, 0, 0, empty(N)), ModelElement(0, 1, 0, empty(N)), ModelElement(0, 0, 1, empty(N))
+
+
 def test_compressed_cbh_low_terms():
     h = compressed_cbh(10)
-    assert h.lin_p == 1 and h.lin_q == 1
+    assert h.x == 1 and h.y == 1
     # [QP] carries C[1,1] = B_1; the printed [PQ] coefficient +1/2 is its negative
     assert h.comm.coeff(0, 0) == F(-1, 2)
     # [QPQP] (printed -(1/24)[PQPQ])
     assert h.comm.coeff(1, 1) == F(1, 24)
-    # [Q^0 P^2 Q P] with printed [P^2Q^2PQ]/360
+    # [Q^2 P^2 Q P] (printed [P^2Q^2PQ]/360)
     assert h.comm.coeff(2, 2) == F(-1, 360)
 
 
 def test_compressed_cbh_matches_table():
     h = compressed_cbh(9)
     for (i, j), c in h.comm.coeffs.items():
-        m, n = i + 1, j + 1
+        n, m = i + 1, j + 1
         assert c == F(ext_bernoulli_recursive(m, n), factorial(m) * factorial(n))
 
 
 def test_classical_recursion_pieces():
     h = classical_cbh_in_model(6)
     # H_0 + H_1 linear part is P + Q
-    assert h.lin_p == 1 and h.lin_q == 1
-    h1_comm = {(0, k - 1): F(bernoulli(k), factorial(k)) for k in range(1, 5) if bernoulli(k)}
+    assert h.x == 1 and h.y == 1
+    h1_comm = {(k - 1, 0): F(bernoulli(k), factorial(k)) for k in range(1, 5) if bernoulli(k)}
     for key, v in h1_comm.items():
         assert compressed_cbh(6).comm.coeff(*key) == v
 
@@ -51,13 +59,13 @@ def test_three_paths_agree():
 
 def test_associative_oracle_low_degrees():
     h = associative_log_oracle(4)
-    assert h.lin_p == 1 and h.lin_q == 1
+    assert h.x == 1 and h.y == 1
     assert h.comm.coeff(0, 0) == F(-1, 2)
 
 
 def test_mirrored_expansion_rebuild():
     # sum C'[m,n]/(m! n!) [P^{n-1}Q^{m-1}PQ] is the same element: the mirrored
-    # basis word [P^{n-1}Q^{m-1}PQ] equals -[Q^{m-1}P^{n-1}QP]
+    # basis word [P^{n-1}Q^{m-1}PQ] equals -[Q^{m-1}P^{n-1}QP], key (m-1, n-1)
     N = 9
     h = compressed_cbh(N)
     rebuilt = BiSeries(QQ, {}, N - 2)
@@ -66,20 +74,19 @@ def test_mirrored_expansion_rebuild():
             if (n - 1) + (m - 1) <= N - 2:
                 c = ext_bernoulli_prime(m, n)
                 if c:
-                    rebuilt._acc((n - 1, m - 1), F(-c, factorial(m) * factorial(n)))
+                    rebuilt._acc((m - 1, n - 1), F(-c, factorial(m) * factorial(n)))
     assert rebuilt == h.comm
 
 
 def test_antisymmetry():
     N = 8
-    p = PQElement.letter("P", N)
+    a, p, _ = letters(N)
     minus_p = p.scale(F(-1))
     # log(exp P exp -P) = 0: evaluate with the closed form on (P, -P): every
     # bracket [(-P)^j P^i (-P) P] vanishes, so only the linear parts survive
     assert (p + minus_p).is_zero()
     # and in the L3 model with honest Hausdorff multiplication:
-    a = l3_letter("a", N)
-    res = hausdorff_in_l3(a, L3Element(-1, 0, 0, a.comm, N), N)
+    res = hausdorff_in_l3(a, ModelElement(-1, 0, 0, a.comm), N)
     assert res.is_zero()
 
 
@@ -87,30 +94,29 @@ def test_word_to_canonical():
     assert word_to_canonical("PQ") == ((0, 0), -1)
     assert word_to_canonical("QP") == ((0, 0), 1)
     assert word_to_canonical("PQPQ") == ((1, 1), -1)
-    assert word_to_canonical("QQQPQ") == ((0, 3), -1)
+    assert word_to_canonical("QQQPQ") == ((3, 0), -1)
     assert word_to_canonical("PPQQ") is None
     with pytest.raises(ValueError):
         word_to_canonical("PXQ")
 
 
 def test_hausdorff_l3_basics():
-    a = l3_letter("a", 8)
-    b = l3_letter("b", 8)
-    zero = L3Element.zero(8)
+    a, b, _ = letters(8)
+    zero = ModelElement(0, 0, 0, empty(8))
     assert hausdorff_in_l3(a, zero, 8) == a
     # log(exp b exp a) realizes the generating function on [a, b]
     h = hausdorff_in_l3(b, a, 8)
-    assert h.ca == 1 and h.cb == 1
+    assert h.x == 1 and h.y == 1
     assert h.comm == standard_series("c_generating_closed", 6)
 
 
 def test_hausdorff_l3_with_comm_parts():
     # central part is inert and comm parts add through the product
     g = BiSeries(QQ, {(0, 0): F(1, 6)}, 6)
-    x = L3Element(1, 0, 0, g, 8)
-    y = L3Element(0, 1, 0, g, 8)
+    x = ModelElement(1, 0, 0, g)
+    y = ModelElement(0, 1, 0, g)
     h = hausdorff_in_l3(x, y, 8)
-    assert h.ca == 1 and h.cb == 1 and h.cs == 0
+    assert h.x == 1 and h.y == 1 and h.s == 0
     # degree-0 coefficient: g + g + [x,y] correction at (0,0) = 1/6+1/6+C(0,0)*T(0,0)
     # with [y,x] = -(1 + mult terms)[ab] at lowest order
     assert h.comm.coeff(0, 0) == F(1, 6) + F(1, 6) + F(1, 2)
@@ -121,3 +127,53 @@ def test_records_dump():
     recs = h.records()
     assert recs[0] == (1, 1, F(-1, 2))
     assert all(n >= 1 and m >= 1 for n, m, _ in recs)
+
+
+def test_hausdorff_l3_commuting_arguments_keep_commutator_parts():
+    # [y, x] = 0 here, so log(exp x exp y) = x + y, commutator parts included
+    g = BiSeries(QQ, {(0, 0): F(1, 6), (2, 1): F(-3, 5)}, 6)
+    a_plus_g = ModelElement(1, 0, 0, g)
+    assert hausdorff_in_l3(a_plus_g, ModelElement(0, 0, 0, empty(8)), 8) == a_plus_g
+    c = ModelElement(0, 0, 0, g)
+    twice = hausdorff_in_l3(c, c, 8)
+    assert twice == c + c and not twice.is_zero()
+
+
+def random_element(rng, N):
+    def q():
+        return F(rng.randint(-9, 9), rng.randint(1, 6))
+
+    comm = {(k, d - k): q() for d in range(N - 1) for k in range(d + 1) if rng.random() < 0.5}
+    return ModelElement(q(), q(), q(), BiSeries(QQ, comm, N - 2))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bracket_is_a_lie_bracket_with_central_s(seed):
+    rng = random.Random(seed)
+    N = 8
+    u, v, w = (random_element(rng, N) for _ in range(3))
+    q = F(rng.randint(-9, 9), rng.randint(1, 6))
+    assert (u.bracket(v) + v.bracket(u)).is_zero()
+    assert (u + v).bracket(w) == u.bracket(w) + v.bracket(w)
+    assert u.scale(q).bracket(w) == u.bracket(w).scale(q)
+    jacobi = u.bracket(v.bracket(w)) + v.bracket(w.bracket(u)) + w.bracket(u.bracket(v))
+    assert jacobi.is_zero()
+    s = letters(N)[2]
+    assert s.bracket(u).is_zero()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hausdorff_l3_group_laws(seed):
+    rng = random.Random(seed)
+    N = 8
+    u, v, w = (random_element(rng, N) for _ in range(3))
+    assert hausdorff_in_l3(u, u.scale(F(-1)), N).is_zero()
+    left = hausdorff_in_l3(hausdorff_in_l3(u, v, N), w, N)
+    assert left == hausdorff_in_l3(u, hausdorff_in_l3(v, w, N), N)
+
+
+@pytest.mark.parametrize("N", [4, 8, 12])
+def test_hausdorff_l3_of_p_and_q_is_the_closed_form(N):
+    # pins the orientation: Q = X = a and P = Y = b
+    q, p, _ = letters(N)
+    assert hausdorff_in_l3(p, q, N) == compressed_cbh(N)

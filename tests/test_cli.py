@@ -188,3 +188,13 @@ def test_param_index_out_of_range(tmp_path, capsys):
 
 def test_bernoulli_negative_max(capsys):
     run_usage_error(capsys, "bernoulli", "--max", "-3")
+
+
+@pytest.mark.parametrize("degree", ["0", "2"])
+def test_verify_degree_below_pentagon_minimum(capsys, degree):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", "--degree", degree])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # rejected before any check ran
+    assert captured.err == json.dumps({"error": f"verify degree {degree} out of bounds (3..10)"}) + "\n"
