@@ -95,7 +95,7 @@ def cmd_cmn(args) -> int:
 
 
 def cmd_cbh(args) -> int:
-    n = _check_degree(args.degree, MAX_DEGREE, "cbh")
+    n = _check_degree(args.degree, MAX_DEGREE, "cbh", 1)
     series = cbh.compressed_cbh(n)
     recs = [[nn, mm, format_rational(c)] for nn, mm, c in series.records()]
     if args.format == "json":
@@ -161,7 +161,7 @@ def cmd_pentagon_dims(args) -> int:
 
 
 def cmd_zeta_drinfeld(args) -> int:
-    n = _check_degree(args.degree, MAX_DEGREE, "zeta")
+    n = _check_degree(args.degree, MAX_DEGREE, "zeta", 2)
     f = zeta.drinfeld_f(n)
     items = sorted(f.coeffs.items(), key=lambda t: (t[0][0] + t[0][1], t[0]))
     if args.format == "latex":
@@ -183,7 +183,7 @@ def cmd_zeta_drinfeld(args) -> int:
 
 
 def cmd_zeta_solve_betas(args) -> int:
-    n = _check_degree(args.degree, MAX_DEGREE, "zeta")
+    n = _check_degree(args.degree, MAX_DEGREE, "zeta", 6)
     _emit(zeta.solve_betas_in_theta(n).to_json(), args.output)
     return 0
 

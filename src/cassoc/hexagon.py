@@ -149,6 +149,7 @@ _SUB_MU_RHO = ((0, 1), (-1, -1))  # (lam, mu) -> (mu, -lam-mu)
 _SUB_RHO_LAM = ((-1, -1), (1, 0))  # (lam, mu) -> (-lam-mu, lam)
 _SUB_LAM_RHO = ((1, 0), (-1, -1))  # (lam, mu) -> (lam, -lam-mu)
 _SUB_NEG = ((-1, 0), (0, -1))
+_SUB_NEG_SWAP = ((0, -1), (-1, 0))  # (lam, mu) -> (-mu, -lam)
 
 
 def residual_39(f: BiSeries) -> BiSeries:
@@ -175,39 +176,45 @@ def residual_15b(f: BiSeries) -> BiSeries:
         + exp_linear(ring, 0, 1, n) * f.substitute_linear(_SUB_MU_RHO)
         + exp_linear(ring, -1, 0, n) * f.substitute_linear(_SUB_LAM_RHO)
     )
+    return lhs - _rhs_15b(ring, n)
+
+
+def _rhs_15b(ring, n: int) -> BiSeries:
+    """((e^mu-1)/mu + (e^{-lam}-1)/lam) / (lam+mu) through order n."""
     em = standard_series("expm1_over_x", n + 1, ring)
     # (e^{-lam}-1)/lam is minus the x -> -lam substitution of (e^x-1)/x
     num = em.as_biseries((0, 1), n + 1) - em.as_biseries((-1, 0), n + 1)
-    rhs = num.divide_lam_plus_mu()
-    return lhs - rhs.truncate(n)
+    return num.divide_lam_plus_mu()
 
 
 def split_residuals(f: BiSeries) -> tuple:
     """The even and odd halves of the hexagon, as a pair of residual series.
 
     Requires a symmetric f.  Both vanish exactly iff ``residual_15b(f)`` does.
+    The even half's degree-D slice sees alpha only up to degree D - 3, so it is
+    exact through the odd order m = n + 3 - n % 2, the first order at which
+    alpha of the top even degree (n or n - 1) shows; a shorter one misses it.
+
+    Each half needs one substitution: when F(-lam,-mu) = p F(lam,mu), p = +-1,
+    e^{-lam} F(lam,rho) = p * (e^mu F(mu,rho))(-mu,-lam).
     """
     if not f.is_symmetric():
         raise ValueError("asymmetric input")
     ring = f.ring
     n = f.order
-    one = BiSeries.constant(ring, ring.one, n + 2)
-    lam = BiSeries.monomial(ring, 1, 0, ring.one, n + 2)
-    mu = BiSeries.monomial(ring, 0, 1, ring.one, n + 2)
-    f_pad = BiSeries(ring, dict(f.coeffs), n + 2)  # degree > n unused below
-    ftilde_even = (one + lam * mu * f_pad).even_part().truncate(n + 2)
-    even_res = (
-        (lam + mu) * ftilde_even
-        - lam * exp_linear(ring, 0, 1, n + 2) * ftilde_even.substitute_linear(_SUB_MU_RHO)
-        - mu * exp_linear(ring, -1, 0, n + 2) * ftilde_even.substitute_linear(_SUB_LAM_RHO)
-    )
+    m = n + 3 - n % 2
+    one = BiSeries.constant(ring, ring.one, m)
+    lam = BiSeries.monomial(ring, 1, 0, ring.one, m)
+    mu = BiSeries.monomial(ring, 0, 1, ring.one, m)
+    f_pad = BiSeries(ring, dict(f.coeffs), m)
+    ftilde_even = (one + lam * mu * f_pad).even_part()
+    u = lam * exp_linear(ring, 0, 1, m) * ftilde_even.substitute_linear(_SUB_MU_RHO)
+    # mu e^{-lam} ftilde_even(lam,rho) = -u(-mu,-lam)
+    even_res = (lam + mu) * ftilde_even - u + u.substitute_linear(_SUB_NEG_SWAP)
     f_odd = f.odd_part()
-    odd_res = (
-        f_odd
-        + exp_linear(ring, 0, 1, n) * f_odd.substitute_linear(_SUB_MU_RHO)
-        + exp_linear(ring, -1, 0, n) * f_odd.substitute_linear(_SUB_LAM_RHO)
-    )
-    return even_res.truncate(n + 1), odd_res
+    t = exp_linear(ring, 0, 1, n) * f_odd.substitute_linear(_SUB_MU_RHO)
+    odd_res = f_odd + t - t.substitute_linear(_SUB_NEG_SWAP)
+    return even_res, odd_res
 
 
 def extreme_coefficients(N: int) -> list:
@@ -441,6 +448,22 @@ def free_parameter_census(degree: int) -> int:
 _LOOKAHEAD = 3  # degrees solved past N; see solve_degreewise
 
 
+def _operator_slice(k: int, l: int, d: int) -> list:
+    """slice_d L(E_kl) (see ``solve_degreewise``) as the coefficients of
+    lam^i mu^(d-i), i = 0..d."""
+    s = d - k - l
+    col = [0] * (d + 1)
+    for a, b in {(k, l), (l, k)}:
+        if s == 0:
+            col[a] += 1
+        for i in range(b + 1):
+            c = (-1) ** b * comb(b, i)  # rho^b = sum_i c lam^i mu^(b-i)
+            col[i] += c  # mu^s mu^a lam^i mu^(b-i)
+            col[s + a + i] += (-1) ** s * c  # (-lam)^s lam^a lam^i mu^(b-i)
+    fact = factorial(s)
+    return [Fraction(x, fact) for x in col]
+
+
 def solve_degreewise(N: int) -> dict:
     """Solve the hexagon degree by degree, carrying free directions forward.
 
@@ -453,6 +476,20 @@ def solve_degreewise(N: int) -> dict:
     the reported dimensions are the dimensions of genuinely extendable
     solution families.
 
+    The left side of (1.5b), L(f) = f + e^mu f(mu,rho) + e^{-lam} f(lam,rho),
+    is linear in f, and both exponentials are univariate.  So for the
+    symmetric unknown E_kl = lam^k mu^l (+ lam^l mu^k) of degree k + l <= d,
+    with s = d - k - l, the degree-d slice is in closed form:
+
+        slice_d L(E_kl) = [s = 0] E_kl + (mu^s/s!) E_kl(mu,rho)
+                          + ((-lam)^s/s!) E_kl(lam,rho),   rho = -lam-mu.
+
+    Each degree computes these columns once for every unknown of degree
+    <= d and folds the lower-degree ones into the affine forms of the
+    unknowns solved so far; the right side is evaluated once, at the
+    horizon.  ``residual_15b`` is not called here: it checks the solver's
+    output instead.
+
     Returns a report with the canonical table (all surviving parameters set
     to zero), per-degree solution-space dimensions, the free-parameter census
     they must match, and the kernel directions in the unknown basis.
@@ -464,43 +501,22 @@ def solve_degreewise(N: int) -> dict:
     param_degree: dict = {}  # pid -> degree introduced
     alive: set = set()
     next_pid = 0
-
-    def residual_slice(table: dict, d: int) -> list:
-        f = BiSeries(ring, table, d)
-        res = residual_15b(f)
-        return [res.coeffs.get((i, d - i), Fraction(0)) for i in range(d + 1)]
-
-    def tables_by_component(max_entry_degree: int) -> tuple:
-        """Split the affine var forms into a constant table and one per pid."""
-        const: dict = {}
-        per_pid: dict = {p: {} for p in alive}
-        for (k, l), form in vars_.items():
-            if k + l > max_entry_degree:
-                continue
-            for key, c in form.items():
-                tgt = const if key is None else per_pid[key]
-                if c:
-                    tgt[(k, l)] = c
-                    if k != l:
-                        tgt[(l, k)] = c
-        return const, per_pid
+    rhs = _rhs_15b(ring, horizon)
 
     for d in range(0, horizon + 1):
         unknowns = [(k, d - k) for k in range(0, d // 2 + 1)]
-        const_tab, pid_tabs = tables_by_component(d - 1)
-        zero_slice = residual_slice({}, d)
-        base = residual_slice(const_tab, d)
-        pid_cols = {
-            p: [a - b for a, b in zip(residual_slice(t, d), zero_slice)]
-            for p, t in pid_tabs.items()
-        }
-        unk_cols = []
-        for (k, l) in unknowns:
-            probe = {(k, l): Fraction(1)}
-            if l != k:
-                probe[(l, k)] = Fraction(1)
-            col = residual_slice(probe, d)
-            unk_cols.append([a - b for a, b in zip(col, zero_slice)])
+        unk_cols = [_operator_slice(k, l, d) for (k, l) in unknowns]
+        # vars_ holds the unknowns of degree < d, as affine forms in the
+        # constant (None) and the live parameters
+        base = [-rhs.coeffs.get((i, d - i), Fraction(0)) for i in range(d + 1)]
+        pid_cols = {p: [Fraction(0)] * (d + 1) for p in alive}
+        for (k, l), form in vars_.items():
+            col = _operator_slice(k, l, d)
+            for key, c in form.items():
+                tgt = base if key is None else pid_cols[key]
+                for i, x in enumerate(col):
+                    if x:
+                        tgt[i] += c * x
         # augmented rows: [x-columns | param-columns | const].  Param columns
         # run newest-first so a cross-degree constraint eliminates the
         # latest-entering parameter and dimensions count genuinely new

@@ -19,7 +19,7 @@ from .exact import (
     ext_bernoulli_prime,
     ext_bernoulli_recursive,
 )
-from .series import QQ, BiSeries, standard_series
+from .series import MAX_DEGREE, QQ, BiSeries, standard_series
 
 __all__ = ["CHECKS", "run_check"]
 
@@ -142,7 +142,7 @@ def check_extreme_diagonal() -> tuple:
     return True, "extreme coefficients and diagonal series exact"
 
 
-def check_solver(degree: int = 12) -> tuple:
+def check_solver(degree: int = MAX_DEGREE) -> tuple:
     """Degreewise solver: unique low degrees, kernel directions, census."""
     report = hexagon.solve_degreewise(degree)
     tab = report["alpha"]

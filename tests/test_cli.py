@@ -198,3 +198,15 @@ def test_verify_degree_below_pentagon_minimum(capsys, degree):
     captured = capsys.readouterr()
     assert captured.out == ""  # rejected before any check ran
     assert captured.err == json.dumps({"error": f"verify degree {degree} out of bounds (3..10)"}) + "\n"
+
+
+@pytest.mark.parametrize("argv, low", [
+    (["cbh", "--degree", "0"], 1),
+    (["zeta", "drinfeld", "--degree", "0"], 2),
+    (["zeta", "drinfeld", "--degree", "1"], 2),
+    (["zeta", "solve-betas", "--degree", "0"], 6),
+    (["zeta", "solve-betas", "--degree", "5"], 6),
+])
+def test_degree_below_computable_minimum(capsys, argv, low):
+    err = run_usage_error(capsys, *argv)
+    assert err["error"] == f"{argv[0]} degree {argv[-1]} out of bounds ({low}..16)"

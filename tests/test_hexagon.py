@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -28,7 +29,8 @@ from cassoc.hexagon import (
     solve_degreewise,
     split_residuals,
 )
-from cassoc.series import QQ, BiSeries, standard_series
+from cassoc.hexagon import _operator_slice
+from cassoc.series import QQ, BiSeries, exp_linear, standard_series
 
 F_B3 = BiSeries(QQ, dict(EXAMPLE_37_ALPHA), 3)
 
@@ -124,6 +126,36 @@ def test_split_residuals():
     assert e.is_zero() and o.is_zero()
     with pytest.raises(ValueError, match="asymmetric"):
         split_residuals(BiSeries(QQ, {(1, 0): F(1)}, 4))
+
+
+def test_split_residuals_match_direct_halves():
+    # each half with both substitutions written out, on symmetric tables that
+    # are not solutions, so every coefficient of both halves is compared
+    rng = random.Random(5)
+    sub_mu_rho, sub_lam_rho = ((0, 1), (-1, -1)), ((1, 0), (-1, -1))
+    for n in (6, 7, 8, 9):
+        coeffs = {}
+        for k in range(n + 1):
+            for l in range(k, n + 1 - k):
+                coeffs[(k, l)] = coeffs[(l, k)] = F(rng.randint(-9, 9), rng.randint(1, 5))
+        f = BiSeries(QQ, coeffs, n)
+        m = n + 3 - n % 2
+        lam, mu = BiSeries.monomial(QQ, 1, 0, F(1), m), BiSeries.monomial(QQ, 0, 1, F(1), m)
+        ft = (BiSeries.constant(QQ, F(1), m) + lam * mu * f.pad(m)).even_part()
+        even = (
+            (lam + mu) * ft
+            - lam * exp_linear(QQ, 0, 1, m) * ft.substitute_linear(sub_mu_rho)
+            - mu * exp_linear(QQ, -1, 0, m) * ft.substitute_linear(sub_lam_rho)
+        )
+        g = f.odd_part()
+        odd = (
+            g
+            + exp_linear(QQ, 0, 1, n) * g.substitute_linear(sub_mu_rho)
+            + exp_linear(QQ, -1, 0, n) * g.substitute_linear(sub_lam_rho)
+        )
+        e, o = split_residuals(f)
+        assert (e.order, e.coeffs) == (m, even.coeffs) and not even.is_zero()
+        assert (o.order, o.coeffs) == (n, odd.coeffs) and not odd.is_zero()
 
 
 def test_residual_equivalence_random_params():
@@ -276,6 +308,49 @@ def test_solver_report():
     assert v[0] == 0 and v[2] == 2 * v[1] and v[1] != 0
     f = BiSeries(QQ, tab, 10)
     assert residual_15b(f).is_zero()
+
+
+@pytest.mark.parametrize("N, digest", [
+    (12, "f4858bfe89beb0136f91d70ef9ddb67ffbcf079389aa5b60eb5ab8a80ed3df55"),
+    (16, "d1b1ddd1d1545ee4a1d718c1253c6be34184b462d5e65a7cf03641bf70a42355"),
+])
+def test_solver_report_digest(N, digest):
+    report = solve_degreewise(N)
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == digest
+    assert residual_15b(BiSeries(QQ, report["alpha"], N)).is_zero()
+
+
+def test_operator_slices_match_residual_differences():
+    # the solver's closed-form columns are the degree-d slices of
+    # residual_15b(E_kl) - residual_15b(0), E_kl = alpha[k,l] = alpha[l,k] = 1
+    for d in range(9):
+        zero = residual_15b(BiSeries(QQ, {}, d))
+        for e in range(d + 1):
+            for k in range(e // 2 + 1):
+                l = e - k
+                res = residual_15b(BiSeries(QQ, {(k, l): F(1), (l, k): F(1)}, d)) - zero
+                assert _operator_slice(k, l, d) == [res.coeffs.get((i, d - i), F(0)) for i in range(d + 1)]
+
+
+@pytest.mark.parametrize("N", [8, 9])
+def test_single_coefficient_mutation_sweep(N):
+    # every residual path must see a unit change of any one alpha entry
+    f = family_I(N)
+
+    def caught(bad, symmetric):
+        assert not residual_15b(bad).is_zero()
+        assert not residual_39(bad).is_zero()
+        assert not model_hexagon_check(AlphaTable.from_series(bad), N + 2)
+        if symmetric:
+            e, o = split_residuals(bad)
+            assert not (e.is_zero() and o.is_zero())
+
+    for k in range(N + 1):
+        for l in range(N + 1 - k):
+            if k <= l:
+                caught(f + BiSeries(QQ, {(k, l): F(1), (l, k): F(1)}, N), True)
+            if k != l:
+                caught(f + BiSeries(QQ, {(k, l): F(1)}, N), False)
 
 
 def test_model_hexagon_check():
