@@ -57,9 +57,6 @@ class ModelElement:
     def __add__(self, other: "ModelElement") -> "ModelElement":
         return ModelElement(self.x + other.x, self.y + other.y, self.s + other.s, self.comm + other.comm)
 
-    def __sub__(self, other: "ModelElement") -> "ModelElement":
-        return ModelElement(self.x - other.x, self.y - other.y, self.s - other.s, self.comm - other.comm)
-
     def scale(self, q: Fraction) -> "ModelElement":
         return ModelElement(self.x * q, self.y * q, self.s * q, self.comm.scale_rational(q))
 

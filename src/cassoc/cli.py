@@ -19,7 +19,7 @@ from .series import MAX_DEGREE
 
 MAX_PENTAGON = 10
 MAX_ORACLE = 8
-MIN_VERIFY = 3  # the pentagon check perturbs some alpha[k, l], k < l, k + l <= degree - 2
+MIN_VERIFY = 3  # the first asymmetric direction, alpha[0, 1] - alpha[1, 0], enters the pentagon at degree 3
 
 
 def _out_path(path: str | None):
@@ -143,7 +143,10 @@ def cmd_hexagon_residual(args) -> int:
 def cmd_pentagon_check(args) -> int:
     n = _check_degree(args.degree, MAX_PENTAGON, "pentagon")
     table = _load(args.input, hexagon.AlphaTable.from_json)
-    norms = pentagon.pentagon_check(table, n)
+    try:
+        norms = pentagon.pentagon_check(table, n)
+    except ValueError as exc:
+        _usage_error(str(exc))
     ok = not any(norms.values())
     payload = {"pass": ok, "degree": n, "nonzero_coordinates": {str(d): v for d, v in sorted(norms.items())}}
     _emit(json.dumps(payload, indent=2), args.output)

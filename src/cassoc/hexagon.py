@@ -476,6 +476,10 @@ def solve_degreewise(N: int) -> dict:
     the reported dimensions are the dimensions of genuinely extendable
     solution families.
 
+    There is one kind of variable: the unknowns alpha[k,l], k <= l.  Each is
+    live (a free parameter, its own form {u: 1}) until a pivot eliminates it;
+    every unknown carries an affine form {None: constant, live unknown: coeff}.
+
     The left side of (1.5b), L(f) = f + e^mu f(mu,rho) + e^{-lam} f(lam,rho),
     is linear in f, and both exponentials are univariate.  So for the
     symmetric unknown E_kl = lam^k mu^l (+ lam^l mu^k) of degree k + l <= d,
@@ -484,128 +488,76 @@ def solve_degreewise(N: int) -> dict:
         slice_d L(E_kl) = [s = 0] E_kl + (mu^s/s!) E_kl(mu,rho)
                           + ((-lam)^s/s!) E_kl(lam,rho),   rho = -lam-mu.
 
-    Each degree computes these columns once for every unknown of degree
-    <= d and folds the lower-degree ones into the affine forms of the
-    unknowns solved so far; the right side is evaluated once, at the
-    horizon.  ``residual_15b`` is not called here: it checks the solver's
-    output instead.
+    Degree d folds these slices through every form into one column per live
+    unknown.  The columns run: the new unknowns (k, d-k) by ascending k, then
+    the older live unknowns newest first (descending degree, then descending
+    k), so a cross-degree constraint eliminates the latest-entering unknown
+    and the dimensions count genuinely new directions per degree.  Each pivot
+    row gives its unknown as an affine form in the live unknowns to its
+    right, which is substituted into every other form.  The right side is
+    evaluated once, at the horizon; ``residual_15b`` is not called here: it
+    checks the solver's output instead.
 
-    Returns a report with the canonical table (all surviving parameters set
-    to zero), per-degree solution-space dimensions, the free-parameter census
+    Returns a report with the canonical table (all live unknowns set to
+    zero), per-degree solution-space dimensions, the free-parameter census
     they must match, and the kernel directions in the unknown basis.
     """
-    ring = QQ
     horizon = N + _LOOKAHEAD
-    # affine forms: {None: const, pid: coeff}; vars maps (k, l) with k <= l
-    vars_: dict = {}
-    param_degree: dict = {}  # pid -> degree introduced
-    alive: set = set()
-    next_pid = 0
-    rhs = _rhs_15b(ring, horizon)
-
+    rhs = _rhs_15b(QQ, horizon)
+    forms: dict = {}  # (k, l), k <= l -> {None: constant, live unknown: coeff}
+    live: list = []  # by degree, then k
     for d in range(0, horizon + 1):
-        unknowns = [(k, d - k) for k in range(0, d // 2 + 1)]
-        unk_cols = [_operator_slice(k, l, d) for (k, l) in unknowns]
-        # vars_ holds the unknowns of degree < d, as affine forms in the
-        # constant (None) and the live parameters
-        base = [-rhs.coeffs.get((i, d - i), Fraction(0)) for i in range(d + 1)]
-        pid_cols = {p: [Fraction(0)] * (d + 1) for p in alive}
-        for (k, l), form in vars_.items():
+        new = [(k, d - k) for k in range(0, d // 2 + 1)]
+        for u in new:
+            forms[u] = {u: Fraction(1)}
+        cols = new + live[::-1]  # the older live unknowns newest first
+        where = {u: j for j, u in enumerate(cols)}
+        where[None] = len(cols)
+        rows = [[Fraction(0)] * len(cols) + [-rhs.coeffs.get((i, d - i), Fraction(0))] for i in range(d + 1)]
+        for (k, l), form in forms.items():
             col = _operator_slice(k, l, d)
             for key, c in form.items():
-                tgt = base if key is None else pid_cols[key]
-                for i, x in enumerate(col):
+                j = where[key]
+                for row, x in zip(rows, col):
                     if x:
-                        tgt[i] += c * x
-        # augmented rows: [x-columns | param-columns | const].  Param columns
-        # run newest-first so a cross-degree constraint eliminates the
-        # latest-entering parameter and dimensions count genuinely new
-        # directions per degree.
-        pids = sorted(alive, reverse=True)
-        rows = []
-        for i in range(d + 1):
-            row = [unk_cols[j][i] for j in range(len(unknowns))]
-            row += [pid_cols[p][i] for p in pids]
-            row.append(base[i])
-            rows.append(row)
+                        row[j] += c * x
         red, pivots = linalg.rref(rows)
-        n_x = len(unknowns)
-        n_p = len(pids)
-        x_forms: list = [None] * n_x
         dead: dict = {}
-        for r, pc in enumerate(pivots):
-            tail = red[r]
-            if pc < n_x:
-                form = {None: -tail[n_x + n_p]}
-                for j in range(pc + 1, n_x):
-                    if tail[j]:
-                        form[("x", j)] = -tail[j]
-                for t in range(n_p):
-                    if tail[n_x + t]:
-                        form[pids[t]] = -tail[n_x + t]
-                x_forms[pc] = form
-            elif pc < n_x + n_p:
-                p_dead = pids[pc - n_x]
-                form = {None: -tail[n_x + n_p]}
-                for t in range(pc - n_x + 1, n_p):
-                    if tail[n_x + t]:
-                        form[pids[t]] = -tail[n_x + t]
-                dead[p_dead] = form
-            else:
+        for row, pc in zip(red, pivots):
+            if pc == len(cols):
                 raise ArithmeticError(f"inconsistent system at degree {d}")
-        # fresh parameters for the free unknown columns
-        for j in range(n_x):
-            if x_forms[j] is None:
-                pid = next_pid
-                next_pid += 1
-                param_degree[pid] = d
-                alive.add(pid)
-                x_forms[j] = {pid: Fraction(1)}
-        # resolve ("x", j) references (rref guarantees references point forward)
-        for j in range(n_x - 1, -1, -1):
-            form = x_forms[j]
-            resolved: dict = {}
-            for key, c in form.items():
-                if isinstance(key, tuple) and key[0] == "x":
-                    for k2, c2 in x_forms[key[1]].items():
-                        resolved[k2] = resolved.get(k2, Fraction(0)) + c * c2
-                else:
-                    resolved[key] = resolved.get(key, Fraction(0)) + c
-            x_forms[j] = {k2: c2 for k2, c2 in resolved.items() if c2 or k2 is None}
-        for (k, l), form in zip(unknowns, x_forms):
-            vars_[(k, l)] = form
-        # substitute eliminated parameters everywhere
-        for p_dead, expr in dead.items():
-            alive.discard(p_dead)
-            for key, form in list(vars_.items()):
-                if p_dead in form:
-                    c = form.pop(p_dead)
-                    for k2, c2 in expr.items():
-                        form[k2] = form.get(k2, Fraction(0)) + c * c2
-                    vars_[key] = {k2: c2 for k2, c2 in form.items() if c2 or k2 is None}
+            # the pivot's unknown in the live unknowns to its right
+            form = {None: -row[-1]}
+            for j in range(pc + 1, len(cols)):
+                if row[j]:
+                    form[cols[j]] = -row[j]
+            dead[cols[pc]] = form
+        for u, form in forms.items():
+            if any(key in dead for key in form):
+                out: dict = {}
+                for key, c in form.items():
+                    for k2, c2 in dead.get(key, {key: Fraction(1)}).items():
+                        out[k2] = out.get(k2, Fraction(0)) + c * c2
+                forms[u] = {k2: c2 for k2, c2 in out.items() if c2 or k2 is None}
+        live = [u for u in live + new if u not in dead]
 
     table: dict = {}
-    for (k, l), form in vars_.items():
-        if k + l > N:
-            continue
+    for (k, l), form in forms.items():
         val = form.get(None, Fraction(0))
-        if val:
+        if k + l <= N and val:
             table[(k, l)] = val
             if k != l:
                 table[(l, k)] = val
     degrees = []
     for d in range(0, N + 1):
-        pids_d = [p for p in sorted(alive) if param_degree[p] == d]
         unknowns = [(k, d - k) for k in range(0, d // 2 + 1)]
-        kernel = []
-        for p in pids_d:
-            kernel.append([vars_[(k, l)].get(p, Fraction(0)) for (k, l) in unknowns])
+        free = [u for u in unknowns if u in live]
         degrees.append(
             {
                 "degree": d,
-                "dimension": len(pids_d),
+                "dimension": len(free),
                 "census": free_parameter_census(d),
-                "kernel": kernel,
+                "kernel": [[forms[w].get(u, Fraction(0)) for w in unknowns] for u in free],
                 "unknowns": unknowns,
             }
         )

@@ -15,10 +15,11 @@ x, y, z, u identifications) generate, as monomial multiples, a linear
 subspace per degree; ``QuotientReducer`` row-reduces that subspace once and
 then reduces arbitrary elements to canonical coordinates on the complement.
 Each relation row goes straight into normal form, one ``_norm_core`` call per
-core term of the relation, and the elimination runs over Python ints: the
-L4bar and L3bar relations have coefficients +-1 and all their pivots are
-units (checked through degree 11), so pivot rows stay integral; a non-unit
-pivot falls back to exact Fractions.
+core term of the relation, and is reduced fully by the rows stored before it,
+by the same loop that reduces any element, before it is stored.  The
+elimination runs over Python ints: the L4bar and L3bar relations have
+coefficients +-1 and all their pivots are units (checked through degree 11),
+so pivot rows stay integral; a non-unit pivot falls back to exact Fractions.
 The hand-derived rewrite identities of the source theory are *checked*
 against this generic reduction, never assumed.
 """
@@ -28,6 +29,8 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from itertools import combinations_with_replacement
+
+from .hexagon import AlphaTable
 
 __all__ = [
     "LETTERS",
@@ -40,6 +43,7 @@ __all__ = [
     "phi_bar_eval",
     "pentagon_residual",
     "pentagon_check",
+    "pentagon_columns",
     "dimension_report",
     "identity_suite",
     "claim_53_span_checks",
@@ -254,12 +258,15 @@ class QuotientReducer:
     in the metabelian quotient, so monomial multiples generate everything).
     The letters act on the commutator part as commuting variables, so the row
     of monomial * r is the sum of c * monomial * [x_i, x_j] over the terms of
-    r, each put in normal form by ``MetabelianModel._norm_core``.  Rows are
-    eliminated in turn into monic pivot rows.  A unit pivot (+-1) is its own
-    inverse, so integral relations give integral pivot rows; any other pivot
-    is inverted as a Fraction, which keeps the elimination exact for any
-    relation set.  Deterministic processing order (monomials, then relations)
-    makes the canonical coordinates stable.
+    r, each put in normal form by ``MetabelianModel._norm_core``.  Each row is
+    reduced fully by the pivot rows stored before it (``_reduce_vector``, the
+    loop ``reduce`` uses) and what is left is stored, made monic, at its
+    smallest column.  A unit pivot (+-1) is its own inverse, so integral
+    relations give integral pivot rows; any other pivot is inverted as a
+    Fraction, which keeps the elimination exact for any relation set.  The
+    pivot columns are the leading columns of the relation space, and a
+    reduced element has no entry in any of them, so its canonical
+    coordinates do not depend on the order in which rows were stored.
     """
 
     def __init__(self, model: MetabelianModel, relations: list, max_degree: int = 0):
@@ -302,34 +309,19 @@ class QuotientReducer:
 
     @staticmethod
     def _insert(row: dict, pivot_rows: dict) -> None:
-        heap = list(row)
-        heapq.heapify(heap)
-        seen = set()
-        while heap:
-            c = heapq.heappop(heap)
-            if c in seen:
-                continue
-            seen.add(c)
-            val = row.get(c)
-            if not val:
-                continue
-            piv = pivot_rows.get(c)
-            if piv is None:
-                # new pivot: normalize monic and store; a unit is its own inverse
-                inv = val if abs(val) == 1 else Fraction(1, val)
-                pivot_rows[c] = {cc: vv * inv for cc, vv in row.items() if vv}
-                return
-            for cc, vv in piv.items():
-                nv = row.get(cc, 0) - val * vv
-                if nv:
-                    row[cc] = nv
-                    if cc not in seen:
-                        heapq.heappush(heap, cc)
-                elif cc in row:
-                    del row[cc]
+        """Reduce a relation row and store what is left, made monic, at its
+        smallest column; a unit is its own inverse."""
+        row = QuotientReducer._reduce_vector(row, pivot_rows)
+        if row:
+            c = min(row)
+            inv = row[c] if abs(row[c]) == 1 else Fraction(1, row[c])
+            pivot_rows[c] = {cc: v * inv for cc, v in row.items()}
 
     @staticmethod
     def _reduce_vector(row: dict, pivot_rows: dict) -> dict:
+        """The representative of row modulo the pivot rows with no entry in a
+        pivot column.  Columns are visited in ascending order, and a pivot
+        row only reaches columns after its pivot."""
         heap = list(row)
         heapq.heapify(heap)
         seen = set()
@@ -346,7 +338,7 @@ class QuotientReducer:
             if piv is None:
                 continue
             for cc, vv in piv.items():
-                nv = out.get(cc, Fraction(0)) - val * vv
+                nv = out.get(cc, 0) - val * vv
                 if nv:
                     out[cc] = nv
                     if cc not in seen:
@@ -428,7 +420,7 @@ def phi_bar_eval(alpha, u: dict, w: dict, N: int):
         for l in range(0, N - 1 - k):
             if l > 0:
                 cur = model.bracket(ew, cur)
-            coeff = alpha.coeff(k, l) if hasattr(alpha, "coeff") else alpha.get((k, l), Fraction(0))
+            coeff = alpha.coeff(k, l)
             if coeff:
                 total = model.add(total, model.scale(cur, coeff))
     return total
@@ -457,13 +449,31 @@ def pentagon_residual(alpha, N: int):
 
 def pentagon_check(alpha, N: int) -> dict:
     """Reduce the pentagon residual; returns per-degree counts of nonzero
-    canonical coordinates (all zeros means the pentagon holds to degree N)."""
+    canonical coordinates (all zeros means the pentagon holds to degree N).
+    The table must reach order N - 2, the last one the residual reads."""
+    if alpha.order < N - 2:
+        raise ValueError(f"alpha table order {alpha.order} too small for letter degree {N}")
     residual = pentagon_residual(alpha, N)
     reduced = l4_reducer().reduce(residual, max_degree=N)
     norms = {d: 0 for d in range(2, N + 1)}
     for d, coords in reduced.items():
         norms[d] = len(coords)
     return norms
+
+
+def pentagon_columns(d: int) -> list:
+    """The degree-d pentagon map as columns: c_k, k = 0..d-2, holds the
+    canonical coordinates of the residual of the unit table E_{k,d-2-k}.
+
+    The residual is linear in alpha, and alpha[k, l] reaches letter degree
+    k + l + 2 only, so the degree-d coordinates of any table's residual are
+    sum_k alpha[k, d-2-k] c_k.
+    """
+    red = l4_reducer()
+    return [
+        red.reduce(pentagon_residual(AlphaTable({(k, d - 2 - k): Fraction(1)}, d - 2), d)).get(d, {})
+        for k in range(d - 1)
+    ]
 
 
 def dimension_report(N: int, variant: str) -> dict:

@@ -93,32 +93,6 @@ class UniSeries:
             raise IndexError(f"degree {n} beyond truncation order {self.order}")
         return self.coeffs[n]
 
-    def __add__(self, other: "UniSeries") -> "UniSeries":
-        n = min(self.order, other.order)
-        return UniSeries(self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)], n)
-
-    def __sub__(self, other: "UniSeries") -> "UniSeries":
-        n = min(self.order, other.order)
-        return UniSeries(self.ring, [a - b for a, b in zip(self.coeffs, other.coeffs)], n)
-
-    def __neg__(self) -> "UniSeries":
-        return UniSeries(self.ring, [-a for a in self.coeffs], self.order)
-
-    def __mul__(self, other):
-        if isinstance(other, UniSeries):
-            n = min(self.order, other.order)
-            out = [self.ring.zero] * (n + 1)
-            for i, a in enumerate(self.coeffs[: n + 1]):
-                if self.ring.is_zero(a):
-                    continue
-                for j, b in enumerate(other.coeffs[: n + 1 - i]):
-                    if not self.ring.is_zero(b):
-                        out[i + j] += a * b
-            return UniSeries(self.ring, out, n)
-        return UniSeries(self.ring, [a * other for a in self.coeffs], self.order)
-
-    __rmul__ = __mul__
-
     def is_zero(self) -> bool:
         return all(self.ring.is_zero(c) for c in self.coeffs)
 

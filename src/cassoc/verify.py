@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from math import factorial
 
-from . import cbh, golden, hexagon, pentagon, zeta
+from . import cbh, golden, hexagon, linalg, pentagon, zeta
 from .exact import (
     bernoulli,
     check_bernoulli_identity,
@@ -168,37 +168,33 @@ def check_solver(degree: int = MAX_DEGREE) -> tuple:
     return True, f"unique through degree 3, census matches at all degrees <= {degree}"
 
 
-def _random_symmetric_alpha(rng: random.Random, order: int) -> hexagon.AlphaTable:
-    coeffs = {}
-    for k in range(order + 1):
-        for l in range(k, order + 1 - k):
-            v = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
-            coeffs[(k, l)] = v
-            coeffs[(l, k)] = v
-    return hexagon.AlphaTable(coeffs, order)
+def check_pentagon(degree: int = 8) -> tuple:
+    """The pentagon kills exactly the symmetric tables, at every degree.
 
-
-def check_pentagon(degree: int = 8, trials: int = 10, seed: int = 2024) -> tuple:
-    """Pentagon residual: zero for symmetric tables, nonzero for asymmetric."""
+    At letter degree d the residual is the linear map alpha[k, d-2-k] -> c_k
+    of ``pentagon.pentagon_columns``.  Its kernel is the symmetric tables
+    exactly when c_{d-2-k} = -c_k for every k and the floor((d-1)/2) columns
+    c_k with k < d-2-k are independent.
+    """
     alpha = hexagon.AlphaTable.from_series(hexagon.family_I(degree - 2))
-    norms = pentagon.pentagon_check(alpha, degree)
-    if any(norms.values()):
+    if any(pentagon.pentagon_check(alpha, degree).values()):
         return False, "pentagon residual nonzero for the first family"
-    rng = random.Random(seed)
-    for t in range(trials):
-        tab = _random_symmetric_alpha(rng, degree - 2)
-        if any(pentagon.pentagon_check(tab, degree).values()):
-            return False, f"pentagon residual nonzero for symmetric table #{t}"
-    for t in range(trials):
-        tab = _random_symmetric_alpha(rng, degree - 2)
-        k = rng.randint(0, (degree - 3) // 2)
-        l = rng.randint(k + 1, degree - 2 - k)
-        coeffs = dict(tab.alpha)
-        coeffs[(k, l)] = coeffs.get((k, l), Fraction(0)) + Fraction(1, rng.randint(1, 5))
-        bad = hexagon.AlphaTable(coeffs, degree - 2)
-        if not any(pentagon.pentagon_check(bad, degree).values()):
-            return False, f"pentagon residual zero for asymmetric table #{t}"
-    return True, f"zero for {trials} symmetric tables, nonzero for {trials} asymmetric, degrees <= {degree}"
+    ranks = []
+    for d in range(2, degree + 1):
+        cols = pentagon.pentagon_columns(d)
+        for k, col in enumerate(cols):
+            if cols[d - 2 - k] != {key: -c for key, c in col.items()}:
+                return False, f"pentagon residual nonzero for a symmetric table at degree {d} (k={k})"
+        half = (d - 1) // 2
+        keys = sorted({key for col in cols[:half] for key in col})
+        _, pivots = linalg.rref([[col.get(key, 0) for key in keys] for col in cols[:half]])
+        if len(pivots) != half:
+            return False, f"pentagon residual zero for an asymmetric table at degree {d}"
+        ranks.append(len(pivots))
+    return True, (
+        f"kernel is exactly the symmetric tables at every degree 2..{degree} "
+        f"(ranks {','.join(map(str, ranks))}); first family zero"
+    )
 
 
 def check_section5(kmax: int = 4, lmax: int = 4) -> tuple:

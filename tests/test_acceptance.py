@@ -53,8 +53,9 @@ def test_criterion_06_degreewise_solver():
 
 
 def test_criterion_07_pentagon():
-    # zero at all degrees <= 8 for family I and 10 random symmetric tables,
-    # nonzero for 10 asymmetric perturbations; < 5 min
+    # at every degree d <= 8 the pentagon map alpha[k, d-2-k] -> L4bar_d
+    # kills exactly the symmetric tables (c_{d-2-k} = -c_k, and the first
+    # floor((d-1)/2) columns are independent); family I reduces to zero; < 5 min
     _run("pentagon", 7, budget=300.0)
 
 

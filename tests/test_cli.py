@@ -91,9 +91,17 @@ def test_pentagon_check_asymmetric_fails(tmp_path, capsys):
     ]}
     path = tmp_path / "asym.json"
     path.write_text(json.dumps(bad))
-    code, out = run_cli(capsys, "pentagon", "check", "--degree", "6", "--input", str(path))
+    code, out = run_cli(capsys, "pentagon", "check", "--degree", "5", "--input", str(path))
     assert code == 1
     assert json.loads(out)["pass"] is False
+
+
+def test_pentagon_check_short_table_is_usage_error(tmp_path, capsys):
+    # a table of order 0 says nothing about alpha[k, l] with 0 < k + l <= 6
+    path = tmp_path / "alpha0.json"
+    run_cli(capsys, "hexagon", "solve", "--family", "I", "--degree", "0", "--output", str(path))
+    err = run_usage_error(capsys, "pentagon", "check", "--degree", "8", "--input", str(path))
+    assert "order 0" in err["error"]
 
 
 def test_pentagon_dims_csv(capsys):

@@ -311,6 +311,7 @@ def test_solver_report():
 
 
 @pytest.mark.parametrize("N, digest", [
+    (9, "2d4c194ddefb64d3357dd45e95cb892c6907504bf5c671263be02a0cb857b29a"),
     (12, "f4858bfe89beb0136f91d70ef9ddb67ffbcf079389aa5b60eb5ab8a80ed3df55"),
     (16, "d1b1ddd1d1545ee4a1d718c1253c6be34184b462d5e65a7cf03641bf70a42355"),
 ])

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -17,6 +18,7 @@ from cassoc.pentagon import (
     l3_reducer,
     l4_reducer,
     pentagon_check,
+    pentagon_columns,
     pentagon_residual,
     phi_bar_eval,
 )
@@ -242,3 +244,50 @@ def test_reducer_degree_bound_error():
     assert r.dimension(3) == 2
     with pytest.raises(ValueError):
         dimension_report(4, "L5bar")
+
+
+def _random_element(rng, degree, terms=4):
+    m = L4_MODEL
+    el = m.zero()
+    for _ in range(terms):
+        w = [rng.randrange(6) for _ in range(degree)]
+        el = m.add(el, m.scale(m.long_commutator(w), F(rng.randint(-5, 5), rng.randint(1, 4))))
+    return el
+
+
+def _random_asymmetric_table(rng, order):
+    coeffs = {(k, l): F(rng.randint(-9, 9), rng.randint(1, 5)) for k in range(order + 1) for l in range(order + 1 - k)}
+    return AlphaTable(coeffs, order)
+
+
+def test_reduced_coordinates_digest(red):
+    # canonical coordinates do not depend on how the pivot rows were built
+    rng = random.Random(8)
+    elems = [elem for _, elem in identity_suite(2, 2)]
+    elems.append(pentagon_residual(_random_asymmetric_table(rng, 6), 8))
+    elems += [_random_element(rng, degree) for degree in range(3, 9)]
+    text = repr([
+        sorted((d, sorted((key, str(c)) for key, c in coords.items())) for d, coords in red.reduce(e).items())
+        for e in elems
+    ])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "fd23b7acabab2f6d8549cf220082cc31017d5f9c6904bcf304832a09dcded351"
+    )
+
+
+def test_pentagon_columns_give_every_residual(red):
+    # the residual is linear in alpha, and alpha[k, l] shows at degree k + l + 2 only
+    alpha = _random_asymmetric_table(random.Random(5), 6)
+    assert not alpha.is_symmetric()
+    reduced = red.reduce(pentagon_residual(alpha, 8))
+    for d in range(2, 9):
+        want: dict = {}
+        for k, col in enumerate(pentagon_columns(d)):
+            for key, c in col.items():
+                want[key] = want.get(key, 0) + alpha.coeff(k, d - 2 - k) * c
+        assert {key: c for key, c in want.items() if c} == reduced.get(d, {}), d
+
+
+def test_pentagon_check_rejects_short_table():
+    with pytest.raises(ValueError, match="order 3"):
+        pentagon_check(AlphaTable({(0, 1): F(1)}, 3), 6)
