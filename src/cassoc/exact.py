@@ -23,8 +23,10 @@ __all__ = [
     "parse_rational",
 ]
 
-# Tables grow on demand and entries are never rewritten (callers may share
-# them read-only across threads; precompute before any parallel section).
+# Tables grow on demand and entries are never rewritten.  _BERN is extended in
+# a local copy and published by one rebinding, so a concurrent reader sees the
+# old list or the new one, never a half-built one; _C and _C_PRIME store each
+# entry once, with its final value.
 _BERN: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 _C: dict[tuple[int, int], Fraction] = {}
 _C_PRIME: dict[tuple[int, int], Fraction] = {}
@@ -32,16 +34,17 @@ _C_PRIME: dict[tuple[int, int], Fraction] = {}
 
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n (B_1 = -1/2), from sum_{k=0}^{m} C(m+1,k) B_k = 0."""
+    global _BERN
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    while len(_BERN) <= n:
-        m = len(_BERN)
-        if m % 2 == 1:
-            _BERN.append(Fraction(0))
-            continue
-        s = sum(comb(m + 1, k) * _BERN[k] for k in range(m))
-        _BERN.append(Fraction(-s, m + 1))
-    return _BERN[n]
+    table = _BERN
+    if n >= len(table):
+        table = list(table)
+        for m in range(len(table), n + 1):
+            s = 0 if m % 2 else sum(comb(m + 1, k) * table[k] for k in range(m))
+            table.append(Fraction(-s, m + 1))
+        _BERN = table
+    return table[n]
 
 
 def check_bernoulli_identity(m: int, variant: str) -> bool:

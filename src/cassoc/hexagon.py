@@ -152,8 +152,8 @@ _SUB_NEG = ((-1, 0), (0, -1))
 _SUB_NEG_SWAP = ((0, -1), (-1, 0))  # (lam, mu) -> (-mu, -lam)
 
 
-def residual_39(f: BiSeries) -> BiSeries:
-    """G + C*T with G = g + g(mu,rho) + g(rho,lam), T = 1 + lam g(mu,rho) - mu g."""
+def _parts_39(f: BiSeries) -> tuple:
+    """G = g + g(mu,rho) + g(rho,lam) and T = 1 + lam g(mu,rho) - mu g of (3.9)."""
     ring = f.ring
     n = f.order
     g = g_from_f(f)
@@ -162,8 +162,13 @@ def residual_39(f: BiSeries) -> BiSeries:
     G = g + g_mr + g_rl
     one = BiSeries.constant(ring, ring.one, n)
     T = one + BiSeries.monomial(ring, 1, 0, ring.one, n) * g_mr - BiSeries.monomial(ring, 0, 1, ring.one, n) * g
-    C = standard_series("c_generating_closed", n, ring)
-    return G + C * T
+    return G, T
+
+
+def residual_39(f: BiSeries) -> BiSeries:
+    """G + C*T, with G and T from ``_parts_39``."""
+    G, T = _parts_39(f)
+    return G + standard_series("c_generating_closed", f.order, f.ring) * T
 
 
 def residual_15b(f: BiSeries) -> BiSeries:

@@ -22,6 +22,15 @@ coefficients +-1 and all their pivots are units (checked through degree 11),
 so pivot rows stay integral; a non-unit pivot falls back to exact Fractions.
 The hand-derived rewrite identities of the source theory are *checked*
 against this generic reduction, never assumed.
+
+The substituted pentagon is written once, as ``_PENTAGON``: five signed
+substitutions (sign, u, w) of phi.  For each, ``_ladder`` builds the brackets
+[u^k w^l u w] = (ad u)^k (ad w)^l [u, w], each one bracket away from a
+neighbour.  ``phi_bar_eval`` sums alpha over one ladder, ``pentagon_residual``
+sums it over ``_PENTAGON``, and ``pentagon_columns`` reads the columns of the
+degree-d pentagon map straight off the five ladders, since alpha[k, l]
+multiplies the single bracket at (k, l).  ``MetabelianModel.ad`` is the one
+repeated-bracket primitive behind the section-5 identity suite.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import heapq
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .hexagon import AlphaTable
+from .linalg import solve_exact
 
 __all__ = [
     "LETTERS",
@@ -69,8 +78,7 @@ class MetabelianModel:
         return ({}, {})
 
     def letter(self, s):
-        idx = LETTERS.index(s) if isinstance(s, str) else s
-        return ({idx: Fraction(1)}, {})
+        return self.combo({s: 1})
 
     def combo(self, coeffs: dict):
         lin = {}
@@ -82,21 +90,15 @@ class MetabelianModel:
         return (lin, {})
 
     def add(self, x, y):
-        lin = dict(x[0])
-        for i, c in y[0].items():
-            v = lin.get(i, Fraction(0)) + c
-            if v:
-                lin[i] = v
-            elif i in lin:
-                del lin[i]
-        comm = dict(x[1])
-        for k, c in y[1].items():
-            v = comm.get(k, Fraction(0)) + c
-            if v:
-                comm[k] = v
-            elif k in comm:
-                del comm[k]
-        return (lin, comm)
+        out = (dict(x[0]), dict(x[1]))
+        for part, other in zip(out, y):
+            for k, c in other.items():
+                v = part.get(k, Fraction(0)) + c
+                if v:
+                    part[k] = v
+                else:
+                    part.pop(k, None)
+        return out
 
     def scale(self, x, q):
         q = Fraction(q)
@@ -174,14 +176,17 @@ class MetabelianModel:
                 return acc
         return acc
 
+    def ad(self, x, k: int, elem):
+        """(ad x)^k elem = [x, [x, ..., [x, elem]]] with k brackets."""
+        for _ in range(k):
+            elem = self.bracket(x, elem)
+        return elem
+
     def mono_mult(self, elem, letter_powers: dict):
         """Apply prod_s (ad x_s)^{e_s} to a commutator-only element."""
-        out = elem
         for s, e in letter_powers.items():
-            idx = LETTERS.index(s) if isinstance(s, str) else s
-            for _ in range(e):
-                out = self.bracket(self.letter(idx), out)
-        return out
+            elem = self.ad(self.letter(s), e, elem)
+        return elem
 
     def comm_degree_parts(self, x) -> dict:
         """Split the commutator part by total degree (letters incl. the core pair)."""
@@ -403,48 +408,49 @@ def l3_reducer() -> QuotientReducer:
 # -- pentagon ----------------------------------------------------------------------
 
 
-def phi_bar_eval(alpha, u: dict, w: dict, N: int):
-    """sum_{k+l <= N-2} alpha[k,l] [u^k w^l u w] for letter combinations u, w."""
-    model = L4_MODEL
-    eu = model.combo(u)
-    ew = model.combo(w)
-    base = model.bracket(eu, ew)
-    if model.is_zero(base):
-        return model.zero()
-    total = model.zero()
-    u_pows = [base]
-    for k in range(0, N - 1):
-        if k > 0:
-            u_pows.append(model.bracket(eu, u_pows[-1]))
-        cur = u_pows[k]
-        for l in range(0, N - 1 - k):
-            if l > 0:
-                cur = model.bracket(ew, cur)
-            coeff = alpha.coeff(k, l)
-            if coeff:
-                total = model.add(total, model.scale(cur, coeff))
+# The substituted pentagon, one (sign, u, w) per term phi(u, w):
+#   phi(b,e) + phi(a+c, d+e) + phi(a,b) - phi(a, b+d) - phi(b+c, e).
+_PENTAGON = (
+    (1, {"b": 1}, {"e": 1}),
+    (1, {"a": 1, "c": 1}, {"d": 1, "e": 1}),
+    (1, {"a": 1}, {"b": 1}),
+    (-1, {"a": 1}, {"b": 1, "d": 1}),
+    (-1, {"b": 1, "c": 1}, {"e": 1}),
+)
+
+
+def _ladder(u: dict, w: dict, N: int) -> dict:
+    """{(k, l): [u^k w^l u w]} for k + l <= N - 2, each bracket one step from
+    a neighbour: (k, 0) = [u, (k-1, 0)] and (k, l) = [w, (k, l-1)]."""
+    m = L4_MODEL
+    eu, ew = m.combo(u), m.combo(w)
+    ladder: dict = {}
+    for k in range(N - 1):
+        ladder[k, 0] = m.bracket(eu, ladder[k - 1, 0] if k else ew)
+        for l in range(1, N - 1 - k):
+            ladder[k, l] = m.bracket(ew, ladder[k, l - 1])
+    return ladder
+
+
+def _combination(terms):
+    """sum q * elem over the (q, elem) pairs, in L4_MODEL."""
+    m = L4_MODEL
+    total = m.zero()
+    for q, elem in terms:
+        if q:
+            total = m.add(total, elem if q == 1 else m.scale(elem, q))
     return total
 
 
-def pentagon_residual(alpha, N: int):
-    """LHS - RHS of the substituted pentagon
+def phi_bar_eval(alpha, u: dict, w: dict, N: int):
+    """sum_{k+l <= N-2} alpha[k,l] [u^k w^l u w] for letter combinations u, w."""
+    return _combination((alpha.coeff(k, l), br) for (k, l), br in _ladder(u, w, N).items())
 
-    phi(b,e) + phi(a+c, d+e) + phi(a,b) - phi(a, b+d) - phi(b+c, e).
-    """
-    model = L4_MODEL
-    one = Fraction(1)
-    lhs = model.add(
-        model.add(
-            phi_bar_eval(alpha, {"b": one}, {"e": one}, N),
-            phi_bar_eval(alpha, {"a": one, "c": one}, {"d": one, "e": one}, N),
-        ),
-        phi_bar_eval(alpha, {"a": one}, {"b": one}, N),
-    )
-    rhs = model.add(
-        phi_bar_eval(alpha, {"a": one}, {"b": one, "d": one}, N),
-        phi_bar_eval(alpha, {"b": one, "c": one}, {"e": one}, N),
-    )
-    return model.sub(lhs, rhs)
+
+def pentagon_residual(alpha, N: int):
+    """LHS - RHS of the substituted pentagon: the signed sum of ``phi_bar_eval``
+    over the five terms of ``_PENTAGON``."""
+    return _combination((sign, phi_bar_eval(alpha, u, w, N)) for sign, u, w in _PENTAGON)
 
 
 def pentagon_check(alpha, N: int) -> dict:
@@ -463,15 +469,19 @@ def pentagon_check(alpha, N: int) -> dict:
 
 def pentagon_columns(d: int) -> list:
     """The degree-d pentagon map as columns: c_k, k = 0..d-2, holds the
-    canonical coordinates of the residual of the unit table E_{k,d-2-k}.
+    canonical coordinates of sum sign * [u^k w^(d-2-k) u w] over the five
+    terms (sign, u, w) of ``_PENTAGON``.
 
-    The residual is linear in alpha, and alpha[k, l] reaches letter degree
-    k + l + 2 only, so the degree-d coordinates of any table's residual are
-    sum_k alpha[k, d-2-k] c_k.
+    The residual is linear in alpha, and alpha[k, l] multiplies the bracket
+    [u^k w^l u w] of letter degree k + l + 2 only, so the degree-d coordinates
+    of any table's residual are sum_k alpha[k, d-2-k] c_k.  The five ladders
+    are built once and every column is read off them, so each bracket is
+    built once rather than once per column.
     """
+    ladders = [(sign, _ladder(u, w, d)) for sign, u, w in _PENTAGON]
     red = l4_reducer()
     return [
-        red.reduce(pentagon_residual(AlphaTable({(k, d - 2 - k): Fraction(1)}, d - 2), d)).get(d, {})
+        red.reduce(_combination((sign, ladder[k, d - 2 - k]) for sign, ladder in ladders)).get(d, {})
         for k in range(d - 1)
     ]
 
@@ -564,89 +574,74 @@ def identity_suite(kmax: int = 4, lmax: int = 4) -> list:
             emit(f"5.4b [c d^{i}e^{j} x]-[d d^{i}e^{j} x]",
                  m.sub(m.bracket(c, wx), m.bracket(d, wx)))
     # Claims 5.6a-d (k >= 0, l >= 1)
-    def pow_apply(base, first, k, second, l):
-        out = base
-        for _ in range(l):
-            out = m.bracket(second, out)
-        for _ in range(k):
-            out = m.bracket(first, out)
-        return out
-
     for k in range(0, kmax + 1):
         for l in range(1, lmax + 1):
             emit(f"5.6a [b^{k}d^{l}x]=[(-d-e)^{k}d^{l}x]",
-                 m.sub(pow_apply(x, b, k, d, l), pow_apply(x, neg_de, k, d, l)))
+                 m.sub(m.ad(b, k, m.ad(d, l, x)), m.ad(neg_de, k, m.ad(d, l, x))))
             emit(f"5.6a [d^{k}b^{l}y]=-[d^{k}(-d-e)^{l}x]",
-                 m.add(pow_apply(y, d, k, b, l), pow_apply(x, d, k, neg_de, l)))
+                 m.add(m.ad(d, k, m.ad(b, l, y)), m.ad(d, k, m.ad(neg_de, l, x))))
             emit(f"5.6b [b^{k}c^{l}z]=-[(-d-e)^{k}d^{l}x]",
-                 m.add(pow_apply(z, b, k, c, l), pow_apply(x, neg_de, k, d, l)))
+                 m.add(m.ad(b, k, m.ad(c, l, z)), m.ad(neg_de, k, m.ad(d, l, x))))
             emit(f"5.6b [c^{k}b^{l}u]=[d^{k}(-d-e)^{l}x]",
-                 m.sub(pow_apply(u, c, k, b, l), pow_apply(x, d, k, neg_de, l)))
+                 m.sub(m.ad(c, k, m.ad(b, l, u)), m.ad(d, k, m.ad(neg_de, l, x))))
             emit(f"5.6c [d^{k}e^{l}y]=-[d^{k}e^{l}x]",
-                 m.add(pow_apply(y, d, k, e, l), pow_apply(x, d, k, e, l)))
+                 m.add(m.ad(d, k, m.ad(e, l, y)), m.ad(d, k, m.ad(e, l, x))))
             emit(f"5.6c [e^{k}d^{l}u]=[e^{k}d^{l}x]",
-                 m.sub(pow_apply(u, e, k, d, l), pow_apply(x, e, k, d, l)))
+                 m.sub(m.ad(e, k, m.ad(d, l, u)), m.ad(e, k, m.ad(d, l, x))))
             emit(f"5.6d [a^{k}c^{l}y]=-[e^{k}d^{l}x]",
-                 m.add(pow_apply(y, a, k, c, l), pow_apply(x, e, k, d, l)))
+                 m.add(m.ad(a, k, m.ad(c, l, y)), m.ad(e, k, m.ad(d, l, x))))
             emit(f"5.6d [c^{k}a^{l}u]=[d^{k}e^{l}x]",
-                 m.sub(pow_apply(u, c, k, a, l), pow_apply(x, d, k, e, l)))
+                 m.sub(m.ad(c, k, m.ad(a, l, u)), m.ad(d, k, m.ad(e, l, x))))
     # Claims 5.7a-d (k >= 0)
     b_plus_d = m.combo({"b": 1, "d": 1})
     b_plus_c = m.combo({"b": 1, "c": 1})
     d_plus_e = m.combo({"d": 1, "e": 1})
     a_plus_c = m.combo({"a": 1, "c": 1})
     neg_e = m.combo({"e": -1})
-
-    def kpow(first, k, base):
-        out = base
-        for _ in range(k):
-            out = m.bracket(first, out)
-        return out
-
     for k in range(0, kmax + 1):
         emit(f"5.7a [(b+d)^{k}x]",
-             m.sub(kpow(b_plus_d, k, x),
-                   m.add(m.sub(kpow(b, k, x), kpow(neg_de, k, x)), kpow(neg_e, k, x))))
+             m.sub(m.ad(b_plus_d, k, x),
+                   m.add(m.sub(m.ad(b, k, x), m.ad(neg_de, k, x)), m.ad(neg_e, k, x))))
         emit(f"5.7a [(b+d)^{k}y]",
-             m.sub(kpow(b_plus_d, k, y),
-                   m.sub(m.add(kpow(d, k, y), kpow(d, k, x)), kpow(neg_e, k, x))))
+             m.sub(m.ad(b_plus_d, k, y),
+                   m.sub(m.add(m.ad(d, k, y), m.ad(d, k, x)), m.ad(neg_e, k, x))))
         emit(f"5.7b [(b+c)^{k}z]",
-             m.sub(kpow(b_plus_c, k, z),
-                   m.sub(m.add(kpow(b, k, z), kpow(neg_de, k, x)), kpow(neg_e, k, x))))
+             m.sub(m.ad(b_plus_c, k, z),
+                   m.sub(m.add(m.ad(b, k, z), m.ad(neg_de, k, x)), m.ad(neg_e, k, x))))
         emit(f"5.7b [(b+c)^{k}u]",
-             m.sub(kpow(b_plus_c, k, u),
-                   m.add(m.sub(kpow(c, k, u), kpow(d, k, x)), kpow(neg_e, k, x))))
+             m.sub(m.ad(b_plus_c, k, u),
+                   m.add(m.sub(m.ad(c, k, u), m.ad(d, k, x)), m.ad(neg_e, k, x))))
         emit(f"5.7c [(d+e)^{k}y]",
-             m.sub(kpow(d_plus_e, k, y),
-                   m.sub(m.add(kpow(d, k, y), kpow(d, k, x)), kpow(d_plus_e, k, x))))
+             m.sub(m.ad(d_plus_e, k, y),
+                   m.sub(m.add(m.ad(d, k, y), m.ad(d, k, x)), m.ad(d_plus_e, k, x))))
         emit(f"5.7c [(d+e)^{k}u]",
-             m.sub(kpow(d_plus_e, k, u),
-                   m.add(m.sub(kpow(e, k, u), kpow(e, k, x)), kpow(d_plus_e, k, x))))
+             m.sub(m.ad(d_plus_e, k, u),
+                   m.add(m.sub(m.ad(e, k, u), m.ad(e, k, x)), m.ad(d_plus_e, k, x))))
         emit(f"5.7d [(a+c)^{k}y]",
-             m.sub(kpow(a_plus_c, k, y),
-                   m.sub(m.add(kpow(a, k, y), kpow(e, k, x)), kpow(d_plus_e, k, x))))
+             m.sub(m.ad(a_plus_c, k, y),
+                   m.sub(m.add(m.ad(a, k, y), m.ad(e, k, x)), m.ad(d_plus_e, k, x))))
         emit(f"5.7d [(a+c)^{k}u]",
-             m.sub(kpow(a_plus_c, k, u),
-                   m.add(m.sub(kpow(c, k, u), kpow(d, k, x)), kpow(d_plus_e, k, x))))
+             m.sub(m.ad(a_plus_c, k, u),
+                   m.add(m.sub(m.ad(c, k, u), m.ad(d, k, x)), m.ad(d_plus_e, k, x))))
     # Lemma 5.8a/b (k, l >= 0)
     for k in range(0, kmax + 1):
         for l in range(0, lmax + 1):
             lhs = m.long_commutator([a] * k + [b_plus_d] * l + [a, b_plus_d])
             rhs = m.add(
-                m.add(pow_apply(x, a, k, b, l), pow_apply(y, a, k, d, l)),
-                m.sub(pow_apply(x, e, k, d, l), pow_apply(x, e, k, neg_de, l)),
+                m.add(m.ad(a, k, m.ad(b, l, x)), m.ad(a, k, m.ad(d, l, y))),
+                m.sub(m.ad(e, k, m.ad(d, l, x)), m.ad(e, k, m.ad(neg_de, l, x))),
             )
             emit(f"5.8a [a^{k}(b+d)^{l}a(b+d)] (k={k},l={l})", m.sub(lhs, rhs))
             lhs2 = m.long_commutator([b_plus_c] * k + [e] * l + [b_plus_c, e])
             rhs2 = m.add(
-                m.add(pow_apply(z, b, k, e, l), pow_apply(u, c, k, e, l)),
-                m.sub(pow_apply(x, neg_de, k, e, l), pow_apply(x, d, k, e, l)),
+                m.add(m.ad(b, k, m.ad(e, l, z)), m.ad(c, k, m.ad(e, l, u))),
+                m.sub(m.ad(neg_de, k, m.ad(e, l, x)), m.ad(d, k, m.ad(e, l, x))),
             )
             emit(f"5.8b-first [(b+c)^{k}e^{l}(b+c)e] (k={k},l={l})", m.sub(lhs2, rhs2))
             lhs3 = m.long_commutator([a_plus_c] * k + [d_plus_e] * l + [a_plus_c, d_plus_e])
             rhs3 = m.add(
-                m.add(pow_apply(y, a, k, d, l), pow_apply(u, c, k, e, l)),
-                m.sub(pow_apply(x, e, k, d, l), pow_apply(x, d, k, e, l)),
+                m.add(m.ad(a, k, m.ad(d, l, y)), m.ad(c, k, m.ad(e, l, u))),
+                m.sub(m.ad(e, k, m.ad(d, l, x)), m.ad(d, k, m.ad(e, l, x))),
             )
             emit(f"5.8b [(a+c)^{k}(d+e)^{l}(a+c)(d+e)] (k={k},l={l})", m.sub(lhs3, rhs3))
     return items
@@ -683,8 +678,6 @@ def claim_53_span_checks() -> bool:
         keys = sorted({k for r in rows for k in r} | set(tgt))
         matrix = [[r.get(k, Fraction(0)) for r in rows] for k in keys]
         rhs = [tgt.get(k, Fraction(0)) for k in keys]
-        from .linalg import solve_exact
-
         particular, _ = solve_exact(matrix, rhs) if keys else ([], [])
         return particular is not None
 

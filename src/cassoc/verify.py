@@ -104,14 +104,7 @@ def check_hexagon_families(degree: int = 12, theta_degree: int = 9) -> tuple:
         return False, "zeta-symbol split residual nonzero"
     # the four lowest-degree identities of the worked example
     fB = BiSeries(QQ, dict(golden.EXAMPLE_37_ALPHA), 3)
-    g = hexagon.g_from_f(fB)
-    g_mr = g.substitute_linear(((0, 1), (-1, -1)))
-    g_rl = g.substitute_linear(((-1, -1), (1, 0)))
-    G = g + g_mr + g_rl
-    one = BiSeries.constant(QQ, Fraction(1), 3)
-    lam = BiSeries.monomial(QQ, 1, 0, Fraction(1), 3)
-    mu = BiSeries.monomial(QQ, 0, 1, Fraction(1), 3)
-    T = one + lam * g_mr - mu * g
+    G, T = hexagon._parts_39(fB)
     for d, parts in golden.G_B_PARTS.items():
         if G.homogeneous_part(d) != parts:
             return False, f"G part at degree {d} mismatch"

@@ -1,7 +1,10 @@
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
 
+from cassoc import exact
 from cassoc.exact import (
     bernoulli,
     check_bernoulli_identity,
@@ -12,6 +15,7 @@ from cassoc.exact import (
     gamma_coefficients,
     parse_rational,
 )
+from cassoc.pentagon import L4_MODEL, QuotientReducer, _l4_relations, l4_reducer
 
 
 def test_bernoulli_values():
@@ -104,3 +108,43 @@ def test_bad_inputs():
         ext_bernoulli_recursive(0, 1)
     with pytest.raises(ValueError):
         check_bernoulli_identity(3, "d")
+
+
+def _in_three_threads(fn) -> list:
+    """fn() in three threads released together, switching as often as the
+    interpreter allows; the switch interval is restored afterwards."""
+    barrier = threading.Barrier(3)
+    results = [None] * 3
+
+    def run(i):
+        barrier.wait(timeout=60)
+        results[i] = fn()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return results
+
+
+def test_caches_fill_safely_from_three_threads(monkeypatch):
+    # _BERN is published whole; a reducer publishes a degree's pivot rows last,
+    # and those are what its readers test for
+    want = [bernoulli(n) for n in range(161)]
+    for _ in range(3):
+        monkeypatch.setattr(exact, "_BERN", [F(1), F(-1, 2)])
+        assert _in_three_threads(lambda: bernoulli(160)) == [want[160]] * 3
+        assert exact._BERN == want
+    red = l4_reducer()
+    x = L4_MODEL.long_commutator([2, 0, 5, 1, 3, 4, 1])
+    fresh = QuotientReducer(L4_MODEL, _l4_relations())
+    got = _in_three_threads(lambda: ([fresh.dimension(d) for d in range(2, 8)], fresh.reduce(x)))
+    assert got == [([red.dimension(d) for d in range(2, 8)], red.reduce(x))] * 3
+    assert all(fresh._rows[d] == red._rows[d] for d in range(2, 8))

@@ -291,3 +291,23 @@ def test_pentagon_columns_give_every_residual(red):
 def test_pentagon_check_rejects_short_table():
     with pytest.raises(ValueError, match="order 3"):
         pentagon_check(AlphaTable({(0, 1): F(1)}, 3), 6)
+
+
+def test_pentagon_columns_digest():
+    text = repr([
+        [sorted((key, str(c)) for key, c in col.items()) for col in pentagon_columns(d)]
+        for d in range(2, 11)
+    ])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7a0ed75c4c69f065f86a5ecd59b1887a4ce74899bd7516970a7a4dfdf8c49ae7"
+    )
+
+
+def test_pentagon_columns_are_residuals_of_unit_tables(red):
+    # the defining oracle: column k is the reduced residual of E_{k, d-2-k}
+    for d in range(2, 9):
+        want = [
+            red.reduce(pentagon_residual(AlphaTable({(k, d - 2 - k): F(1)}, d - 2), d)).get(d, {})
+            for k in range(d - 1)
+        ]
+        assert pentagon_columns(d) == want, d
