@@ -4,6 +4,12 @@ theta_n stands for zeta(n)/(n (pi i)^n): an exact rational for even n, an
 opaque commuting symbol for odd n >= 3.  Nothing is ever evaluated
 numerically; solving for the free hexagon parameters in this ring is what
 certifies that no polynomial relation between odd zeta values is implied.
+
+A ``ThetaPoly`` keeps {packed monomial key: nonzero Fraction}: each exponent
+sits in a 16-bit slot whose top bit guards against overflow, so a product of
+monomials is one integer addition (layout in its docstring).  Coefficients
+become Fractions once, where values enter the ring, and the ring operations
+trust them.
 """
 
 from __future__ import annotations
@@ -37,10 +43,51 @@ def ring_for_degree(d: int) -> "ThetaRing":
     return ThetaRing(max(bound, 3))
 
 
+# packed monomial keys: the layout and the guard bit are described in ThetaPoly
+_SLOT = 16
+_GUARD_BIT = 1 << (_SLOT - 1)
+_MAX_EXPONENT = _GUARD_BIT - 1
+_SLOT_MASK = (1 << _SLOT) - 1
+_ZERO = Fraction(0)
+
+
+def _guard(n: int) -> int:
+    """The guard bits of an n-slot key."""
+    return (1 << (_SLOT * n)) // _SLOT_MASK * _GUARD_BIT
+
+
+def _pack(exponents) -> int:
+    """The key of an exponent vector; ValueError unless every entry is an int
+    (not a bool) in 0.._MAX_EXPONENT."""
+    key = 0
+    for p in exponents:
+        if type(p) is not int or not 0 <= p <= _MAX_EXPONENT:
+            raise ValueError(f"exponent must be an int in 0..{_MAX_EXPONENT}, got {p!r}")
+        key = key << _SLOT | p
+    return key
+
+
+def _unpack(key: int, n: int) -> tuple:
+    """The n exponents packed in ``key``, first generator first."""
+    return tuple(key >> (_SLOT * i) & _SLOT_MASK for i in range(n - 1, -1, -1))
+
+
 class ThetaPoly:
     """Polynomial over Fraction in the odd symbols theta_3, theta_5, ...
 
-    ``terms`` maps exponent tuples (one slot per generator) to Fractions.
+    ``terms`` maps packed monomial keys to nonzero Fractions.  A key holds the
+    exponent of each generator in a 16-bit slot, the first generator in the
+    most significant one, so the monomial 1 is key 0, a product's key is the
+    sum of its factors' keys, and integer order is the lexicographic order of
+    exponent tuples.  The top bit of each slot is a guard bit: it is clear on
+    every valid key, so exponents stay below 2**15, and a product that sets it
+    raises OverflowError instead of carrying into the next slot.
+
+    Coefficients are converted to Fraction once, where values enter (``const``,
+    ``generator``, ``ThetaRing.parse``, scalar ``*`` and ``/``, ``==`` against a
+    rational); the ring operations trust them and only drop the zeros they
+    create.  The constructor takes this internal form as it is.
+
     theta_{2k+1} carries weight 2k+1; the weight of a monomial is the weighted
     exponent sum.
     """
@@ -49,31 +96,30 @@ class ThetaPoly:
 
     def __init__(self, gens: tuple, terms: dict | None = None):
         self.gens = gens  # e.g. (3, 5, 7, 9)
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    self.terms[tuple(e)] = Fraction(c)
+        self.terms = {} if terms is None else terms
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def const(cls, gens: tuple, q) -> "ThetaPoly":
         q = Fraction(q)
-        return cls(gens, {tuple([0] * len(gens)): q} if q else {})
+        return cls(gens, {0: q} if q else {})
 
     @classmethod
     def generator(cls, gens: tuple, n: int) -> "ThetaPoly":
-        e = [0] * len(gens)
-        e[gens.index(n)] = 1
-        return cls(gens, {tuple(e): Fraction(1)})
+        return cls(gens, {1 << (_SLOT * (len(gens) - 1 - gens.index(n))): Fraction(1)})
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: "ThetaPoly") -> "ThetaPoly":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            if e in out:
+                c += out[e]
+                if not c:
+                    del out[e]
+                    continue
+            out[e] = c
         return ThetaPoly(self.gens, out)
 
     def __sub__(self, other: "ThetaPoly") -> "ThetaPoly":
@@ -85,13 +131,19 @@ class ThetaPoly:
     def __mul__(self, other):
         if isinstance(other, ThetaPoly):
             out: dict = {}
+            get = out.get
+            right = other.terms.items()
             for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2
-            return ThetaPoly(self.gens, out)
+                for e2, c2 in right:
+                    e = e1 + e2
+                    c = get(e)
+                    out[e] = c1 * c2 if c is None else c + c1 * c2
+            guard = _guard(len(self.gens))
+            if any(e & guard for e in out):
+                raise OverflowError(f"exponent above {_MAX_EXPONENT} in a product")
+            return ThetaPoly(self.gens, {e: c for e, c in out.items() if c})
         q = Fraction(other)
-        return ThetaPoly(self.gens, {e: c * q for e, c in self.terms.items()})
+        return ThetaPoly(self.gens, {e: c * q for e, c in self.terms.items()} if q else {})
 
     __rmul__ = __mul__
 
@@ -100,7 +152,8 @@ class ThetaPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ThetaPoly):
-            return self.terms == other.terms
+            # one key names different monomials over different generators
+            return self.terms == other.terms and (not self.terms or self.gens == other.gens)
         if isinstance(other, (int, Fraction)):
             return self == ThetaPoly.const(self.gens, other)
         return NotImplemented
@@ -112,11 +165,10 @@ class ThetaPoly:
         return not self.terms
 
     def is_rational(self) -> bool:
-        zero = tuple([0] * len(self.gens))
-        return all(e == zero for e in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def rational_part(self) -> Fraction:
-        return self.terms.get(tuple([0] * len(self.gens)), Fraction(0))
+        return self.terms.get(0, _ZERO)
 
     def odd_to_zero(self) -> Fraction:
         """Set every odd-zeta symbol to zero, leaving the rational part."""
@@ -125,18 +177,24 @@ class ThetaPoly:
     def max_weight(self) -> int:
         if not self.terms:
             return 0
-        return max(sum(g * p for g, p in zip(self.gens, e)) for e in self.terms)
+        n = len(self.gens)
+        return max(sum(g * p for g, p in zip(self.gens, _unpack(e, n))) for e in self.terms)
 
     # -- rendering -------------------------------------------------------------
 
     def __repr__(self) -> str:
         return self.format()
 
+    def _sorted(self):
+        """(exponent tuple, coefficient) pairs in lexicographic monomial order."""
+        n = len(self.gens)
+        return [(_unpack(e, n), self.terms[e]) for e in sorted(self.terms)]
+
     def format(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for e, c in sorted(self.terms.items()):
+        for e, c in self._sorted():
             mono = "*".join(
                 f"t{g}" + (f"^{p}" if p > 1 else "")
                 for g, p in zip(self.gens, e)
@@ -154,7 +212,7 @@ class ThetaPoly:
         if not self.terms:
             return "0"
         parts = []
-        for e, c in sorted(self.terms.items()):
+        for e, c in self._sorted():
             mono = "".join(
                 rf"\theta_{{{g}}}" + (f"^{{{p}}}" if p > 1 else "")
                 for g, p in zip(self.gens, e)
@@ -171,7 +229,7 @@ class ThetaPoly:
     def to_json_obj(self):
         if self.is_rational():
             return format_rational(self.rational_part())
-        return {"poly": [[list(e), format_rational(c)] for e, c in sorted(self.terms.items())]}
+        return {"poly": [[list(e), format_rational(c)] for e, c in self._sorted()]}
 
 
 class ThetaRing:
@@ -212,7 +270,25 @@ class ThetaRing:
         return ThetaPoly.const(self.gens, parse_rational(obj))
 
     def parse_poly(self, obj) -> ThetaPoly:
-        return ThetaPoly(self.gens, {tuple(e): parse_rational(c) for e, c in obj["poly"]})
+        """Read {"poly": [[exponents, "p/q"], ...]}; anything malformed raises ValueError.
+
+        Each exponent vector has one int (not bool) per generator, each in
+        0..2**15 - 1, and no monomial may appear twice.
+        """
+        if not isinstance(obj, dict) or obj.keys() != {"poly"} or not isinstance(obj["poly"], list):
+            raise ValueError(f'theta polynomial must be {{"poly": [[exponents, "p/q"], ...]}}, got {obj!r}')
+        terms = {}
+        for item in obj["poly"]:
+            if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], list)):
+                raise ValueError(f'theta term must be [exponents, "p/q"], got {item!r}')
+            exponents, text = item
+            if len(exponents) != len(self.gens):
+                raise ValueError(f"exponent vector {exponents!r} needs one entry per generator {self.gens}")
+            key = _pack(exponents)
+            if key in terms:
+                raise ValueError(f"monomial {exponents!r} appears twice")
+            terms[key] = parse_rational(text)
+        return ThetaPoly(self.gens, {e: c for e, c in terms.items() if c})
 
 
 def theta_even(n: int) -> Fraction:

@@ -9,22 +9,43 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from cassoc.pentagon import L4_MODEL, l4_reducer  # noqa: E402
 from cassoc.series import QQ, BiSeries  # noqa: E402
+from cassoc.zeta import ThetaRing  # noqa: E402
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 # sums of scaled right-nested commutators of the six letters, degree <= 6
 terms = st.lists(st.tuples(rationals, st.lists(st.integers(0, 5), min_size=2, max_size=6)), min_size=1, max_size=4)
-# BiSeries over QQ: order <= 6, integer 2x2 substitution matrices
-orders = st.integers(0, 6)
+# integer 2x2 substitution matrices
 small_ints = st.integers(-3, 3)
 matrices = st.tuples(st.tuples(small_ints, small_ints), st.tuples(small_ints, small_ints))
+# ThetaPoly over theta_3..theta_9, given as {exponent tuple: Fraction}
+THETA = ThetaRing(9)
+MAX_EXPONENT = 2**15 - 1  # the largest exponent a packed key holds
+theta_terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(THETA.gens)), rationals, max_size=4)
+
+
+def _poly(terms):
+    """The ThetaPoly with these {exponent tuple: coefficient} terms, read through ``parse``."""
+    return THETA.parse({"poly": [[list(e), str(c)] for e, c in terms.items()]})
+
+
+def _terms(p):
+    """{exponent tuple: Fraction} of p's nonzero terms, read off ``to_json_obj``."""
+    obj = p.to_json_obj()
+    if isinstance(obj, str):
+        return {(0,) * len(THETA.gens): F(obj)} if F(obj) else {}
+    return {tuple(e): F(c) for e, c in obj["poly"]}
+
+
+theta_polys = theta_terms.map(_poly)
 
 
 @st.composite
-def series(draw, constant=True):
-    """A BiSeries over QQ of order <= 6, with or without a constant term."""
-    n = draw(orders)
+def series(draw, constant=True, ring=QQ, max_order=6):
+    """A BiSeries over QQ or THETA of order <= max_order, with or without a constant term."""
+    n = draw(st.integers(0, max_order))
     keys = [(k, d - k) for d in range(0 if constant else 1, n + 1) for k in range(d + 1)]
-    return BiSeries(QQ, draw(st.dictionaries(st.sampled_from(keys), rationals, max_size=8)) if keys else {}, n)
+    values = rationals if ring is QQ else theta_polys
+    return BiSeries(ring, draw(st.dictionaries(st.sampled_from(keys), values, max_size=8)) if keys else {}, n)
 
 
 def _product(A, B):
@@ -100,3 +121,79 @@ def test_divide_monomial_undoes_multiplication(f, k, l):
 @given(series(constant=False))
 def test_log_inverts_exp(u):
     assert u.exp().log() == u
+
+
+@settings(max_examples=30, deadline=None)
+@given(theta_polys, theta_polys, theta_polys, rationals)
+def test_theta_poly_ring_laws(p, q, r, c):
+    zero, one = THETA.zero, THETA.one
+    assert (p + q) + r == p + (q + r)
+    assert p + q == q + p
+    assert (p * q) * r == p * (q * r)
+    assert p * q == q * p
+    assert p * (q + r) == p * q + p * r
+    assert p + zero == p and p * one == p and (p - p).is_zero()
+    assert p * c == p * THETA.from_rational(c) == c * p
+
+
+def _naive_product(a, b):
+    """The product of two {exponent tuple: coefficient} dicts, exponents added slot by slot."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@settings(max_examples=30, deadline=None)
+@given(theta_terms, theta_terms)
+def test_theta_product_matches_naive_reference(a, b):
+    assert _terms(_poly(a) * _poly(b)) == _naive_product(a, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(theta_polys)
+def test_theta_json_round_trip(p):
+    assert THETA.parse(p.to_json_obj()) == p
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, len(THETA.gens) - 1), st.integers(1, MAX_EXPONENT), st.integers(1, MAX_EXPONENT))
+def test_theta_product_overflow_raises_and_never_carries(slot, a, b):
+    n = len(THETA.gens)
+    e1 = tuple(a if i == slot else 1 for i in range(n))
+    e2 = tuple(b if i == slot else 1 for i in range(n))
+    p, q = _poly({e1: F(1)}), _poly({e2: F(1)})
+    if a + b > MAX_EXPONENT:
+        with pytest.raises(OverflowError):
+            p * q
+    else:
+        assert _terms(p * q) == {tuple(x + y for x, y in zip(e1, e2)): F(1)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(series(ring=THETA, max_order=5), series(ring=THETA, max_order=5), series(ring=THETA, max_order=5))
+def test_biseries_ring_laws_over_theta(f, g, h):
+    assert (f + g) + h == f + (g + h)
+    assert f + g == g + f
+    assert (f * g) * h == f * (g * h)
+    assert f * g == g * f
+    assert f * (g + h) == f * g + f * h
+
+
+@pytest.mark.parametrize("ring", [QQ, THETA], ids=["QQ", "theta"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_divisions_undo_multiplication(ring, data):
+    f = data.draw(series(ring=ring, max_order=5))
+    n = f.order
+    lam_plus_mu = BiSeries(ring, {(1, 0): ring.one, (0, 1): ring.one}, n + 1)
+    # f is a polynomial of degree <= n, so its product with lam + mu is known to n + 1
+    got = (f.pad(n + 1) * lam_plus_mu).divide_lam_plus_mu()
+    assert got.order == n and got == f
+    u = data.draw(series(constant=False, ring=ring, max_order=5))
+    c = data.draw(rationals.filter(bool))
+    d = BiSeries.constant(ring, ring.from_rational(c), u.order) + u
+    got = (f * d).divide_unit(d)
+    assert got.order == min(n, d.order) and got == f

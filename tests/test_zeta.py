@@ -51,6 +51,25 @@ def test_theta_poly_rendering():
     assert ring.parse_poly(obj) == p
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        pytest.param({"poly": [[[1], "1"]]}, "one entry per generator", id="short-vector"),
+        pytest.param({"poly": [[[-1, 0], "1"]]}, "exponent must be an int", id="negative"),
+        pytest.param({"poly": [[[1.5, 0], "1"]]}, "exponent must be an int", id="float"),
+        pytest.param({"poly": [[[True, 0], "1"]]}, "exponent must be an int", id="bool"),
+        pytest.param({"poly": [[[2**15, 0], "1"]]}, "exponent must be an int", id="too-wide"),
+        pytest.param({"poly": [[[1, 0], "1"], [[1, 0], "2"]]}, "appears twice", id="repeated"),
+        pytest.param({"nope": 1}, "theta polynomial must be", id="no-poly-key"),
+        pytest.param({"poly": "x"}, "theta polynomial must be", id="not-a-list"),
+        pytest.param({"poly": [[[1, 0], "1", "2"]]}, "theta term must be", id="not-a-pair"),
+    ],
+)
+def test_parse_poly_rejects_malformed_input(obj, message):
+    with pytest.raises(ValueError, match=message):
+        ThetaRing(5).parse(obj)
+
+
 def test_drinfeld_s_shape():
     s = drinfeld_s(6)
     ring = s.ring
