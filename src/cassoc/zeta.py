@@ -107,7 +107,8 @@ class ThetaPoly:
 
     @classmethod
     def generator(cls, gens: tuple, n: int) -> "ThetaPoly":
-        return cls(gens, {1 << (_SLOT * (len(gens) - 1 - gens.index(n))): Fraction(1)})
+        i = gens.index(n)
+        return cls(gens, {_pack([int(j == i) for j in range(len(gens))]): Fraction(1)})
 
     # -- ring operations -----------------------------------------------------
 

@@ -6,12 +6,12 @@
 Stages, in the order the ``zeta-series`` workload runs them at degree 16:
 ``drinfeld_f(16)``, its ``residual_15b`` and ``split_residuals``,
 ``solve_betas_in_theta(16)`` and the ``build_f`` rebuild from those
-parameters.  Every repeat starts a new interpreter, so each one pays the cold
-Bernoulli tables the way a command-line call does.  The medians of each
-stage (seconds) go into column ``--column`` of ``--out``; other columns
-already in that file are kept, so one file holds a parent and a change run.
-Each column also records the sha256 of the drinfeld and rebuilt series, so
-two columns can be seen to compute the same thing.
+parameters.  Each of the REPEATS repeats starts a new interpreter, so each
+one pays the cold Bernoulli tables the way a command-line call does.  The
+medians of each stage (seconds) go into column ``--column`` of ``--out``;
+other columns already in that file are kept, so one file holds a parent and a
+change run.  Each column also records the sha256 of the drinfeld and rebuilt
+series, so two columns can be seen to compute the same thing.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import subprocess
 import sys
 
 DEGREE = 16
+REPEATS = 5
 
 CHILD = """
 import hashlib, json, sys, time
@@ -63,12 +64,9 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default="src", help="the src/ directory of the checkout to time")
     parser.add_argument("--column", required=True, help="name of the column to write, e.g. parent or change")
     parser.add_argument("--out", required=True, help="JSON file to write the column into")
-    parser.add_argument("--repeats", type=int, default=5, help="fresh interpreters to run, each timing every stage once")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
 
-    runs = [run_once(os.path.abspath(args.src)) for _ in range(args.repeats)]
+    runs = [run_once(os.path.abspath(args.src)) for _ in range(REPEATS)]
     digests = {(r["drinfeld_sha256"], r["build_f_sha256"]) for r in runs}
     if len(digests) != 1:
         raise SystemExit("repeats disagree on the computed series")
@@ -78,7 +76,7 @@ def main(argv=None) -> int:
     medians["total"] = round(statistics.median(sum(r["times"].values()) for r in runs), 4)
     column = {
         "median_s": medians,
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "degree": DEGREE,
         "drinfeld_sha256": drinfeld_sha,
         "build_f_sha256": build_sha,
