@@ -58,7 +58,7 @@ class ModelElement:
         return ModelElement(self.x + other.x, self.y + other.y, self.s + other.s, self.comm + other.comm)
 
     def scale(self, q: Fraction) -> "ModelElement":
-        return ModelElement(self.x * q, self.y * q, self.s * q, self.comm.scale_rational(q))
+        return ModelElement(self.x * q, self.y * q, self.s * q, self.comm * q)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModelElement):
@@ -70,14 +70,12 @@ class ModelElement:
 
     def _acting(self, order: int) -> BiSeries:
         """x lam + y mu: how bracketing with self acts on a commutator part."""
-        ring = self.comm.ring
-        return BiSeries(ring, {(1, 0): ring.from_rational(self.x), (0, 1): ring.from_rational(self.y)}, order)
+        return BiSeries(QQ, {(1, 0): self.x, (0, 1): self.y}, order)
 
     def bracket(self, other: "ModelElement") -> "ModelElement":
         """[self, other] in the quotient: lands entirely in the commutator part."""
-        ring = self.comm.ring
         n = min(self.comm.order, other.comm.order)
-        comm = BiSeries.constant(ring, ring.from_rational(self.x * other.y - self.y * other.x), n)
+        comm = BiSeries.constant(QQ, self.x * other.y - self.y * other.x, n)
         comm = comm + other.comm * self._acting(n) - self.comm * other._acting(n)
         return ModelElement(0, 0, 0, comm)
 
@@ -247,11 +245,8 @@ def hausdorff_in_l3(x: ModelElement, y: ModelElement, N: int) -> ModelElement:
     correction is the closed form's commutator part evaluated at (u_y, u_x),
     times [y, x].
     """
-    ring = x.comm.ring
     n = min(x.comm.order, y.comm.order, N - 2)
     base = y.bracket(x).comm.truncate(n)
-    cbh_comm = compressed_cbh(n + 2).comm
-    c_series = BiSeries(ring, {kl: ring.from_rational(c) for kl, c in cbh_comm.coeffs.items()}, n)
-    mult = c_series.substitute_linear(((y.x, y.y), (x.x, x.y)))
+    mult = compressed_cbh(n + 2).comm.substitute_linear(((y.x, y.y), (x.x, x.y)))
     comm = x.comm.truncate(n) + y.comm.truncate(n) + mult * base
     return ModelElement(x.x + y.x, x.y + y.y, x.s + y.s, comm)

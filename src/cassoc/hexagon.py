@@ -140,9 +140,7 @@ class ParamSet:
 
 def g_from_f(f: BiSeries) -> BiSeries:
     """g(lam, mu) = lam * f(lam, mu) / (e^lam - 1)."""
-    ring = f.ring
-    factor = standard_series("x_over_expm1", f.order, ring).as_biseries((1, 0), f.order)
-    return factor * f
+    return standard_series("x_over_expm1", f.order).as_biseries((1, 0), f.order) * f
 
 
 _SUB_MU_RHO = ((0, 1), (-1, -1))  # (lam, mu) -> (mu, -lam-mu)
@@ -154,39 +152,37 @@ _SUB_NEG_SWAP = ((0, -1), (-1, 0))  # (lam, mu) -> (-mu, -lam)
 
 def _parts_39(f: BiSeries) -> tuple:
     """G = g + g(mu,rho) + g(rho,lam) and T = 1 + lam g(mu,rho) - mu g of (3.9)."""
-    ring = f.ring
     n = f.order
     g = g_from_f(f)
     g_mr = g.substitute_linear(_SUB_MU_RHO)
     g_rl = g.substitute_linear(_SUB_RHO_LAM)
     G = g + g_mr + g_rl
-    one = BiSeries.constant(ring, ring.one, n)
-    T = one + BiSeries.monomial(ring, 1, 0, ring.one, n) * g_mr - BiSeries.monomial(ring, 0, 1, ring.one, n) * g
+    one = BiSeries.constant(QQ, Fraction(1), n)
+    T = one + BiSeries.monomial(QQ, 1, 0, Fraction(1), n) * g_mr - BiSeries.monomial(QQ, 0, 1, Fraction(1), n) * g
     return G, T
 
 
 def residual_39(f: BiSeries) -> BiSeries:
     """G + C*T, with G and T from ``_parts_39``."""
     G, T = _parts_39(f)
-    return G + standard_series("c_generating_closed", f.order, f.ring) * T
+    return G + standard_series("c_generating_closed", f.order) * T
 
 
 def residual_15b(f: BiSeries) -> BiSeries:
     """LHS - RHS of  f + e^mu f(mu,rho) + e^{-lam} f(lam,rho)
     = ((e^mu-1)/mu + (e^{-lam}-1)/lam) / (lam+mu)."""
-    ring = f.ring
     n = f.order
     lhs = (
         f
-        + exp_linear(ring, 0, 1, n) * f.substitute_linear(_SUB_MU_RHO)
-        + exp_linear(ring, -1, 0, n) * f.substitute_linear(_SUB_LAM_RHO)
+        + exp_linear(0, 1, n) * f.substitute_linear(_SUB_MU_RHO)
+        + exp_linear(-1, 0, n) * f.substitute_linear(_SUB_LAM_RHO)
     )
-    return lhs - _rhs_15b(ring, n)
+    return lhs - _rhs_15b(n)
 
 
-def _rhs_15b(ring, n: int) -> BiSeries:
+def _rhs_15b(n: int) -> BiSeries:
     """((e^mu-1)/mu + (e^{-lam}-1)/lam) / (lam+mu) through order n."""
-    em = standard_series("expm1_over_x", n + 1, ring)
+    em = standard_series("expm1_over_x", n + 1)
     # (e^{-lam}-1)/lam is minus the x -> -lam substitution of (e^x-1)/x
     num = em.as_biseries((0, 1), n + 1) - em.as_biseries((-1, 0), n + 1)
     return num.divide_lam_plus_mu()
@@ -205,19 +201,17 @@ def split_residuals(f: BiSeries) -> tuple:
     """
     if not f.is_symmetric():
         raise ValueError("asymmetric input")
-    ring = f.ring
     n = f.order
     m = n + 3 - n % 2
-    one = BiSeries.constant(ring, ring.one, m)
-    lam = BiSeries.monomial(ring, 1, 0, ring.one, m)
-    mu = BiSeries.monomial(ring, 0, 1, ring.one, m)
-    f_pad = BiSeries(ring, dict(f.coeffs), m)
-    ftilde_even = (one + lam * mu * f_pad).even_part()
-    u = lam * exp_linear(ring, 0, 1, m) * ftilde_even.substitute_linear(_SUB_MU_RHO)
+    one = BiSeries.constant(QQ, Fraction(1), m)
+    lam = BiSeries.monomial(QQ, 1, 0, Fraction(1), m)
+    mu = BiSeries.monomial(QQ, 0, 1, Fraction(1), m)
+    ftilde_even = (one + lam * mu * f.pad(m)).even_part()
+    u = lam * exp_linear(0, 1, m) * ftilde_even.substitute_linear(_SUB_MU_RHO)
     # mu e^{-lam} ftilde_even(lam,rho) = -u(-mu,-lam)
     even_res = (lam + mu) * ftilde_even - u + u.substitute_linear(_SUB_NEG_SWAP)
     f_odd = f.odd_part()
-    t = exp_linear(ring, 0, 1, n) * f_odd.substitute_linear(_SUB_MU_RHO)
+    t = exp_linear(0, 1, n) * f_odd.substitute_linear(_SUB_MU_RHO)
     odd_res = f_odd + t - t.substitute_linear(_SUB_NEG_SWAP)
     return even_res, odd_res
 
@@ -371,7 +365,7 @@ def build_f(params: ParamSet, N: int) -> BiSeries:
     for n in range(0, M // 2 + 1):
         if 2 * n > M:
             break
-        h = h + w2_pows[n].scale_rational(gam[n])
+        h = h + w2_pows[n] * gam[n]
         bt0 = params.beta_tilde.get((n, 0))
         if bt0 is not None and not ring.is_zero(bt0):
             ht = ht + w2_pows[n] * bt0
@@ -382,10 +376,10 @@ def build_f(params: ParamSet, N: int) -> BiSeries:
             bt = params.beta_tilde.get((n, k))
             if bt is not None and not ring.is_zero(bt):
                 ht = ht + blk_pows[k] * w2_pows[n - 3 * k] * bt
-    sinhc = standard_series("sinh_factor_bivariate", M, ring)
-    one = BiSeries.constant(ring, ring.one, M)
+    sinhc = standard_series("sinh_factor_bivariate", M)
+    one = BiSeries.constant(QQ, Fraction(1), M)
     even_f = ((sinhc * h) - one).divide_monomial(1, 1)
-    lam_plus_mu = BiSeries(ring, {(1, 0): ring.one, (0, 1): ring.one}, M)
+    lam_plus_mu = BiSeries(QQ, {(1, 0): Fraction(1), (0, 1): Fraction(1)}, M)
     odd_f = lam_plus_mu * sinhc * ht
     return (even_f.truncate(N) + odd_f.truncate(N)).truncate(N)
 
@@ -402,7 +396,7 @@ def family_II(N: int) -> BiSeries:
     sinhc = standard_series("sinh_factor_bivariate", M)
     inner = two.as_biseries((1, 0), M) + two.as_biseries((0, 1), M) - BiSeries.constant(QQ, Fraction(1), M)
     one = BiSeries.constant(QQ, Fraction(1), M)
-    out = (sinhc * inner - one).divide_monomial(1, 1).scale_rational(Fraction(1, 2))
+    out = (sinhc * inner - one).divide_monomial(1, 1) * Fraction(1, 2)
     return out.truncate(N)
 
 
@@ -508,7 +502,7 @@ def solve_degreewise(N: int) -> dict:
     they must match, and the kernel directions in the unknown basis.
     """
     horizon = N + _LOOKAHEAD
-    rhs = _rhs_15b(QQ, horizon)
+    rhs = _rhs_15b(horizon)
     forms: dict = {}  # (k, l), k <= l -> {None: constant, live unknown: coeff}
     live: list = []  # by degree, then k
     for d in range(0, horizon + 1):
@@ -582,7 +576,6 @@ def model_hexagon_check(alpha: AlphaTable, N: int) -> bool:
     """
     if alpha.order < N - 2:
         raise ValueError(f"alpha table order {alpha.order} too small for letter degree {N}")
-    ring = alpha.ring
     f = alpha.to_series().truncate(N - 2)
     g = g_from_f(f)
     # a = X, b = Y and c = S - a - b
@@ -591,7 +584,7 @@ def model_hexagon_check(alpha: AlphaTable, N: int) -> bool:
     psi_ca = ModelElement(-1, -1, 1, g.substitute_linear(_SUB_RHO_LAM))
     inner = hausdorff_in_l3(psi_bc, psi_ab, N)
     total = hausdorff_in_l3(psi_ca, inner, N)
-    target = ModelElement(0, 0, 1, BiSeries(ring, {}, N - 2))
+    target = ModelElement(0, 0, 1, BiSeries(QQ, {}, N - 2))
     return total == target
 
 
@@ -601,21 +594,17 @@ def model_hexagon_check(alpha: AlphaTable, N: int) -> bool:
 def extract_h(f: BiSeries) -> BiSeries:
     """h with 1 + lam mu Even(f) = sinhc(lam+mu) * h; carries the 3 symmetries
     and the boundary value h(lam, 0) = 2 lam/(e^lam - e^{-lam})."""
-    ring = f.ring
     n = f.order
-    one = BiSeries.constant(ring, ring.one, n + 2)
-    lam_mu = BiSeries.monomial(ring, 1, 1, ring.one, n + 2)
-    f_pad = BiSeries(ring, dict(f.coeffs), n + 2)
-    lhs = one + lam_mu * f_pad.even_part()
-    sinhc = standard_series("sinh_factor_bivariate", n + 2, ring)
+    one = BiSeries.constant(QQ, Fraction(1), n + 2)
+    lam_mu = BiSeries.monomial(QQ, 1, 1, Fraction(1), n + 2)
+    lhs = one + lam_mu * f.pad(n + 2).even_part()
+    sinhc = standard_series("sinh_factor_bivariate", n + 2)
     return lhs.divide_unit(sinhc)
 
 
 def extract_h_tilde(f: BiSeries) -> BiSeries:
     """h-tilde with Odd(f) = (e^{lam+mu} - e^{-lam-mu})/2 * h-tilde."""
-    ring = f.ring
-    n = f.order
-    sinhc = standard_series("sinh_factor_bivariate", n - 1, ring)
+    sinhc = standard_series("sinh_factor_bivariate", f.order - 1)
     return f.odd_part().divide_lam_plus_mu().divide_unit(sinhc)
 
 

@@ -28,7 +28,7 @@ substitutions (sign, u, w) of phi.  For each, ``_ladder`` builds the brackets
 [u^k w^l u w] = (ad u)^k (ad w)^l [u, w], each one bracket away from a
 neighbour.  ``phi_bar_eval`` sums alpha over one ladder, ``pentagon_residual``
 sums it over ``_PENTAGON``, and ``pentagon_columns`` reads the columns of the
-degree-d pentagon map straight off the five ladders, since alpha[k, l]
+pentagon map of every degree straight off the five ladders, since alpha[k, l]
 multiplies the single bracket at (k, l).  ``MetabelianModel.ad`` is the one
 repeated-bracket primitive behind the section-5 identity suite.
 """
@@ -274,14 +274,12 @@ class QuotientReducer:
     coordinates do not depend on the order in which rows were stored.
     """
 
-    def __init__(self, model: MetabelianModel, relations: list, max_degree: int = 0):
+    def __init__(self, model: MetabelianModel, relations: list):
         self.model = model
         self.relations = relations
         self._cols: dict = {}  # degree -> {key: column index}
         self._keys: dict = {}  # degree -> [key]
         self._rows: dict = {}  # degree -> {pivot column: sparse row dict}
-        for d in range(2, max_degree + 1):
-            self._build(d)
 
     def _relation_rows(self, degree: int):
         """Yield mono * r in normal form, {key: coeff}, for every monomial of
@@ -361,22 +359,19 @@ class QuotientReducer:
         red = self._reduce_vector(row, self._rows[degree])
         return {keys[c]: v for c, v in red.items()}
 
-    def reduce(self, elem, max_degree: int | None = None) -> dict:
+    def reduce(self, elem) -> dict:
         """Reduce every degree part of an element; returns {degree: coords}."""
-        model = self.model
         out = {}
-        for d, part in model.comm_degree_parts(elem).items():
-            if max_degree is not None and d > max_degree:
-                continue
+        for d, part in self.model.comm_degree_parts(elem).items():
             coords = self.reduce_part(part, d)
             if coords:
                 out[d] = coords
         return out
 
-    def is_zero(self, elem, max_degree: int | None = None) -> bool:
+    def is_zero(self, elem) -> bool:
         if elem[0]:
             return False
-        return not self.reduce(elem, max_degree)
+        return not self.reduce(elem)
 
     def dimension(self, degree: int) -> int:
         if degree == 1:
@@ -460,30 +455,34 @@ def pentagon_check(alpha, N: int) -> dict:
     if alpha.order < N - 2:
         raise ValueError(f"alpha table order {alpha.order} too small for letter degree {N}")
     residual = pentagon_residual(alpha, N)
-    reduced = l4_reducer().reduce(residual, max_degree=N)
+    reduced = l4_reducer().reduce(residual)
     norms = {d: 0 for d in range(2, N + 1)}
     for d, coords in reduced.items():
         norms[d] = len(coords)
     return norms
 
 
-def pentagon_columns(d: int) -> list:
-    """The degree-d pentagon map as columns: c_k, k = 0..d-2, holds the
-    canonical coordinates of sum sign * [u^k w^(d-2-k) u w] over the five
-    terms (sign, u, w) of ``_PENTAGON``.
+def pentagon_columns(N: int) -> dict:
+    """The pentagon maps of every letter degree d = 2..N, as {d: [c_k]}:
+    c_k, k = 0..d-2, holds the canonical coordinates of
+    sum sign * [u^k w^(d-2-k) u w] over the five terms (sign, u, w) of
+    ``_PENTAGON``.
 
     The residual is linear in alpha, and alpha[k, l] multiplies the bracket
     [u^k w^l u w] of letter degree k + l + 2 only, so the degree-d coordinates
     of any table's residual are sum_k alpha[k, d-2-k] c_k.  The five ladders
-    are built once and every column is read off them, so each bracket is
-    built once rather than once per column.
+    to degree N hold every such bracket, so they are built once and every
+    column of every degree is read off them: each bracket is built once.
     """
-    ladders = [(sign, _ladder(u, w, d)) for sign, u, w in _PENTAGON]
+    ladders = [(sign, _ladder(u, w, N)) for sign, u, w in _PENTAGON]
     red = l4_reducer()
-    return [
-        red.reduce(_combination((sign, ladder[k, d - 2 - k]) for sign, ladder in ladders)).get(d, {})
-        for k in range(d - 1)
-    ]
+    return {
+        d: [
+            red.reduce(_combination((sign, ladder[k, d - 2 - k]) for sign, ladder in ladders)).get(d, {})
+            for k in range(d - 1)
+        ]
+        for d in range(2, N + 1)
+    }
 
 
 def dimension_report(N: int, variant: str) -> dict:

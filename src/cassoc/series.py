@@ -9,6 +9,16 @@ Coefficients live in a commutative ring with exact equality, described by a
 small adapter object (see ``QQ`` here and the theta-symbol ring in
 ``cassoc.zeta``).  The rational instantiation uses ``fractions.Fraction``
 directly as the coefficient type.
+
+QQ embeds in every coefficient ring, and that rule lives in
+``BiSeries.__add__`` and ``BiSeries.__mul__`` alone: when exactly one operand
+is over ``QQ``, the result takes the other operand's ring, and a sum lifts
+each rational coefficient with ``ring.from_rational`` as it meets it.  So
+every purely rational series (the classical series, e^{a lam + b mu}, the
+CBH table) is built over ``QQ`` with plain Fractions and combines with series
+over any ring.  The one case the rule cannot lift is a scalar: a ``QQ`` series
+times a non-rational scalar raises TypeError, because the scalar does not
+name its ring; multiply by a constant series over that ring instead.
 """
 
 from __future__ import annotations
@@ -193,11 +203,14 @@ class BiSeries:
     # -- ring operations --------------------------------------------------------
 
     def __add__(self, other: "BiSeries") -> "BiSeries":
+        if self.ring is QQ and other.ring is not QQ:
+            return other + self
         n = min(self.order, other.order)
         out = BiSeries(self.ring, self.coeffs, n)
+        lift = self.ring.from_rational if other.ring is QQ and self.ring is not QQ else None
         for kl, c in other.coeffs.items():
             if kl[0] + kl[1] <= n:
-                out._acc(kl, c)
+                out._acc(kl, lift(c) if lift else c)
         out._clean()
         return out
 
@@ -209,6 +222,9 @@ class BiSeries:
 
     def __mul__(self, other):
         if isinstance(other, BiSeries):
+            if self.ring is QQ and other.ring is not QQ:
+                # the other ring's coefficients on the left: c * Fraction is a scalar product
+                return other * self
             n = min(self.order, other.order)
             out = BiSeries(self.ring, {}, n)
             for (k1, l1), c1 in self.coeffs.items():
@@ -219,14 +235,11 @@ class BiSeries:
                         out._acc((k1 + k2, l1 + l2), c1 * c2)
             out._clean()
             return out
-        out = BiSeries(self.ring, {kl: c * other for kl, c in self.coeffs.items()}, self.order)
-        out._clean()
-        return out
+        if self.ring is QQ and not isinstance(other, (int, Fraction)):
+            raise TypeError(f"a series over QQ times the non-rational scalar {other!r}")
+        return BiSeries(self.ring, {kl: c * other for kl, c in self.coeffs.items()}, self.order)
 
     __rmul__ = __mul__
-
-    def scale_rational(self, q: Fraction) -> "BiSeries":
-        return self * self.ring.from_rational(q)
 
     def pow(self, e: int) -> "BiSeries":
         out = BiSeries.constant(self.ring, self.ring.one, self.order)
@@ -287,7 +300,7 @@ class BiSeries:
         """Restrict to mu = -lam, producing a series in lam."""
         cs = [self.ring.zero] * (self.order + 1)
         for (k, l), c in self.coeffs.items():
-            cs[k + l] += c * self.ring.from_rational(Fraction((-1) ** l))
+            cs[k + l] += -c if l % 2 else c
         return UniSeries(self.ring, cs, self.order)
 
     # -- analytic constructors ------------------------------------------------------
@@ -306,7 +319,7 @@ class BiSeries:
             if power.is_zero():
                 break
             if c:
-                out = out + power.scale_rational(c)
+                out = out + power * c
         return out
 
     def _minus_one(self) -> "BiSeries":
@@ -428,10 +441,11 @@ def _linear_power_table(a: Fraction, b: Fraction, n: int) -> list:
     return table
 
 
-def standard_series(name: str, N: int, ring=QQ):
-    """The named classical series to order N with exact coefficients.
+def standard_series(name: str, N: int):
+    """The named classical series to order N with exact rational coefficients.
 
-    Univariate names return a UniSeries in x; bivariate ones a BiSeries.
+    Univariate names return a UniSeries in x; bivariate ones a BiSeries; both
+    are over QQ.
     """
     if name == "x_over_expm1":
         fact = 1
@@ -439,54 +453,47 @@ def standard_series(name: str, N: int, ring=QQ):
         for n in range(N + 1):
             if n:
                 fact *= n
-            cs.append(ring.from_rational(Fraction(bernoulli(n), fact)))
-        return UniSeries(ring, cs, N)
+            cs.append(Fraction(bernoulli(n), fact))
+        return UniSeries(QQ, cs, N)
     if name == "expm1_over_x":
         fact = 1
         cs = []
         for n in range(N + 1):
             fact *= n + 1
-            cs.append(ring.from_rational(Fraction(1, fact)))
-        return UniSeries(ring, cs, N)
+            cs.append(Fraction(1, fact))
+        return UniSeries(QQ, cs, N)
     if name == "two_x_over_sinh2x":
-        gam = gamma_coefficients(N)
-        cs = [ring.zero] * (N + 1)
-        for k, g in enumerate(gam):
+        cs = [Fraction(0)] * (N + 1)
+        for k, g in enumerate(gamma_coefficients(N)):
             if 2 * k <= N:
-                cs[2 * k] = ring.from_rational(g)
-        return UniSeries(ring, cs, N)
+                cs[2 * k] = g
+        return UniSeries(QQ, cs, N)
     if name == "sinhc":
         # sinh(x)/x = sum_j x^{2j} / (2j+1)!
-        cs = [ring.zero] * (N + 1)
+        cs = [Fraction(0)] * (N + 1)
         for j in range(0, N + 1, 2):
-            cs[j] = ring.from_rational(Fraction(1, factorial(j + 1)))
-        return UniSeries(ring, cs, N)
+            cs[j] = Fraction(1, factorial(j + 1))
+        return UniSeries(QQ, cs, N)
     if name == "sinh_factor_bivariate":
         # (e^{lam+mu} - e^{-lam-mu}) / (2 (lam+mu)) = sinhc(lam + mu)
-        return standard_series("sinhc", N, ring).as_biseries((1, 1), N)
+        return standard_series("sinhc", N).as_biseries((1, 1), N)
     if name == "c_generating_closed":
-        return _c_generating_closed(N, ring)
+        return _c_generating_closed(N)
     raise ValueError(f"unknown standard series {name!r}")
 
 
-def exp_linear(ring, a, b, order: int) -> BiSeries:
-    """e^{a lam + b mu} as a BiSeries."""
-    arg = BiSeries(ring, {}, order)
-    af, bf = Fraction(a), Fraction(b)
-    if af:
-        arg._acc((1, 0), ring.from_rational(af))
-    if bf:
-        arg._acc((0, 1), ring.from_rational(bf))
-    return arg.exp()
+def exp_linear(a, b, order: int) -> BiSeries:
+    """e^{a lam + b mu} as a BiSeries over QQ."""
+    return BiSeries(QQ, {(1, 0): Fraction(a), (0, 1): Fraction(b)}, order).exp()
 
 
-def _c_generating_closed(N: int, ring) -> BiSeries:
+def _c_generating_closed(N: int) -> BiSeries:
     # C(lam, mu) = (e^mu - 1)/(lam mu) * ((lam+mu)/(e^{lam+mu}-1) - mu/(e^mu-1)),
     # built one order higher so the division by lam is exact at order N.
     M = N + 1
-    x_over = standard_series("x_over_expm1", M, ring)
+    x_over = standard_series("x_over_expm1", M)
     a = x_over.as_biseries((1, 1), M)  # (lam+mu)/(e^{lam+mu}-1)
     b = x_over.as_biseries((0, 1), M)  # mu/(e^mu-1)
-    d = standard_series("expm1_over_x", M, ring).as_biseries((0, 1), M)  # (e^mu-1)/mu
+    d = standard_series("expm1_over_x", M).as_biseries((0, 1), M)  # (e^mu-1)/mu
     num = d * (a - b)
     return num.divide_monomial(1, 0).truncate(N)

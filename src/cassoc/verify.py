@@ -165,16 +165,16 @@ def check_pentagon(degree: int = 8) -> tuple:
     """The pentagon kills exactly the symmetric tables, at every degree.
 
     At letter degree d the residual is the linear map alpha[k, d-2-k] -> c_k
-    of ``pentagon.pentagon_columns``.  Its kernel is the symmetric tables
-    exactly when c_{d-2-k} = -c_k for every k and the floor((d-1)/2) columns
-    c_k with k < d-2-k are independent.
+    of ``pentagon.pentagon_columns``, which reads every degree's columns off
+    one set of ladders.  Its kernel is the symmetric tables exactly when
+    c_{d-2-k} = -c_k for every k and the floor((d-1)/2) columns c_k with
+    k < d-2-k are independent.
     """
     alpha = hexagon.AlphaTable.from_series(hexagon.family_I(degree - 2))
     if any(pentagon.pentagon_check(alpha, degree).values()):
         return False, "pentagon residual nonzero for the first family"
     ranks = []
-    for d in range(2, degree + 1):
-        cols = pentagon.pentagon_columns(d)
+    for d, cols in pentagon.pentagon_columns(degree).items():
         for k, col in enumerate(cols):
             if cols[d - 2 - k] != {key: -c for key, c in col.items()}:
                 return False, f"pentagon residual nonzero for a symmetric table at degree {d} (k={k})"

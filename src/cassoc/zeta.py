@@ -143,7 +143,7 @@ class ThetaPoly:
             if any(e & guard for e in out):
                 raise OverflowError(f"exponent above {_MAX_EXPONENT} in a product")
             return ThetaPoly(self.gens, {e: c for e, c in out.items() if c})
-        q = Fraction(other)
+        q = other if type(other) is Fraction else Fraction(other)
         return ThetaPoly(self.gens, {e: c * q for e, c in self.terms.items()} if q else {})
 
     __rmul__ = __mul__
@@ -328,9 +328,8 @@ def drinfeld_f(N: int, ring: ThetaRing | None = None) -> BiSeries:
     if N < 2:
         raise ValueError("N must be >= 2")
     ring = ring or ring_for_degree(N + 2)
-    s = drinfeld_s(N + 2, ring)
-    tilde = s.exp()
-    one = BiSeries.constant(ring, ring.one, N + 2)
+    tilde = drinfeld_s(N + 2, ring).exp()
+    one = BiSeries.constant(QQ, Fraction(1), N + 2)
     return (tilde - one).divide_monomial(1, 1)
 
 
@@ -362,9 +361,9 @@ def theta_series(N: int, ring: ThetaRing | None = None) -> BiSeries:
     return out
 
 
-def _sqrt_sinhc_product(N: int, ring: ThetaRing) -> BiSeries:
+def _sqrt_sinhc_product(N: int) -> BiSeries:
     """sqrt(sinhc(lam+mu) sinhc(lam) sinhc(mu)) -- a rational unit series."""
-    sinhc = standard_series("sinhc", N, ring)
+    sinhc = standard_series("sinhc", N)
     prod = sinhc.as_biseries((1, 1), N) * sinhc.as_biseries((1, 0), N) * sinhc.as_biseries((0, 1), N)
     return prod.sqrt()
 
@@ -388,7 +387,7 @@ def solve_betas_in_theta(N: int, ring: ThetaRing | None = None) -> ParamSet:
     ring = ring or ring_for_degree(M)
     th = theta_series(M, ring)
     cosh_t, sinh_t = _cosh_sinh(th)
-    inv_sq = _sqrt_sinhc_product(M, ring).inverse()
+    inv_sq = _sqrt_sinhc_product(M).inverse()
     h = cosh_t * inv_sq
     h_tilde = (sinh_t * inv_sq).divide_monomial(1, 1).divide_lam_plus_mu()
     # Even(f) at degree N needs the even family through degree N + 2, the odd
@@ -405,7 +404,7 @@ def solve_betas_in_theta(N: int, ring: ThetaRing | None = None) -> ParamSet:
             continue
         n = d // 2
         # spine must reproduce the rational gamma coefficients exactly
-        if coeffs and coeffs[0] != ring.from_rational(gam[n]):
+        if coeffs and coeffs[0] != gam[n]:
             raise ArithmeticError("spine mismatch against the gamma series")
         for k in range(1, len(coeffs)):
             beta[(n, k)] = coeffs[k]

@@ -144,14 +144,14 @@ def test_split_residuals_match_direct_halves():
         ft = (BiSeries.constant(QQ, F(1), m) + lam * mu * f.pad(m)).even_part()
         even = (
             (lam + mu) * ft
-            - lam * exp_linear(QQ, 0, 1, m) * ft.substitute_linear(sub_mu_rho)
-            - mu * exp_linear(QQ, -1, 0, m) * ft.substitute_linear(sub_lam_rho)
+            - lam * exp_linear(0, 1, m) * ft.substitute_linear(sub_mu_rho)
+            - mu * exp_linear(-1, 0, m) * ft.substitute_linear(sub_lam_rho)
         )
         g = f.odd_part()
         odd = (
             g
-            + exp_linear(QQ, 0, 1, n) * g.substitute_linear(sub_mu_rho)
-            + exp_linear(QQ, -1, 0, n) * g.substitute_linear(sub_lam_rho)
+            + exp_linear(0, 1, n) * g.substitute_linear(sub_mu_rho)
+            + exp_linear(-1, 0, n) * g.substitute_linear(sub_lam_rho)
         )
         e, o = split_residuals(f)
         assert (e.order, e.coeffs) == (m, even.coeffs) and not even.is_zero()

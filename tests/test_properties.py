@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from cassoc.pentagon import L4_MODEL, l4_reducer  # noqa: E402
 from cassoc.series import QQ, BiSeries  # noqa: E402
-from cassoc.zeta import ThetaRing  # noqa: E402
+from cassoc.zeta import ThetaPoly, ThetaRing  # noqa: E402
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 # sums of scaled right-nested commutators of the six letters, degree <= 6
@@ -197,3 +197,43 @@ def test_divisions_undo_multiplication(ring, data):
     d = BiSeries.constant(ring, ring.from_rational(c), u.order) + u
     got = (f * d).divide_unit(d)
     assert got.order == min(n, d.order) and got == f
+
+
+def _lift(q):
+    """A series over QQ as a series over THETA, lifted coefficient by coefficient."""
+    return BiSeries(THETA, {kl: THETA.from_rational(c) for kl, c in q.coeffs.items()}, q.order)
+
+
+def _over_theta(f):
+    return f.ring is THETA and all(isinstance(c, ThetaPoly) for c in f.coeffs.values())
+
+
+@settings(max_examples=30, deadline=None)
+@given(series(), series(ring=THETA, max_order=5))
+def test_rational_operand_lifts_into_theta(q, t):
+    lq = _lift(q)
+    pairs = [(q + t, lq + t), (t + q, t + lq), (q - t, lq - t), (t - q, t - lq), (q * t, lq * t), (t * q, t * lq)]
+    for got, want in pairs:
+        assert got.order == want.order and got == want
+        assert _over_theta(got)
+
+
+@settings(max_examples=30, deadline=None)
+@given(series(ring=THETA, max_order=5), series(ring=THETA, max_order=5))
+def test_theta_rings_with_equal_gens_add(f, g):
+    g_other = BiSeries(ThetaRing(9), g.coeffs, g.order)
+    assert f + g_other == f + g and g_other + f == g + f
+
+
+@settings(max_examples=30, deadline=None)
+@given(series())
+def test_rational_series_times_theta_scalar_raises(q):
+    with pytest.raises(TypeError):
+        q * THETA.generator(3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rationals.filter(bool), st.integers(0, 6))
+def test_inverse_of_constant_theta_series_stays_over_theta(c, n):
+    inv = BiSeries.constant(THETA, THETA.from_rational(c), n).inverse()
+    assert _over_theta(inv) and inv == BiSeries.constant(THETA, THETA.from_rational(1 / c), n)

@@ -174,7 +174,7 @@ def test_cosh_side_is_one_on_diagonal():
     # and the right-hand side h * sqrt(...) collapses to 1 there as well
     from cassoc.hexagon import extract_h
     h = extract_h(drinfeld_f(7, ring))
-    rhs = (h * _sqrt_sinhc_product(h.order, ring).inverse().inverse()).diagonal()
+    rhs = (h * _sqrt_sinhc_product(h.order).inverse().inverse()).diagonal()
     assert rhs.coeff(0) == ring.one and all(ring.is_zero(rhs.coeff(n)) for n in range(1, 8))
 
 
