@@ -18,6 +18,7 @@ from .exact import bernoulli, ext_bernoulli_recursive, format_rational
 from .series import MAX_DEGREE
 
 MAX_PENTAGON = 10
+MIN_PENTAGON_CHECK = 2  # the pentagon residual starts at letter degree 2
 MAX_ORACLE = 8
 MIN_VERIFY = 3  # the first asymmetric direction, alpha[0, 1] - alpha[1, 0], enters the pentagon at degree 3
 
@@ -141,7 +142,7 @@ def cmd_hexagon_residual(args) -> int:
 
 
 def cmd_pentagon_check(args) -> int:
-    n = _check_degree(args.degree, MAX_PENTAGON, "pentagon")
+    n = _check_degree(args.degree, MAX_PENTAGON, "pentagon", MIN_PENTAGON_CHECK)
     table = _load(args.input, hexagon.AlphaTable.from_json)
     try:
         norms = pentagon.pentagon_check(table, n)

@@ -16,7 +16,9 @@ def rref(matrix: list, pivot_bound: int | None = None) -> tuple:
 
     Only the first ``pivot_bound`` columns (all by default) are searched for
     pivots; later columns are carried through the row operations, so they may
-    hold any ring element that can be scaled and combined by Fractions.
+    hold any ring element that can be scaled and combined by Fractions.  The
+    pivot is promoted to a Fraction before it divides its row, so an integer
+    matrix gives exact Fractions, never floats.
     """
     rows = [list(r) for r in matrix]
     n_rows = len(rows)
@@ -28,7 +30,7 @@ def rref(matrix: list, pivot_bound: int | None = None) -> tuple:
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
+        pv = Fraction(rows[r][c])
         rows[r] = [x / pv for x in rows[r]]
         for i in range(n_rows):
             if i != r and rows[i][c] != 0:

@@ -26,11 +26,17 @@ against this generic reduction, never assumed.
 The substituted pentagon is written once, as ``_PENTAGON``: five signed
 substitutions (sign, u, w) of phi.  For each, ``_ladder`` builds the brackets
 [u^k w^l u w] = (ad u)^k (ad w)^l [u, w], each one bracket away from a
-neighbour.  ``phi_bar_eval`` sums alpha over one ladder, ``pentagon_residual``
-sums it over ``_PENTAGON``, and ``pentagon_columns`` reads the columns of the
-pentagon map of every degree straight off the five ladders, since alpha[k, l]
-multiplies the single bracket at (k, l).  ``MetabelianModel.ad`` is the one
-repeated-bracket primitive behind the section-5 identity suite.
+neighbour; their coefficients are ints.  The five ladders are built once per
+process, in ``_LADDERS``, to the largest degree asked for so far (a ladder to
+N is the k + l <= N - 2 prefix of any longer one).  ``pentagon_residual`` sums
+alpha over them, its denominators cleared, into one new element, and
+``pentagon_columns`` reads the columns of the pentagon map of every degree
+straight off them, since alpha[k, l] multiplies the single bracket at (k, l);
+``phi_bar_eval`` sums alpha over the ladder of any u, w.
+``QuotientReducer.reduce`` clears the denominators of what it reduces too, so
+a check after the first costs one sum and one reduction, both over ints.
+``MetabelianModel.ad`` is the one repeated-bracket primitive behind the
+section-5 identity suite.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 
 from .linalg import solve_exact
 
@@ -64,9 +71,11 @@ LETTERS = "abcdev"  # a=t12 b=t23 c=t13 d=t24 e=t34 v=t14
 class MetabelianModel:
     """Free metabelian Lie algebra on ``n_letters`` with exact coefficients.
 
-    An element is (lin, comm): lin maps letter -> Fraction, comm maps
-    normal-form keys (i, j, mono) -> Fraction with i > j, mono an exponent
-    tuple whose smallest used letter is >= j.
+    An element is (lin, comm): lin maps letter -> coefficient, comm maps
+    normal-form keys (i, j, mono) -> coefficient with i > j, mono an exponent
+    tuple whose smallest used letter is >= j.  Coefficients are ints where
+    they are integral (letters, brackets of letters, the relations) and
+    Fractions otherwise; both are exact.
     """
 
     def __init__(self, n_letters: int):
@@ -86,19 +95,25 @@ class MetabelianModel:
             idx = LETTERS.index(s) if isinstance(s, str) else s
             c = Fraction(c)
             if c:
-                lin[idx] = lin.get(idx, Fraction(0)) + c
+                lin[idx] = lin.get(idx, 0) + (c.numerator if c.denominator == 1 else c)
         return (lin, {})
 
     def add(self, x, y):
         out = (dict(x[0]), dict(x[1]))
+        self.add_into(out, y, 1)
+        return out
+
+    @staticmethod
+    def add_into(out, y, q) -> None:
+        """out += q * y in place; coefficients that cancel are dropped."""
+        unit = q == 1
         for part, other in zip(out, y):
             for k, c in other.items():
-                v = part.get(k, Fraction(0)) + c
+                v = part.get(k, 0) + (c if unit else q * c)
                 if v:
                     part[k] = v
                 else:
                     part.pop(k, None)
-        return out
 
     def scale(self, x, q):
         q = Fraction(q)
@@ -107,14 +122,16 @@ class MetabelianModel:
         return ({i: c * q for i, c in x[0].items()}, {k: c * q for k, c in x[1].items()})
 
     def sub(self, x, y):
-        return self.add(x, self.scale(y, -1))
+        out = (dict(x[0]), dict(x[1]))
+        self.add_into(out, y, -1)
+        return out
 
     def is_zero(self, x) -> bool:
         return not x[0] and not x[1]
 
     # -- normal form --------------------------------------------------------------
 
-    def _norm_core(self, i: int, j: int, mono: tuple, coeff: Fraction, out: dict):
+    def _norm_core(self, i: int, j: int, mono: tuple, coeff, out: dict):
         """Accumulate coeff * mono * [x_i, x_j] (i > j) in normal form into out."""
         small = None
         for t in range(self.n):
@@ -152,12 +169,12 @@ class MetabelianModel:
                 else:
                     self._norm_core(j, i, zero_mono, -c, out)
         if y[1] and x[0]:
-            self._mult_into(x[0], y[1], Fraction(1), out)
+            self._mult_into(x[0], y[1], 1, out)
         if x[1] and y[0]:
-            self._mult_into(y[0], x[1], Fraction(-1), out)
+            self._mult_into(y[0], x[1], -1, out)
         return ({}, out)
 
-    def _mult_into(self, lin: dict, comm: dict, sign: Fraction, out: dict):
+    def _mult_into(self, lin: dict, comm: dict, sign: int, out: dict):
         for (i, j, mono), c in comm.items():
             for s, cs in lin.items():
                 m = list(mono)
@@ -228,6 +245,13 @@ L4_MODEL = MetabelianModel(6)
 L3_MODEL = MetabelianModel(3)
 
 
+def _clear_denominators(coeffs: dict) -> tuple:
+    """(den, {key: int}): den is the lcm of the denominators of the exact
+    coefficients, and each one is multiplied by it."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return den, {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
+
+
 def _l4_relations() -> list:
     m = L4_MODEL
     a, b, c, d, e, v = (m.letter(i) for i in range(6))
@@ -272,6 +296,12 @@ class QuotientReducer:
     pivot columns are the leading columns of the relation space, and a
     reduced element has no entry in any of them, so its canonical
     coordinates do not depend on the order in which rows were stored.
+
+    ``reduce`` runs without Fractions against integral pivot rows: each
+    degree part is multiplied by the lcm of its denominators, reduced over
+    ints, and every surviving coordinate is divided by that lcm once, so
+    coordinates come back as Fractions.  Against non-unit pivot rows the
+    same loop meets Fractions and stays exact.
     """
 
     def __init__(self, model: MetabelianModel, relations: list):
@@ -351,13 +381,14 @@ class QuotientReducer:
         return out
 
     def reduce_part(self, part: dict, degree: int) -> dict:
-        """Canonical coordinates {key: coeff} of a degree-homogeneous part."""
+        """Canonical coordinates {key: Fraction} of a degree-homogeneous part,
+        reduced over ints after its denominators are cleared."""
         self._build(degree)
         col_of = self._cols[degree]
         keys = self._keys[degree]
-        row = {col_of[k]: c for k, c in part.items()}
-        red = self._reduce_vector(row, self._rows[degree])
-        return {keys[c]: v for c, v in red.items()}
+        den, ints = _clear_denominators(part)
+        red = self._reduce_vector({col_of[k]: v for k, v in ints.items()}, self._rows[degree])
+        return {keys[c]: Fraction(v, den) for c, v in red.items()}
 
     def reduce(self, elem) -> dict:
         """Reduce every degree part of an element; returns {degree: coords}."""
@@ -427,13 +458,33 @@ def _ladder(u: dict, w: dict, N: int) -> dict:
     return ladder
 
 
+# The five ladders of ``_PENTAGON`` to the largest N asked for so far, as
+# (N, ((sign, ladder), ...)).  A ladder to N is the k + l <= N - 2 prefix of
+# any longer one, so one entry serves every N up to its own.  A larger build is
+# published by one rebinding; a reader holds the tuple it read, so a thread
+# that rebinds the cache concurrently cannot change what another one reads.
+_LADDERS: tuple = (0, ())
+
+
+def _pentagon_ladders(N: int) -> tuple:
+    """((sign, ladder), ...) over ``_PENTAGON`` holding every (k, l) with
+    k + l <= N - 2 (and possibly more).  The brackets are shared: read them,
+    never mutate them."""
+    global _LADDERS
+    cached = _LADDERS
+    if cached[0] < N:
+        cached = (N, tuple((sign, _ladder(u, w, N)) for sign, u, w in _PENTAGON))
+        _LADDERS = cached
+    return cached[1]
+
+
 def _combination(terms):
-    """sum q * elem over the (q, elem) pairs, in L4_MODEL."""
-    m = L4_MODEL
-    total = m.zero()
+    """sum q * elem over the (q, elem) pairs, in L4_MODEL, accumulated into one
+    new element (the elems are only read)."""
+    total = L4_MODEL.zero()
     for q, elem in terms:
         if q:
-            total = m.add(total, elem if q == 1 else m.scale(elem, q))
+            L4_MODEL.add_into(total, elem, q)
     return total
 
 
@@ -443,15 +494,25 @@ def phi_bar_eval(alpha, u: dict, w: dict, N: int):
 
 
 def pentagon_residual(alpha, N: int):
-    """LHS - RHS of the substituted pentagon: the signed sum of ``phi_bar_eval``
-    over the five terms of ``_PENTAGON``."""
-    return _combination((sign, phi_bar_eval(alpha, u, w, N)) for sign, u, w in _PENTAGON)
+    """LHS - RHS of the substituted pentagon: the signed sum of phi_bar over
+    the five terms of ``_PENTAGON``, read off the cached ladders.  The sum
+    runs over ints, with alpha's denominators cleared, and is divided by
+    their lcm once per coefficient."""
+    coeffs = {(k, l): alpha.coeff(k, l) for k in range(N - 1) for l in range(N - 1 - k)}
+    den, scaled = _clear_denominators(coeffs)
+    total = _combination(
+        (sign * q, ladder[kl]) for sign, ladder in _pentagon_ladders(N) for kl, q in scaled.items()
+    )
+    return tuple({key: Fraction(v, den) for key, v in part.items()} for part in total)
 
 
 def pentagon_check(alpha, N: int) -> dict:
     """Reduce the pentagon residual; returns per-degree counts of nonzero
     canonical coordinates (all zeros means the pentagon holds to degree N).
-    The table must reach order N - 2, the last one the residual reads."""
+    The residual lives at letter degree >= 2, so N must be at least 2, and
+    the table must reach order N - 2, the last one the residual reads."""
+    if N < 2:
+        raise ValueError(f"pentagon letter degree {N} is below 2, where the residual starts")
     if alpha.order < N - 2:
         raise ValueError(f"alpha table order {alpha.order} too small for letter degree {N}")
     residual = pentagon_residual(alpha, N)
@@ -470,11 +531,11 @@ def pentagon_columns(N: int) -> dict:
 
     The residual is linear in alpha, and alpha[k, l] multiplies the bracket
     [u^k w^l u w] of letter degree k + l + 2 only, so the degree-d coordinates
-    of any table's residual are sum_k alpha[k, d-2-k] c_k.  The five ladders
-    to degree N hold every such bracket, so they are built once and every
-    column of every degree is read off them: each bracket is built once.
+    of any table's residual are sum_k alpha[k, d-2-k] c_k.  The five cached
+    ladders hold every such bracket, so every column of every degree is read
+    off them, and ``pentagon_residual`` shares the same brackets.
     """
-    ladders = [(sign, _ladder(u, w, N)) for sign, u, w in _PENTAGON]
+    ladders = _pentagon_ladders(N)
     red = l4_reducer()
     return {
         d: [

@@ -104,6 +104,17 @@ def test_pentagon_check_short_table_is_usage_error(tmp_path, capsys):
     assert "order 0" in err["error"]
 
 
+@pytest.mark.parametrize("degree", ["0", "1"])
+def test_pentagon_check_below_degree_two_is_usage_error(tmp_path, capsys, degree):
+    # the residual lives at letter degree >= 2: a check below it checks nothing
+    path = tmp_path / "alpha.json"
+    run_cli(capsys, "hexagon", "solve", "--family", "I", "--degree", "4", "--output", str(path))
+    err = run_usage_error(capsys, "pentagon", "check", "--degree", degree, "--input", str(path))
+    assert err == {"error": f"pentagon degree {degree} out of bounds (2..10)"}
+    code, out = run_cli(capsys, "pentagon", "check", "--degree", "2", "--input", str(path))
+    assert code == 0 and json.loads(out)["nonzero_coordinates"] == {"2": 0}
+
+
 def test_pentagon_dims_csv(capsys):
     code, out = run_cli(capsys, "pentagon", "dims", "--degree", "6", "--variant", "L3bar")
     assert code == 0

@@ -4,9 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from cassoc import linalg, pentagon, verify
 from cassoc.hexagon import AlphaTable, family_I
-from cassoc.linalg import rref
+from cassoc.linalg import rref, solve_exact
 from cassoc.pentagon import (
+    _PENTAGON,
     L3_MODEL,
     L4_MODEL,
     QuotientReducer,
@@ -314,3 +316,81 @@ def test_pentagon_columns_are_residuals_of_unit_tables(red):
             for k in range(d - 1)
         ]
         assert columns[d] == want, d
+
+
+def _cold_residual(alpha, N):
+    """The pentagon residual summed from freshly built ladders, via phi_bar_eval."""
+    total = L4_MODEL.zero()
+    for sign, u, w in _PENTAGON:
+        total = L4_MODEL.add(total, L4_MODEL.scale(phi_bar_eval(alpha, u, w, N), sign))
+    return total
+
+
+def test_ladders_are_integral():
+    ladders = pentagon._pentagon_ladders(6)
+    assert all(type(c) is int for _, ladder in ladders for br in ladder.values() for c in br[1].values())
+    assert all(type(c) is int for rel in pentagon._l4_relations() for c in rel[1].values())
+
+
+def test_ladder_cache_serves_smaller_degrees(monkeypatch):
+    alpha = _random_asymmetric_table(random.Random(21), 8)
+    monkeypatch.setattr(pentagon, "_LADDERS", (0, ()))
+    for N in (4, 5, 10):  # grows one degree and several at a time
+        pentagon_residual(alpha, N)
+        assert pentagon._LADDERS[0] == N
+    warm = {N: pentagon_residual(alpha, N) for N in (10, 7, 5, 4, 2)}
+    assert pentagon._LADDERS[0] == 10
+    for N, residual in warm.items():
+        monkeypatch.setattr(pentagon, "_LADDERS", (0, ()))
+        assert residual == pentagon_residual(alpha, N) == _cold_residual(alpha, N), N
+
+
+def test_mutating_results_leaves_the_ladder_cache_intact():
+    tables = [AlphaTable({(0, 1): F(1)}, 4), _random_asymmetric_table(random.Random(3), 6)]
+    for alpha in tables:
+        want = pentagon_residual(alpha, 8)
+        for got in (pentagon_residual(alpha, 8), phi_bar_eval(alpha, {"a": 1}, {"b": 1}, 8)):
+            for part in got:
+                for key in list(part):
+                    part[key] = 7
+                part[object()] = 1
+        assert pentagon_residual(alpha, 8) == want
+        assert pentagon_residual(alpha, 8) == _cold_residual(alpha, 8)
+    columns = pentagon_columns(6)
+    columns[4][0].clear()
+    assert pentagon_columns(6)[4][0]
+
+
+def test_pentagon_check_rejects_degree_below_two():
+    alpha = AlphaTable({(0, 0): F(1)}, 4)
+    for N in (-1, 0, 1):
+        with pytest.raises(ValueError, match="below 2"):
+            pentagon_check(alpha, N)
+    assert pentagon_check(alpha, 2) == {2: 0}
+
+
+def test_rref_of_int_matrix_gives_fractions():
+    rows, pivots = rref([[2, 1], [4, 3]])
+    assert rows == [[1, 0], [0, 1]] and pivots == [0, 1]
+    assert all(type(x) is F for row in rows for x in row)
+    particular, kernel = solve_exact([[2, 1], [1, 3]], [1, 2])
+    assert particular == [F(1, 5), F(3, 5)] and kernel == []
+    assert all(type(x) is F for x in particular)
+    rows, pivots = rref([[3, 6, 1], [1, 2, 5]])
+    assert pivots == [0, 2] and all(type(x) is F for row in rows for x in row)
+
+
+def test_check_pentagon_rref_sees_no_float(monkeypatch):
+    seen = []
+    real_rref = linalg.rref
+
+    def recording_rref(matrix, *args):
+        rows, pivots = real_rref(matrix, *args)
+        seen.append((matrix, rows))
+        return rows, pivots
+
+    monkeypatch.setattr(linalg, "rref", recording_rref)
+    ok, _ = verify.check_pentagon(8)
+    assert ok and seen
+    for matrix, rows in seen:
+        assert not any(isinstance(x, float) for row in matrix + rows for x in row)

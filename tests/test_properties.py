@@ -91,6 +91,22 @@ def test_reduce_is_linear_idempotent_and_avoids_pivots(x_spec, y_spec, q):
         assert not any(red._cols[d][key] in pivots for key in coords)
 
 
+# scalars whose denominators are far beyond any the pivot rows or terms carry
+big_rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**12).filter(bool)
+
+
+@settings(max_examples=30, deadline=None)
+@given(terms, big_rationals)
+def test_reduce_commutes_with_scaling_and_returns_exact_coordinates(x_spec, q):
+    # reduce clears the denominators of each part, reduces over ints and divides once
+    red = l4_reducer()
+    x = _element(x_spec)
+    rx, rqx = red.reduce(x), red.reduce(L4_MODEL.scale(x, q))
+    assert rqx == {d: {key: q * c for key, c in coords.items()} for d, coords in rx.items()}
+    for reduced in (rx, rqx):
+        assert all(type(c) is F for coords in reduced.values() for c in coords.values())
+
+
 @settings(max_examples=30, deadline=None)
 @given(series(), series(), series())
 def test_biseries_ring_laws(f, g, h):
