@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -288,6 +289,24 @@ def test_odd_edge_bridge():
     assert f.coeff(1, 0) == F(2)
     assert f.coeff(3, 0) == F(-3) + F(2, fact3)
     assert f.coeff(5, 0) == F(5, 7) + F(-3, fact3) + F(2, fact5)
+
+
+@pytest.mark.parametrize("case, digest", [
+    ("theta", "312962af5f9e70d31f7f9d4ede71c239e8d01d815f6add7b4fc5f3f6388cdf2d"),
+    ("rational", "ac5660276e3583fdf7a507d2ef2b35a40441716498d8bac0cdaa0d9cbe8223ab"),
+    ("family_I", "285f10cc0bf39e7e05abe5faafbae0456c7dc8e0190321f5c3c2d8d97725b900"),
+])
+def test_build_f_digest(case, digest):
+    # degree-16 rebuilds from odd-zeta, seeded rational and zero parameters
+    if case == "theta":
+        from cassoc.zeta import solve_betas_in_theta
+
+        f = build_f(solve_betas_in_theta(16), 16)
+    elif case == "rational":
+        f = build_f(random_paramset(16, nmax=9), 16)
+    else:
+        f = family_I(16)
+    assert hashlib.sha256(json.dumps(f.to_records()).encode()).hexdigest() == digest
 
 
 def test_census():

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from cassoc import linalg, pentagon, verify
+from cassoc.cbh import ModelElement
 from cassoc.hexagon import AlphaTable, family_I
 from cassoc.linalg import rref, solve_exact
 from cassoc.pentagon import (
@@ -24,6 +25,7 @@ from cassoc.pentagon import (
     pentagon_residual,
     phi_bar_eval,
 )
+from cassoc.series import QQ, BiSeries
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +241,39 @@ def test_reducer_with_non_unit_pivots():
         assert any(v.denominator > 1 for row in red._rows[d].values() for v in row.values())
     coords = red.reduce(m.bracket(a, m.bracket(a, b)))[3]
     assert coords and all(type(v) is F for v in coords.values())
+
+
+def test_three_letter_model_agrees_with_generic_l3_quotient():
+    # cbh.ModelElement (X = a, Y = b, S = a + b + c central) against the generic
+    # L3bar reducer: X^k Y^l [X, Y] -> ad(a)^k ad(b)^l [a, b] is a change of basis
+    m, red = L3_MODEL, l3_reducer()
+    a, b = m.letter(0), m.letter(1)
+    s = m.combo({0: 1, 1: 1, 2: 1})
+    rng = random.Random(11)
+    for d in range(2, 9):
+        images = {
+            (k, d - 2 - k): red.reduce(m.ad(a, k, m.ad(b, d - 2 - k, m.bracket(a, b)))).get(d, {})
+            for k in range(d - 1)
+        }
+        cols = sorted(set().union(*images.values()))
+        matrix = [[img.get(key, F(0)) for key in cols] for img in images.values()]
+        assert len(cols) == d - 1 == red.dimension(d)
+        assert len(rref(matrix)[1]) == d - 1
+        empty = BiSeries(QQ, {}, d - 2)
+        model_letters = [ModelElement(1, 0, 0, empty), ModelElement(0, 1, 0, empty), ModelElement(-1, -1, 1, empty)]
+        for _ in range(6):
+            word = [rng.randrange(3) for _ in range(d)]
+            generic = red.reduce(m.long_commutator(word)).get(d, {})
+            model = model_letters[word[-1]]
+            for i in reversed(word[:-1]):
+                model = model_letters[i].bracket(model)
+            expected: dict = {}
+            for kl, coeff in model.comm.coeffs.items():
+                for key, v in images[kl].items():
+                    expected[key] = expected.get(key, 0) + coeff * v
+            assert generic == {key: v for key, v in expected.items() if v}
+            inner = m.long_commutator(word[1:]) if d > 2 else m.letter(word[1])
+            assert red.reduce(m.bracket(s, inner)) == {}
 
 
 def test_reducer_degree_bound_error():

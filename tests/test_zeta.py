@@ -2,8 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from cassoc import zeta
 from cassoc.hexagon import AlphaTable, ParamSet, build_f, residual_15b, split_residuals
-from cassoc.series import QQ
+from cassoc.series import QQ, BiSeries
 from cassoc.zeta import (
     ThetaPoly,
     ThetaRing,
@@ -137,6 +138,20 @@ def test_solve_betas_round_trip():
         assert build_f(params, N) == drinfeld_f(N, params.ring)
 
 
+@pytest.mark.parametrize("perturbation", [
+    # eps lam mu (lam + mu): h stays in the associator-polynomial span but
+    # gains an odd-degree part
+    {(2, 1): F(1, 7), (1, 2): F(1, 7)},
+    # eps lam^2: h is no longer symmetric
+    {(2, 0): F(1, 7)},
+])
+def test_solve_betas_rejects_perturbed_sqrt_factor(monkeypatch, perturbation):
+    exact = zeta._sqrt_sinhc_product
+    monkeypatch.setattr(zeta, "_sqrt_sinhc_product", lambda n: exact(n) + BiSeries(QQ, perturbation, n))
+    with pytest.raises(ArithmeticError, match="residual outside span"):
+        solve_betas_in_theta(6)
+
+
 def test_theta_json_round_trip():
     params = solve_betas_in_theta(9)
     back = ParamSet.from_json(params.to_json(), params.ring)
@@ -185,7 +200,6 @@ def test_ring_bound_guard():
 
 
 def test_compositions_over_theta_ring():
-    from cassoc.series import BiSeries
     from cassoc.zeta import _cosh_sinh
 
     ring = ring_for_degree(9)
