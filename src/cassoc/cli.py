@@ -155,7 +155,7 @@ def cmd_pentagon_check(args) -> int:
 
 
 def cmd_pentagon_dims(args) -> int:
-    n = _check_degree(args.degree, MAX_PENTAGON, "pentagon")
+    n = _check_degree(args.degree, MAX_PENTAGON, "pentagon", 1)
     report = pentagon.dimension_report(n, args.variant)
     lines = ["degree,dimension,reference"]
     for d, entry in sorted(report.items()):

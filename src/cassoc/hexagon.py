@@ -11,7 +11,10 @@ independent cross-checks of one another:
 
 ``build_f`` assembles the general solution from its free parameters; the
 three distinguished families and the degree-by-degree linear solver sit on
-top of it.
+top of it.  ``_associator_basis`` is the one rational basis of the
+associator polynomials: ``build_f`` sums the parameters over it, one
+``associator_polynomial`` per degree, and ``decompose_symmetric_series``
+reads coordinates back in it.
 """
 
 from __future__ import annotations
@@ -242,63 +245,40 @@ def diagonal_series(N: int) -> UniSeries:
 # -- associator polynomials -------------------------------------------------------------
 
 
-def _omega2(ring, order: int) -> BiSeries:
-    return BiSeries(
-        ring,
-        {(2, 0): ring.one, (1, 1): ring.one, (0, 2): ring.one},
-        order,
-    )
-
-
-def _block(ring, order: int) -> BiSeries:
-    """(lam mu (lam + mu))^2 = lam^2 mu^2 (lam + mu)^2."""
-    return BiSeries(
-        ring,
-        {(4, 2): ring.one, (3, 3): ring.from_rational(2), (2, 4): ring.one},
-        order,
-    )
-
-
-def _even_basis(ring, n: int, order: int) -> list:
-    """Basis polynomials (lam mu (lam+mu))^{2k} w^{2(n-3k)} of degree 2n, k = 0..n//3."""
-    w2 = _omega2(ring, order)
-    blk = _block(ring, order)
+def _associator_basis(d: int) -> list:
+    """The associator polynomials of degree d, a basis over QQ:
+    (lam mu (lam+mu))^j w^(d-3j) for j = d mod 2, d mod 2 + 2, ... <= d/3,
+    with w^2 = lam^2 + lam mu + mu^2, by ascending j."""
+    # the products run over ints, exact and far cheaper than Fractions
+    one = BiSeries.constant(QQ, 1, d)
+    w2 = BiSeries(QQ, {(2, 0): 1, (1, 1): 1, (0, 2): 1}, d)
+    cube = BiSeries(QQ, {(2, 1): 1, (1, 2): 1}, d)  # lam mu (lam+mu)
+    w2_ladder = [one]
+    for _ in range(d // 2):
+        w2_ladder.append(w2_ladder[-1] * w2)
+    cube_sq = cube * cube
+    cube_pow = cube if d % 2 else one
     out = []
-    for k in range(n // 3 + 1):
-        out.append(blk.pow(k) * w2.pow(n - 3 * k))
-    return out
-
-
-def _odd_basis(ring, n: int, order: int) -> list:
-    """Basis (lam mu (lam+mu))^{2k+1} w^{2(n-3k-1)} of degree 2n+1, k = 0..(n-1)//3."""
-    w2 = _omega2(ring, order)
-    blk = _block(ring, order)
-    lmm = BiSeries(ring, {(2, 1): ring.one, (1, 2): ring.one}, order)  # lam mu (lam+mu)
-    out = []
-    for k in range((n - 1) // 3 + 1):
-        out.append(lmm * blk.pow(k) * w2.pow(n - 3 * k - 1))
+    for j in range(d % 2, d // 3 + 1, 2):
+        b = cube_pow * w2_ladder[(d - 3 * j) // 2]
+        out.append(BiSeries(QQ, {kl: Fraction(c) for kl, c in b.coeffs.items()}, d))
+        cube_pow = cube_pow * cube_sq
     return out
 
 
 def associator_polynomial(n: int, params: list, ring=QQ) -> BiSeries:
-    """The general homogeneous degree-n polynomial with the three symmetries.
+    """sum params[j] * basis[j] over the degree-n ``_associator_basis``: the
+    general homogeneous degree-n polynomial with the three symmetries.
 
-    Even n = 2m: params has m//3 + 1 entries; odd n = 2m+1 (m >= 1): params has
-    (m-1)//3 + 1 entries.  Degree 1 admits only the zero polynomial.
+    Even n = 2m: params has m//3 + 1 entries; odd n = 2m+1: (m-1)//3 + 1
+    entries, none at all for n = 1.
     """
-    if n == 0:
-        return BiSeries.constant(ring, params[0], 0)
-    if n == 1:
-        if params and any(not ring.is_zero(p) for p in params):
-            raise ValueError("no nonzero associator polynomial of degree 1")
-        return BiSeries(ring, {}, 1)
-    m, parity = divmod(n, 2)
-    basis = _even_basis(ring, m, n) if parity == 0 else _odd_basis(ring, m, n)
+    basis = _associator_basis(n)
     if len(params) != len(basis):
         raise ValueError(f"expected {len(basis)} parameters for degree {n}, got {len(params)}")
     out = BiSeries(ring, {}, n)
     for p, b in zip(params, basis):
-        out = out + b * p
+        out = out + BiSeries.constant(ring, p, n) * b
     return out
 
 
@@ -317,17 +297,7 @@ def decompose_symmetric_series(h: BiSeries) -> dict:
     out = {}
     for d in range(0, h.order + 1):
         part = h.homogeneous_part(d)
-        if d == 0:
-            out[0] = [part.get((0, 0), ring.zero)]
-            continue
-        if d == 1:
-            if part:
-                raise ArithmeticError("residual outside span")
-            out[1] = []
-            continue
-        m, parity = divmod(d, 2)
-        # the basis is rational regardless of h's coefficient ring
-        basis = _even_basis(QQ, m, d) if parity == 0 else _odd_basis(QQ, m, d)
+        basis = _associator_basis(d)
         monoms = [(i, d - i) for i in range(d + 1)]
         matrix = [[b.coeffs.get(mo, Fraction(0)) for b in basis] for mo in monoms]
         rhs = [part.get(mo, ring.zero) for mo in monoms]
@@ -346,36 +316,23 @@ def decompose_symmetric_series(h: BiSeries) -> dict:
 def build_f(params: ParamSet, N: int) -> BiSeries:
     """Assemble f = Even + Odd from the parameter set, truncated at order N.
 
-    The k = 0 spine of the even family is the fixed series 2w/(e^w - e^{-w});
-    everything else comes from ``params``.
+    1 + lam mu Even(f) = sinhc(lam+mu) h and Odd(f) = (lam+mu) sinhc(lam+mu) h~,
+    where h and h~ are sums of associator polynomials.  The k = 0 spine of h
+    is the fixed series 2w/(e^w - e^{-w}) = sum_n gamma_n w^(2n), a rational
+    series in w^2 = lam^2 + lam mu + mu^2; everything else comes from
+    ``params``, one ``associator_polynomial`` per degree.
     """
     ring = params.ring
     M = N + 2
-    gam = gamma_coefficients(2 * (M // 2 + 1))
-    # h(lam, mu): even associator-polynomial sum with forced spine
-    h = BiSeries(ring, {}, M)
+    w2 = _associator_basis(2)[0].pad(M)
+    h = w2.compose(gamma_coefficients(M))
     ht = BiSeries(ring, {}, M)
-    w2 = _omega2(ring, M)
-    blk = _block(ring, M)
-    w2_pows = [BiSeries.constant(ring, ring.one, M)]
-    blk_pows = [BiSeries.constant(ring, ring.one, M)]
-    for _ in range(M // 2 + 1):
-        w2_pows.append(w2_pows[-1] * w2)
-        blk_pows.append(blk_pows[-1] * blk)
-    for n in range(0, M // 2 + 1):
-        if 2 * n > M:
-            break
-        h = h + w2_pows[n] * gam[n]
-        bt0 = params.beta_tilde.get((n, 0))
-        if bt0 is not None and not ring.is_zero(bt0):
-            ht = ht + w2_pows[n] * bt0
-        for k in range(1, n // 3 + 1):
-            b = params.beta.get((n, k))
-            if b is not None and not ring.is_zero(b):
-                h = h + blk_pows[k] * w2_pows[n - 3 * k] * b
-            bt = params.beta_tilde.get((n, k))
-            if bt is not None and not ring.is_zero(bt):
-                ht = ht + blk_pows[k] * w2_pows[n - 3 * k] * bt
+    for n in range(M // 2 + 1):
+        ks = range(n // 3 + 1)
+        beta = [ring.zero] + [params.beta.get((n, k), ring.zero) for k in ks[1:]]
+        beta_tilde = [params.beta_tilde.get((n, k), ring.zero) for k in ks]
+        h = h + associator_polynomial(2 * n, beta, ring).pad(M)
+        ht = ht + associator_polynomial(2 * n, beta_tilde, ring).pad(M)
     sinhc = standard_series("sinh_factor_bivariate", M)
     one = BiSeries.constant(QQ, Fraction(1), M)
     even_f = ((sinhc * h) - one).divide_monomial(1, 1)

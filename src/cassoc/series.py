@@ -18,7 +18,8 @@ every purely rational series (the classical series, e^{a lam + b mu}, the
 CBH table) is built over ``QQ`` with plain Fractions and combines with series
 over any ring.  The one case the rule cannot lift is a scalar: a ``QQ`` series
 times a non-rational scalar raises TypeError, because the scalar does not
-name its ring; multiply by a constant series over that ring instead.
+name its ring; multiply by a constant series over that ring instead, which
+``BiSeries.constant`` refuses to build over ``QQ``.
 """
 
 from __future__ import annotations
@@ -142,6 +143,8 @@ class BiSeries:
 
     @classmethod
     def constant(cls, ring, value, order: int) -> "BiSeries":
+        if ring is QQ and not isinstance(value, (int, Fraction)):
+            raise TypeError(f"a constant over QQ must be rational, got {value!r}")
         return cls(ring, {(0, 0): value}, order)
 
     @classmethod
@@ -240,12 +243,6 @@ class BiSeries:
         return BiSeries(self.ring, {kl: c * other for kl, c in self.coeffs.items()}, self.order)
 
     __rmul__ = __mul__
-
-    def pow(self, e: int) -> "BiSeries":
-        out = BiSeries.constant(self.ring, self.ring.one, self.order)
-        for _ in range(e):
-            out = out * self
-        return out
 
     # -- substitutions and parts --------------------------------------------------
 

@@ -338,8 +338,7 @@ def check_property_suites(max_weight: int = 12, lemma22_max: int = 50, a1_max: i
             coeffs = hexagon.decompose_symmetric_series(series.truncate(8))
             rebuilt = BiSeries(QQ, {}, 8)
             for dd, cs in coeffs.items():
-                if cs:
-                    rebuilt = rebuilt + hexagon.associator_polynomial(dd, cs).pad(8)
+                rebuilt = rebuilt + hexagon.associator_polynomial(dd, cs).pad(8)
             if rebuilt != series.truncate(8):
                 return False, f"decomposition round trip fails on draw {trial}"
         # edge coefficients of the odd part match the sinh-weighted tilde spine

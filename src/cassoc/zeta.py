@@ -30,11 +30,8 @@ __all__ = [
     "verify_even_S_identity",
     "theta_series",
     "solve_betas_in_theta",
-    "DEFAULT_ODD_BOUND",
     "ring_for_degree",
 ]
-
-DEFAULT_ODD_BOUND = 9  # formal symbols theta_3, theta_5, theta_7, theta_9
 
 
 def ring_for_degree(d: int) -> "ThetaRing":
@@ -236,7 +233,7 @@ class ThetaPoly:
 class ThetaRing:
     """Coefficient-ring adapter for BiSeries over ThetaPoly."""
 
-    def __init__(self, odd_bound: int = DEFAULT_ODD_BOUND):
+    def __init__(self, odd_bound: int):
         self.gens = tuple(range(3, odd_bound + 1, 2))
         self.zero = ThetaPoly(self.gens)
         self.one = ThetaPoly.const(self.gens, 1)
@@ -306,8 +303,11 @@ def _S_coeff(ring: ThetaRing, n: int) -> ThetaPoly:
 
 
 def drinfeld_s(N: int, ring: ThetaRing | None = None) -> BiSeries:
-    """s(lam, mu) = S(lam) + S(mu) - S(lam+mu) with S = sum_{n>=2} theta_n x^n."""
-    ring = ring or ThetaRing()
+    """s(lam, mu) = S(lam) + S(mu) - S(lam+mu) with S = sum_{n>=2} theta_n x^n.
+
+    The default ring, ``ring_for_degree(N)``, has every odd symbol up to theta_N.
+    """
+    ring = ring or ring_for_degree(N)
     if any(n % 2 and n > max(ring.gens, default=0) for n in range(3, N + 1)):
         raise ValueError("odd-symbol bound too small for this order")
     cs = [ring.zero, ring.zero] + [_S_coeff(ring, n) for n in range(2, N + 1)]
@@ -392,30 +392,25 @@ def solve_betas_in_theta(N: int, ring: ThetaRing | None = None) -> ParamSet:
     h_tilde = (sinh_t * inv_sq).divide_monomial(1, 1).divide_lam_plus_mu()
     # Even(f) at degree N needs the even family through degree N + 2, the odd
     # part of f at degree N needs the tilde family through degree N - 1 only.
-    even_coeffs = decompose_symmetric_series(h.truncate(N + 2))
-    odd_coeffs = decompose_symmetric_series(h_tilde.truncate(N - 1))
+    h, h_tilde = h.truncate(N + 2), h_tilde.truncate(N - 1)
+    # both are sums of even-degree associator polynomials
+    if not (h.odd_part().is_zero() and h_tilde.odd_part().is_zero()):
+        raise ArithmeticError("residual outside span")
+    even_coeffs = decompose_symmetric_series(h)
+    odd_coeffs = decompose_symmetric_series(h_tilde)
     gam = gamma_coefficients(N + 2)
     beta = {}
     beta_tilde = {}
-    for d, coeffs in even_coeffs.items():
-        if d % 2 == 1:
-            if any(not ring.is_zero(c) for c in coeffs):
-                raise ArithmeticError("residual outside span")
-            continue
-        n = d // 2
+    for n in range(h.order // 2 + 1):
+        coeffs = even_coeffs[2 * n]
         # spine must reproduce the rational gamma coefficients exactly
-        if coeffs and coeffs[0] != gam[n]:
+        if coeffs[0] != gam[n]:
             raise ArithmeticError("spine mismatch against the gamma series")
         for k in range(1, len(coeffs)):
             beta[(n, k)] = coeffs[k]
-    for d, coeffs in odd_coeffs.items():
-        if d % 2 == 1:
-            if any(not ring.is_zero(c) for c in coeffs):
-                raise ArithmeticError("residual outside span")
-            continue
-        n = d // 2
-        for k in range(0, len(coeffs)):
-            beta_tilde[(n, k)] = coeffs[k]
+    for n in range(h_tilde.order // 2 + 1):
+        for k, c in enumerate(odd_coeffs[2 * n]):
+            beta_tilde[(n, k)] = c
     return ParamSet(beta=beta, beta_tilde=beta_tilde, ring=ring)
 
 

@@ -124,6 +124,18 @@ def test_pentagon_dims_csv(capsys):
     assert lines[-1] == "6,5,5"
 
 
+def test_pentagon_dims_degree_zero_is_usage_error(capsys):
+    # degree 1 is the first with a dimension to report
+    with pytest.raises(SystemExit) as exc:
+        main(["pentagon", "dims", "--degree", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == json.dumps({"error": "pentagon degree 0 out of bounds (1..10)"}) + "\n"
+    code, out = run_cli(capsys, "pentagon", "dims", "--degree", "1", "--variant", "L4bar")
+    assert code == 0 and out == "degree,dimension,reference\n1,6,6\n"
+
+
 def test_zeta_drinfeld_formats(capsys):
     code, out = run_cli(capsys, "zeta", "drinfeld", "--degree", "4", "--format", "json")
     assert code == 0

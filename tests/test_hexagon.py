@@ -218,6 +218,16 @@ def test_associator_polynomials():
     assert not is_associator_polynomial(BiSeries(QQ, {(2, 0): F(1)}, 2))
     with pytest.raises(ValueError):
         associator_polynomial(6, [F(1)])
+    with pytest.raises(ValueError):
+        associator_polynomial(1, [F(1)])
+    # a non-rational parameter needs its ring named
+    from cassoc.zeta import ThetaRing
+
+    ring = ThetaRing(3)
+    t3 = ring.generator(3)
+    with pytest.raises(TypeError):
+        associator_polynomial(2, [t3])
+    assert associator_polynomial(2, [t3], ring) == f2 * BiSeries.constant(ring, t3, 2)
 
 
 def test_decompose_round_trip():

@@ -250,6 +250,16 @@ def test_three_letter_model_agrees_with_generic_l3_quotient():
     a, b = m.letter(0), m.letter(1)
     s = m.combo({0: 1, 1: 1, 2: 1})
     rng = random.Random(11)
+
+    def evaluate(word, model_letters):
+        """A bracketing of word that adds one letter at a time, on a random
+        side, in both models."""
+        if len(word) == 1:
+            return m.letter(word[0]), model_letters[word[0]]
+        cut = rng.choice((1, len(word) - 1))
+        (g1, e1), (g2, e2) = evaluate(word[:cut], model_letters), evaluate(word[cut:], model_letters)
+        return m.bracket(g1, g2), e1.bracket(e2)
+
     for d in range(2, 9):
         images = {
             (k, d - 2 - k): red.reduce(m.ad(a, k, m.ad(b, d - 2 - k, m.bracket(a, b)))).get(d, {})
@@ -263,17 +273,13 @@ def test_three_letter_model_agrees_with_generic_l3_quotient():
         model_letters = [ModelElement(1, 0, 0, empty), ModelElement(0, 1, 0, empty), ModelElement(-1, -1, 1, empty)]
         for _ in range(6):
             word = [rng.randrange(3) for _ in range(d)]
-            generic = red.reduce(m.long_commutator(word)).get(d, {})
-            model = model_letters[word[-1]]
-            for i in reversed(word[:-1]):
-                model = model_letters[i].bracket(model)
+            generic, model = evaluate(word, model_letters)
             expected: dict = {}
             for kl, coeff in model.comm.coeffs.items():
                 for key, v in images[kl].items():
                     expected[key] = expected.get(key, 0) + coeff * v
-            assert generic == {key: v for key, v in expected.items() if v}
-            inner = m.long_commutator(word[1:]) if d > 2 else m.letter(word[1])
-            assert red.reduce(m.bracket(s, inner)) == {}
+            assert red.reduce(generic).get(d, {}) == {key: v for key, v in expected.items() if v}
+            assert red.reduce(m.bracket(s, evaluate(word[1:], model_letters)[0])) == {}
 
 
 def test_reducer_degree_bound_error():

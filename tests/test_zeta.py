@@ -138,16 +138,29 @@ def test_solve_betas_round_trip():
         assert build_f(params, N) == drinfeld_f(N, params.ring)
 
 
-@pytest.mark.parametrize("perturbation", [
-    # eps lam mu (lam + mu): h stays in the associator-polynomial span but
-    # gains an odd-degree part
-    {(2, 1): F(1, 7), (1, 2): F(1, 7)},
+@pytest.mark.parametrize("factor, perturbation", [
+    # eps lam mu (lam + mu): h and h~ stay in the associator-polynomial span
+    # but gain odd-degree parts
+    ("sqrt", {(2, 1): F(1, 7), (1, 2): F(1, 7)}),
+    # eps lam mu (lam + mu) w^4 of degree 7: only h, kept to degree N + 2, sees it
+    ("sqrt", {(6, 1): F(1, 7), (5, 2): F(3, 7), (4, 3): F(5, 7), (3, 4): F(5, 7), (2, 5): F(3, 7), (1, 6): F(1, 7)}),
+    # eps (lam mu (lam + mu))^2 in sinh(theta): only h~ gains an odd-degree part
+    ("sinh", {(4, 2): F(1, 7), (3, 3): F(2, 7), (2, 4): F(1, 7)}),
     # eps lam^2: h is no longer symmetric
-    {(2, 0): F(1, 7)},
+    ("sqrt", {(2, 0): F(1, 7)}),
 ])
-def test_solve_betas_rejects_perturbed_sqrt_factor(monkeypatch, perturbation):
-    exact = zeta._sqrt_sinhc_product
-    monkeypatch.setattr(zeta, "_sqrt_sinhc_product", lambda n: exact(n) + BiSeries(QQ, perturbation, n))
+def test_solve_betas_rejects_perturbed_series(monkeypatch, factor, perturbation):
+    if factor == "sqrt":
+        exact_sqrt = zeta._sqrt_sinhc_product
+        monkeypatch.setattr(zeta, "_sqrt_sinhc_product", lambda n: exact_sqrt(n) + BiSeries(QQ, perturbation, n))
+    else:
+        exact_cosh_sinh = zeta._cosh_sinh
+
+        def perturbed_cosh_sinh(s):
+            cosh, sinh = exact_cosh_sinh(s)
+            return cosh, sinh + BiSeries(QQ, perturbation, s.order)
+
+        monkeypatch.setattr(zeta, "_cosh_sinh", perturbed_cosh_sinh)
     with pytest.raises(ArithmeticError, match="residual outside span"):
         solve_betas_in_theta(6)
 
@@ -197,6 +210,10 @@ def test_ring_bound_guard():
     with pytest.raises(ValueError):
         drinfeld_s(12, ThetaRing(9))
     assert ring_for_degree(11).gens == (3, 5, 7, 9, 11)
+    # the default ring is sized from the order, as drinfeld_f's is
+    s = drinfeld_s(12)
+    assert s.ring.gens == (3, 5, 7, 9, 11)
+    assert s.coeff(10, 1) == s.ring.generator(11) * F(-11)
 
 
 def test_compositions_over_theta_ring():
