@@ -109,6 +109,10 @@ class ParamSet:
         for (n, k) in self.beta_tilde:
             if not (n >= 0 and 0 <= k <= n // 3):
                 raise ValueError(f"beta_tilde index out of range: {(n, k)}")
+        for name, values in (("beta", self.beta), ("beta_tilde", self.beta_tilde)):
+            for index, v in values.items():
+                if not ring.contains(v):
+                    raise TypeError(f"{name}[{index}] = {v!r} is not an element of the parameter ring")
 
     def to_json(self) -> str:
         """JSON that ``from_json`` reads back: each value is written by
@@ -249,7 +253,6 @@ def _associator_basis(d: int) -> list:
     """The associator polynomials of degree d, a basis over QQ:
     (lam mu (lam+mu))^j w^(d-3j) for j = d mod 2, d mod 2 + 2, ... <= d/3,
     with w^2 = lam^2 + lam mu + mu^2, by ascending j."""
-    # the products run over ints, exact and far cheaper than Fractions
     one = BiSeries.constant(QQ, 1, d)
     w2 = BiSeries(QQ, {(2, 0): 1, (1, 1): 1, (0, 2): 1}, d)
     cube = BiSeries(QQ, {(2, 1): 1, (1, 2): 1}, d)  # lam mu (lam+mu)
@@ -260,8 +263,7 @@ def _associator_basis(d: int) -> list:
     cube_pow = cube if d % 2 else one
     out = []
     for j in range(d % 2, d // 3 + 1, 2):
-        b = cube_pow * w2_ladder[(d - 3 * j) // 2]
-        out.append(BiSeries(QQ, {kl: Fraction(c) for kl, c in b.coeffs.items()}, d))
+        out.append(cube_pow * w2_ladder[(d - 3 * j) // 2])
         cube_pow = cube_pow * cube_sq
     return out
 
@@ -276,6 +278,11 @@ def associator_polynomial(n: int, params: list, ring=QQ) -> BiSeries:
     basis = _associator_basis(n)
     if len(params) != len(basis):
         raise ValueError(f"expected {len(basis)} parameters for degree {n}, got {len(params)}")
+    return _combination(params, basis, ring, n)
+
+
+def _combination(params: list, basis: list, ring, n: int) -> BiSeries:
+    """sum params[j] * basis[j], a series of order n over ``ring``."""
     out = BiSeries(ring, {}, n)
     for p, b in zip(params, basis):
         out = out + BiSeries.constant(ring, p, n) * b
@@ -320,7 +327,8 @@ def build_f(params: ParamSet, N: int) -> BiSeries:
     where h and h~ are sums of associator polynomials.  The k = 0 spine of h
     is the fixed series 2w/(e^w - e^{-w}) = sum_n gamma_n w^(2n), a rational
     series in w^2 = lam^2 + lam mu + mu^2; everything else comes from
-    ``params``, one ``associator_polynomial`` per degree.
+    ``params``, summed over one ``_associator_basis`` per degree, which h
+    and h~ share.
     """
     ring = params.ring
     M = N + 2
@@ -331,8 +339,11 @@ def build_f(params: ParamSet, N: int) -> BiSeries:
         ks = range(n // 3 + 1)
         beta = [ring.zero] + [params.beta.get((n, k), ring.zero) for k in ks[1:]]
         beta_tilde = [params.beta_tilde.get((n, k), ring.zero) for k in ks]
-        h = h + associator_polynomial(2 * n, beta, ring).pad(M)
-        ht = ht + associator_polynomial(2 * n, beta_tilde, ring).pad(M)
+        if all(ring.is_zero(p) for p in beta + beta_tilde):
+            continue
+        basis = _associator_basis(2 * n)
+        h = h + _combination(beta, basis, ring, 2 * n).pad(M)
+        ht = ht + _combination(beta_tilde, basis, ring, 2 * n).pad(M)
     sinhc = standard_series("sinh_factor_bivariate", M)
     one = BiSeries.constant(QQ, Fraction(1), M)
     even_f = ((sinhc * h) - one).divide_monomial(1, 1)

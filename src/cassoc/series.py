@@ -20,12 +20,21 @@ over any ring.  The one case the rule cannot lift is a scalar: a ``QQ`` series
 times a non-rational scalar raises TypeError, because the scalar does not
 name its ring; multiply by a constant series over that ring instead, which
 ``BiSeries.constant`` refuses to build over ``QQ``.
+
+The rational kernels, ``BiSeries.__mul__`` of two ``QQ`` series and
+``substitute_linear`` of one (which ``UniSeries.as_biseries`` calls), clear
+denominators once: each operand is written over the lcm of its denominators,
+the products of integer numerators are summed in a plain dict, and each
+surviving coefficient is built as one normalising ``Fraction(v, den)``, so the
+values are exactly those of term-by-term Fraction arithmetic.  A coefficient
+that is not an int or a Fraction raises TypeError there.  Series over other
+rings (the theta symbols) take the generic term-by-term loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable
 
 from .exact import bernoulli, format_rational, gamma_coefficients, parse_rational
@@ -39,6 +48,7 @@ __all__ = [
 ]
 
 MAX_DEGREE = 16  # largest truncation order the command line computes or reads
+_RATIONAL = (int, Fraction)  # the coefficient types of QQ
 
 
 class RationalRing:
@@ -50,6 +60,10 @@ class RationalRing:
     @staticmethod
     def from_rational(q) -> Fraction:
         return Fraction(q)
+
+    @staticmethod
+    def contains(c) -> bool:
+        return isinstance(c, _RATIONAL)
 
     @staticmethod
     def is_zero(c) -> bool:
@@ -109,20 +123,9 @@ class UniSeries:
 
     def as_biseries(self, direction: tuple, order: int | None = None) -> "BiSeries":
         """Substitute the linear form a*lam + b*mu for x."""
-        a, b = Fraction(direction[0]), Fraction(direction[1])
         n = min(order if order is not None else self.order, self.order)
-        out = BiSeries(self.ring, {}, n)
-        # powers of (a lam + b mu) via Pascal expansion
-        for d in range(min(n, self.order) + 1):
-            c = self.coeffs[d]
-            if self.ring.is_zero(c):
-                continue
-            for i in range(d + 1):
-                scalar = comb(d, i) * (a ** i) * (b ** (d - i))
-                if scalar != 0:
-                    out._acc((i, d - i), c * scalar)
-        out._clean()
-        return out
+        in_lam = BiSeries(self.ring, {(d, 0): c for d, c in enumerate(self.coeffs[: n + 1])}, n)
+        return in_lam.substitute_linear((direction, (0, 0)))
 
 
 class BiSeries:
@@ -143,7 +146,7 @@ class BiSeries:
 
     @classmethod
     def constant(cls, ring, value, order: int) -> "BiSeries":
-        if ring is QQ and not isinstance(value, (int, Fraction)):
+        if ring is QQ and not QQ.contains(value):
             raise TypeError(f"a constant over QQ must be rational, got {value!r}")
         return cls(ring, {(0, 0): value}, order)
 
@@ -225,7 +228,9 @@ class BiSeries:
 
     def __mul__(self, other):
         if isinstance(other, BiSeries):
-            if self.ring is QQ and other.ring is not QQ:
+            if self.ring is QQ:
+                if other.ring is QQ:
+                    return _rational_product(self, other)
                 # the other ring's coefficients on the left: c * Fraction is a scalar product
                 return other * self
             n = min(self.order, other.order)
@@ -238,7 +243,7 @@ class BiSeries:
                         out._acc((k1 + k2, l1 + l2), c1 * c2)
             out._clean()
             return out
-        if self.ring is QQ and not isinstance(other, (int, Fraction)):
+        if self.ring is QQ and not QQ.contains(other):
             raise TypeError(f"a series over QQ times the non-rational scalar {other!r}")
         return BiSeries(self.ring, {kl: c * other for kl, c in self.coeffs.items()}, self.order)
 
@@ -252,18 +257,28 @@ class BiSeries:
         ``matrix`` is ((a, b), (c, d)) with rational entries.
         """
         (a, b), (c, d) = matrix
-        a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
         n = self.order
+        d1, pow1 = _linear_power_table(a, b, n)
+        d2, pow2 = _linear_power_table(c, d, n)
+        if self.ring is QQ:
+            # the (k, l) term over the common denominator den d1^n d2^n
+            den, nums = _numerators(self.coeffs)
+            acc: dict = {}
+            get = acc.get
+            for (k, l), v in nums.items():
+                v *= d1 ** (n - k) * d2 ** (n - l)
+                for key1, s1 in pow1[k]:
+                    v1 = v * s1
+                    for key2, s2 in pow2[l]:
+                        key = key1 + key2
+                        acc[key] = get(key, 0) + v1 * s2
+            return _from_numerators(acc, den * d1 ** n * d2 ** n, n)
         out = BiSeries(self.ring, {}, n)
-        # cache expansions of (a lam + b mu)^k and (c lam + d mu)^l as dicts
-        pow1 = _linear_power_table(a, b, n)
-        pow2 = _linear_power_table(c, d, n)
         for (k, l), coef in self.coeffs.items():
-            for (i1, j1), s1 in pow1[k].items():
-                for (i2, j2), s2 in pow2[l].items():
-                    s = s1 * s2
-                    if s != 0:
-                        out._acc((i1 + i2, j1 + j2), coef * s)
+            scale = d1 ** k * d2 ** l
+            for key1, s1 in pow1[k]:
+                for key2, s2 in pow2[l]:
+                    out._acc(divmod(key1 + key2, n + 1), coef * Fraction(s1 * s2, scale))
         out._clean()
         return out
 
@@ -420,22 +435,58 @@ def _term_sort_key(item):
     return (k + l, k, l)
 
 
-def _linear_power_table(a: Fraction, b: Fraction, n: int) -> list:
-    """Expansions of (a lam + b mu)^k for k = 0..n as {(i,j): Fraction}."""
-    table = [{(0, 0): Fraction(1)}]
-    base = {}
-    if a:
-        base[(1, 0)] = a
-    if b:
-        base[(0, 1)] = b
-    for _ in range(n):
-        nxt: dict = {}
-        for (i, j), s in table[-1].items():
-            for (di, dj), t in base.items():
-                key = (i + di, j + dj)
-                nxt[key] = nxt.get(key, Fraction(0)) + s * t
-        table.append(nxt)
-    return table
+def _numerators(coeffs: dict) -> tuple:
+    """(den, {key: v}) with coeffs[key] == v / den for ints v, den the lcm of
+    the denominators; a coefficient that is not an int or a Fraction raises
+    TypeError."""
+    for c in coeffs.values():
+        if not isinstance(c, _RATIONAL):
+            raise TypeError(f"a series over QQ holds the non-rational coefficient {c!r}")
+    den = lcm(*[c.denominator for c in coeffs.values()])
+    return den, {kl: c.numerator * (den // c.denominator) for kl, c in coeffs.items()}
+
+
+def _from_numerators(acc: dict, den: int, n: int) -> BiSeries:
+    """The QQ series of order n with coefficient v / den at each packed key
+    k (n + 1) + l of ``acc``; zeros are dropped."""
+    out = BiSeries(QQ, {}, n)
+    out.coeffs = {divmod(key, n + 1): Fraction(v, den) for key, v in acc.items() if v}
+    return out
+
+
+def _rational_product(x: BiSeries, y: BiSeries) -> BiSeries:
+    """x * y for two series over QQ, summed over integer numerators."""
+    n = min(x.order, y.order)
+    # (k, l) packs as k (n + 1) + l: within the order a sum of packed keys
+    # is the packed sum of exponents
+    d1, left = _numerators(x.coeffs)
+    d2, nums = _numerators(y.coeffs)
+    right = sorted((k + l, k * (n + 1) + l, w) for (k, l), w in nums.items() if k + l <= n)
+    acc: dict = {}
+    get = acc.get
+    for (k, l), v in left.items():
+        room = n - k - l
+        key1 = k * (n + 1) + l
+        for deg, key2, w in right:
+            if deg > room:
+                break
+            key = key1 + key2
+            acc[key] = get(key, 0) + v * w
+    return _from_numerators(acc, d1 * d2, n)
+
+
+def _linear_power_table(a, b, n: int) -> tuple:
+    """(D, table) for the rational form a lam + b mu, D the least common
+    denominator of a and b: table[k], k = 0..n, lists the nonzero terms of
+    (D a lam + D b mu)^k as (i (n + 1) + k - i, comb(k, i) (Da)^i (Db)^(k-i))."""
+    a, b = Fraction(a), Fraction(b)
+    D = lcm(a.denominator, b.denominator)
+    A, B = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
+    table = []
+    for k in range(n + 1):
+        terms = [(i * (n + 1) + k - i, comb(k, i) * A ** i * B ** (k - i)) for i in range(k + 1)]
+        table.append([(key, s) for key, s in terms if s])
+    return D, table
 
 
 def standard_series(name: str, N: int):

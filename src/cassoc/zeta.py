@@ -244,6 +244,9 @@ class ThetaRing:
     def generator(self, n: int) -> ThetaPoly:
         return ThetaPoly.generator(self.gens, n)
 
+    def contains(self, c) -> bool:
+        return isinstance(c, ThetaPoly) and c.gens == self.gens
+
     @staticmethod
     def is_zero(c: ThetaPoly) -> bool:
         return c.is_zero()

@@ -415,6 +415,19 @@ def test_paramset_validation():
         ParamSet(beta={(2, 1): F(1)})
     with pytest.raises(ValueError):
         ParamSet(beta_tilde={(2, 1): F(1)})
+    # a value outside the parameter ring is named by its index
+    from cassoc.zeta import ThetaRing
+
+    for ring, beta_tilde in (
+        (ThetaRing(3), {(0, 0): F(1, 2)}),
+        (ThetaRing(3), {(0, 0): ThetaRing(5).generator(3)}),
+        (QQ, {(1, 0): ThetaRing(3).generator(3)}),
+        (QQ, {(1, 0): 0.5}),
+    ):
+        with pytest.raises(TypeError, match=r"beta_tilde\[\(\d, 0\)\]"):
+            ParamSet(beta_tilde=beta_tilde, ring=ring)
+    with pytest.raises(TypeError, match=r"beta\[\(3, 1\)\]"):
+        ParamSet(beta={(3, 1): F(1, 2)}, ring=ThetaRing(3))
     ps = ParamSet(beta={(3, 1): F(1, 2)}, beta_tilde={(0, 0): F(-1)})
     round_trip = ParamSet.from_json(ps.to_json())
     assert round_trip.beta == ps.beta and round_trip.beta_tilde == ps.beta_tilde

@@ -1,6 +1,7 @@
 """Property tests; skipped when ``hypothesis`` is not installed."""
 
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -37,14 +38,19 @@ def _terms(p):
 
 
 theta_polys = theta_terms.map(_poly)
+# rational 2x2 matrices with non-integer entries and zero rows
+entries = st.one_of(st.integers(-2, 2), st.fractions(min_value=-2, max_value=2, max_denominator=4))
+rows = st.one_of(st.just((0, 0)), st.tuples(entries, entries))
+rational_matrices = st.tuples(rows, rows)
 
 
 @st.composite
 def series(draw, constant=True, ring=QQ, max_order=6):
-    """A BiSeries over QQ or THETA of order <= max_order, with or without a constant term."""
+    """A BiSeries over QQ (int and Fraction coefficients) or THETA of order <= max_order,
+    with or without a constant term."""
     n = draw(st.integers(0, max_order))
     keys = [(k, d - k) for d in range(0 if constant else 1, n + 1) for k in range(d + 1)]
-    values = rationals if ring is QQ else theta_polys
+    values = st.one_of(st.integers(-5, 5), rationals) if ring is QQ else theta_polys
     return BiSeries(ring, draw(st.dictionaries(st.sampled_from(keys), values, max_size=8)) if keys else {}, n)
 
 
@@ -253,3 +259,55 @@ def test_rational_series_times_theta_scalar_raises(q):
 def test_inverse_of_constant_theta_series_stays_over_theta(c, n):
     inv = BiSeries.constant(THETA, THETA.from_rational(c), n).inverse()
     assert _over_theta(inv) and inv == BiSeries.constant(THETA, THETA.from_rational(1 / c), n)
+
+
+def _naive_series_product(f, g):
+    """{(k, l): Fraction} of f * g, term by term in Fractions."""
+    n = min(f.order, g.order)
+    out = {}
+    for (k1, l1), c1 in f.coeffs.items():
+        for (k2, l2), c2 in g.coeffs.items():
+            if k1 + l1 + k2 + l2 <= n:
+                key = (k1 + k2, l1 + l2)
+                out[key] = out.get(key, F(0)) + F(c1) * F(c2)
+    return {key: c for key, c in out.items() if c}
+
+
+def _naive_substitution(f, matrix):
+    """{(k, l): Fraction} of f(a lam + b mu, c lam + d mu) by the binomial theorem."""
+    (a, b), (c, d) = ((F(x), F(y)) for x, y in matrix)
+    out = {}
+    for (k, l), coef in f.coeffs.items():
+        for i1 in range(k + 1):
+            for i2 in range(l + 1):
+                s = comb(k, i1) * a**i1 * b ** (k - i1) * comb(l, i2) * c**i2 * d ** (l - i2)
+                key = (i1 + i2, k + l - i1 - i2)
+                out[key] = out.get(key, F(0)) + coef * s
+    return {key: c for key, c in out.items() if c}
+
+
+def _check_kernel_output(got, order, want):
+    assert got.ring is QQ and got.order == order and got.coeffs == want
+    assert all(k >= 0 and l >= 0 and k + l <= order for k, l in got.coeffs)
+    assert all(type(c) is F and c != 0 for c in got.coeffs.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(series(max_order=16), series(max_order=16), rationals.filter(bool), st.data())
+def test_rational_product_matches_naive_reference(f, g, q, data):
+    _check_kernel_output(f * g, min(f.order, g.order), _naive_series_product(f, g))
+    # (f + m)(f - m) = f^2 - m^2: the cross terms cancel inside one product
+    k = data.draw(st.integers(0, f.order))
+    m = BiSeries.monomial(QQ, k, data.draw(st.integers(0, f.order - k)), q, f.order)
+    got = (f + m) * (f - m)
+    _check_kernel_output(got, f.order, _naive_series_product(f + m, f - m))
+    assert got == f * f - m * m
+
+
+@settings(max_examples=60, deadline=None)
+@given(series(max_order=16), rational_matrices)
+def test_rational_substitution_matches_naive_reference(f, matrix):
+    got = f.substitute_linear(matrix)
+    _check_kernel_output(got, f.order, _naive_substitution(f, matrix))
+    # the theta-ring loop computes the same coefficients, lifted
+    assert _lift(f).substitute_linear(matrix) == _lift(got)

@@ -50,6 +50,18 @@ def test_substitute_composition():
         assert s.substitute_linear(m1).substitute_linear(m2) == s.substitute_linear(prod)
 
 
+def test_non_rational_coefficients_raise():
+    s = BiSeries(QQ, {(1, 0): 0.5, (0, 1): F(1)}, 3)
+    with pytest.raises(TypeError):
+        s * s
+    with pytest.raises(TypeError):
+        ONE * s
+    with pytest.raises(TypeError):
+        s.substitute_linear(SUB_NEG)
+    with pytest.raises(TypeError):
+        UniSeries(QQ, [F(0), 0.5], 1).as_biseries((1, 1))
+
+
 def test_ring_axioms_random():
     rng = random.Random(17)
     for _ in range(5):

@@ -1,0 +1,123 @@
+"""Time the rational series kernels and the hexagon-solve stages, each repeat in a fresh interpreter.
+
+    python3 tools/bench_series.py --src src --column change --out BENCH.json
+    python3 tools/bench_series.py --src ../parent/src --column parent --out BENCH.json
+
+Kernel stages, on order-16 series over QQ built before the clock starts: one
+product ``c_generating_closed(16) * family_I(16)``, one
+``family_I(16).substitute_linear(_SUB_MU_RHO)`` and one ``exp_linear(1, 1, 16)``.
+Then the stages of the ``hexagon-solve`` workload at degree 16:
+``solve_degreewise(16)``; for families I, II, III and a fixed-seed rational
+ParamSet, ``residual_15b``, ``residual_39``, ``split_residuals`` and
+``model_hexagon_check`` (each stage summed over the four); and ``build_f`` of
+that ParamSet.  Each of the REPEATS repeats starts a new interpreter, so each
+one pays the cold Bernoulli tables the way a command-line call does.  The
+medians of each stage (seconds) go into column ``--column`` of ``--out``;
+other columns already in that file are kept, so one file holds a parent and a
+change run.  Each column also records the sha256 of every stage's output, so
+two columns can be seen to compute the same thing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+DEGREE = 16
+REPEATS = 5
+
+CHILD = """
+import hashlib, json, random, sys, time
+from fractions import Fraction
+sys.path.insert(0, sys.argv[1])
+from cassoc import hexagon, series
+N = int(sys.argv[2])
+times = {}
+outputs = []
+
+def timed(name, fn):
+    t0 = time.perf_counter()
+    out = fn()
+    times[name] = times.get(name, 0.0) + time.perf_counter() - t0
+    outputs.append((name, out))
+    return out
+
+def text(x):
+    if isinstance(x, series.BiSeries):
+        return json.dumps(x.to_records())
+    if isinstance(x, tuple):
+        return "(" + ",".join(text(v) for v in x) + ")"
+    return repr(x)
+
+rng = random.Random(12)
+params = hexagon.ParamSet(
+    {(n, k): Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for n in range(3, 10) for k in range(1, n // 3 + 1)},
+    {(n, k): Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for n in range(0, 8) for k in range(0, n // 3 + 1)},
+)
+c = series.standard_series("c_generating_closed", N)
+f1 = hexagon.family_I(N)
+timed("mul", lambda: c * f1)
+timed("substitute_linear", lambda: f1.substitute_linear(hexagon._SUB_MU_RHO))
+timed("exp_linear", lambda: series.exp_linear(1, 1, N))
+timed("solve_degreewise", lambda: hexagon.solve_degreewise(N))
+families = [f1, hexagon.family_II(N), hexagon.family_III(N), timed("build_f", lambda: hexagon.build_f(params, N))]
+for f in families:
+    timed("residual_15b", lambda: hexagon.residual_15b(f))
+    timed("residual_39", lambda: hexagon.residual_39(f))
+    timed("split_residuals", lambda: hexagon.split_residuals(f))
+    timed("model_hexagon_check", lambda: hexagon.model_hexagon_check(hexagon.AlphaTable.from_series(f), N + 2))
+digests = {}
+for name, out in outputs:
+    digests.setdefault(name, hashlib.sha256()).update(text(out).encode())
+print(json.dumps({"times": times, "sha256": {name: h.hexdigest() for name, h in digests.items()}}))
+"""
+
+
+def run_once(src: str) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, src, str(DEGREE)], capture_output=True, text=True, check=True
+    )
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default="src", help="the src/ directory of the checkout to time")
+    parser.add_argument("--column", required=True, help="name of the column to write, e.g. parent or change")
+    parser.add_argument("--out", required=True, help="JSON file to write the column into")
+    args = parser.parse_args(argv)
+
+    runs = [run_once(os.path.abspath(args.src)) for _ in range(REPEATS)]
+    if any(r["sha256"] != runs[0]["sha256"] for r in runs):
+        raise SystemExit("repeats disagree on the computed outputs")
+    stages = list(runs[0]["times"])
+    medians = {s: round(statistics.median(r["times"][s] for r in runs), 4) for s in stages}
+    medians["total"] = round(statistics.median(sum(r["times"].values()) for r in runs), 4)
+    column = {
+        "median_s": medians,
+        "repeats": REPEATS,
+        "degree": DEGREE,
+        "sha256": runs[0]["sha256"],
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+    }
+
+    doc = {}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            doc = json.load(fh)
+    doc.setdefault("columns", {})[args.column] = column
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(json.dumps({args.column: medians}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
