@@ -14,6 +14,11 @@ The defining relations of the quotient ([a,e] = [b,v] = [c,d] = 0 and the
 x, y, z, u identifications) generate, as monomial multiples, a linear
 subspace per degree; ``QuotientReducer`` row-reduces that subspace once and
 then reduces arbitrary elements to canonical coordinates on the complement.
+Its dimensions need no such echelon: commutators commute in the quotient, so
+the commutator part is a module over the commuting letter variables, and a
+Groebner basis of the relation module (the Jacobi step and the relations'
+core vectors, built once per reducer by Buchberger's algorithm) gives the
+dimension of every degree as a count of standard monomials.
 Each relation row goes straight into normal form, one ``_norm_core`` call per
 core term of the relation, and is reduced fully by the rows stored before it,
 by the same loop that reduces any element, before it is stored.  The
@@ -46,6 +51,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
 
+from .groebner import groebner_basis, hilbert_numerator, standard_count
 from .linalg import solve_exact
 
 __all__ = [
@@ -90,9 +96,13 @@ class MetabelianModel:
         return self.combo({s: 1})
 
     def combo(self, coeffs: dict):
+        """The linear combination of letters, given by index or by name in
+        ``LETTERS``; a letter outside the model is a ValueError."""
         lin = {}
         for s, c in coeffs.items():
-            idx = LETTERS.index(s) if isinstance(s, str) else s
+            idx = LETTERS.find(s) if isinstance(s, str) and len(s) == 1 else s
+            if not (isinstance(idx, int) and 0 <= idx < self.n):
+                raise ValueError(f"letter {s!r} is not one of the model's {self.n} letters")
             c = Fraction(c)
             if c:
                 lin[idx] = lin.get(idx, 0) + (c.numerator if c.denominator == 1 else c)
@@ -279,6 +289,36 @@ def _l3_relations() -> list:
     return [m.sub(br(a, b), br(b, c)), m.sub(br(b, c), br(c, a))]
 
 
+# -- the relation module ------------------------------------------------------------
+#
+# The commutator part is a module over the commuting letter variables
+# Q[x_0..x_{n-1}] (Lemma 5.4a), a quotient of the free module with one basis
+# vector e_ij per core pair i > j, at position pos (``_pair_positions``), in
+# the vectors of ``cassoc.groebner``.  The echelon's key order is not a module
+# order: there a letter times a pivot key can run a Jacobi step and lead
+# elsewhere, so the standard monomials of the two differ.
+
+
+def _pair_positions(n: int) -> dict:
+    """{(i, j): pos} over the core pairs i > j, in ascending order."""
+    return {p: t for t, p in enumerate((i, j) for i in range(n) for j in range(i))}
+
+
+def _jacobi_vectors(n: int) -> list:
+    """x_k e_ij + x_i e_jk - x_j e_ik for k < j < i, the Jacobi step of
+    ``_norm_core``; each leads with x_k e_ij, so the standard monomials of
+    these vectors alone are the normal-form keys."""
+    pos = _pair_positions(n)
+
+    def x(s):
+        return tuple(int(t == s) for t in range(n))
+
+    return [
+        {(x(k), pos[i, j]): 1, (x(i), pos[j, k]): 1, (x(j), pos[i, k]): -1}
+        for i in range(n) for j in range(i) for k in range(j)
+    ]
+
+
 class QuotientReducer:
     """Per-degree row echelon form of the relation module, built on demand.
 
@@ -302,27 +342,37 @@ class QuotientReducer:
     ints, and every surviving coordinate is divided by that lcm once, so
     coordinates come back as Fractions.  Against non-unit pivot rows the
     same loop meets Fractions and stays exact.
+
+    ``dimension`` builds no echelon.  It counts the standard monomials of a
+    Groebner basis of the relation module (``relation_module``), built once
+    per reducer; the echelon of a degree has as many non-pivot columns, and
+    the tests hold the two counts equal.  A relation must be a combination of
+    brackets of two letters (its core vector); anything else is a ValueError.
     """
 
     def __init__(self, model: MetabelianModel, relations: list):
         self.model = model
         self.relations = relations
+        # each relation as its core vector, (i, j, c) over its keys (i, j, 0...);
+        # integral coefficients become ints so unit-pivot rows stay integral
+        self._cores = []
+        for rel in relations:
+            if any(rel[0].values()) or any(any(mono) for _, _, mono in rel[1]):
+                raise ValueError("a relation must be a combination of brackets of two letters")
+            self._cores.append(
+                [(i, j, c.numerator if c.denominator == 1 else c) for (i, j, _), c in rel[1].items()]
+            )
         self._cols: dict = {}  # degree -> {key: column index}
         self._keys: dict = {}  # degree -> [key]
         self._rows: dict = {}  # degree -> {pivot column: sparse row dict}
+        self._module = None  # (Groebner basis, Hilbert numerator), once built
 
     def _relation_rows(self, degree: int):
         """Yield mono * r in normal form, {key: coeff}, for every monomial of
         degree - 2 and, within it, every relation r in order."""
         norm = self.model._norm_core
-        # each quadratic relation as (i, j, c) over its core keys (i, j, 0...);
-        # integral coefficients become ints so unit-pivot rows stay integral
-        cores = [
-            [(i, j, c.numerator if c.denominator == 1 else c) for (i, j, _), c in rel[1].items()]
-            for rel in self.relations
-        ]
         for mono in _monomials(self.model.n, degree - 2):
-            for core in cores:
+            for core in self._cores:
                 elem: dict = {}
                 for i, j, c in core:
                     norm(i, j, mono, c, elem)
@@ -404,13 +454,36 @@ class QuotientReducer:
             return False
         return not self.reduce(elem)
 
+    def relation_module(self) -> tuple:
+        """(basis, numerator): a Groebner basis of the relation module, the
+        Jacobi vectors and the relations' core vectors, and the Hilbert
+        numerator of its standard monomials (``groebner.hilbert_numerator``).
+        Built once, in locals, and published by one rebinding; read it,
+        never mutate it."""
+        module = self._module
+        if module is None:
+            n = self.model.n
+            basis = groebner_basis(_jacobi_vectors(n) + self._core_vectors())
+            module = (basis, hilbert_numerator(n, n * (n - 1) // 2, basis))
+            self._module = module
+        return module
+
+    def _core_vectors(self) -> list:
+        """Each nonzero relation as a module vector, its terms at the zero
+        monomial."""
+        pos = _pair_positions(self.model.n)
+        zero = (0,) * self.model.n
+        return [{(zero, pos[i, j]): c for i, j, c in core} for core in self._cores if core]
+
     def dimension(self, degree: int) -> int:
+        """The dimension of the quotient at letter degree ``degree``: the
+        standard monomials of the relation module's Groebner basis of
+        polynomial degree ``degree - 2``, counted without any echelon."""
         if degree == 1:
             return self.model.n
-        if degree < 1:
+        if degree < 2:
             return 0
-        self._build(degree)
-        return len(self._keys[degree]) - len(self._rows[degree])
+        return standard_count(self.model.n, self.relation_module()[1], degree - 2)
 
 
 _L4_REDUCER: QuotientReducer | None = None
@@ -555,7 +628,8 @@ def dimension_report(N: int, variant: str) -> dict:
             model_dims[d] = d - 1
     elif variant == "L4bar":
         red = l4_reducer()
-        # exact dimensions, measured through degree 11: 6, 4, then 5(d-1)
+        # exact dimensions, 6, 4, then 5(d-1): the relation module's Groebner
+        # basis gives them for every degree
         model_dims = {1: 6, 2: 4}
         for d in range(3, N + 1):
             model_dims[d] = 5 * (d - 1)

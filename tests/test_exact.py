@@ -137,7 +137,7 @@ def _in_three_threads(fn) -> list:
 
 def test_caches_fill_safely_from_three_threads(monkeypatch):
     # _BERN is published whole; a reducer publishes a degree's pivot rows last,
-    # and those are what its readers test for
+    # and those are what its readers test for, and its relation module whole
     want = [bernoulli(n) for n in range(161)]
     for _ in range(3):
         monkeypatch.setattr(exact, "_BERN", [F(1), F(-1, 2)])
@@ -146,8 +146,17 @@ def test_caches_fill_safely_from_three_threads(monkeypatch):
     red = l4_reducer()
     x = L4_MODEL.long_commutator([2, 0, 5, 1, 3, 4, 1])
     fresh = QuotientReducer(L4_MODEL, _l4_relations())
-    got = _in_three_threads(lambda: ([fresh.dimension(d) for d in range(2, 8)], fresh.reduce(x)))
-    assert got == [([red.dimension(d) for d in range(2, 8)], red.reduce(x))] * 3
+
+    def fill():
+        for d in range(2, 8):
+            fresh._build(d)
+        return fresh.relation_module(), [fresh.dimension(d) for d in range(2, 8)], fresh.reduce(x)
+
+    for d in range(2, 8):
+        red._build(d)
+    got = _in_three_threads(fill)
+    assert got == [(red.relation_module(), [red.dimension(d) for d in range(2, 8)], red.reduce(x))] * 3
+    assert fresh._module == red.relation_module()
     assert all(fresh._rows[d] == red._rows[d] for d in range(2, 8))
     # the pentagon ladders are built in locals and published by one rebinding
     alpha = AlphaTable({(k, l): F(k + 1, l + 2) for k in range(9) for l in range(9 - k)}, 8)

@@ -1,10 +1,11 @@
 import hashlib
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
-from cassoc import linalg, pentagon, verify
+from cassoc import groebner, linalg, pentagon, verify
 from cassoc.cbh import ModelElement
 from cassoc.hexagon import AlphaTable, family_I
 from cassoc.linalg import rref, solve_exact
@@ -216,7 +217,7 @@ def test_relation_rows_match_bracket_chains(red):
 
 def test_pivot_rows_are_integral_and_monic(red):
     for d in range(2, 11):
-        red.dimension(d)
+        red._build(d)
         for col, row in red._rows[d].items():
             assert min(row) == col and row[col] == 1
             assert all(type(v) is int for v in row.values())
@@ -235,12 +236,104 @@ def test_reducer_with_non_unit_pivots():
             for rel in rels
         ]
         _, pivots = rref([[elem[1].get(k, F(0)) for k in keys] for elem in multiples])
-        assert red.dimension(d) == len(keys) - len(pivots) == d - 1
+        red._build(d)
+        assert red.dimension(d) == len(keys) - len(pivots) == len(red._keys[d]) - len(red._rows[d]) == d - 1
         for elem in multiples:
             assert red.is_zero(elem)
         assert any(v.denominator > 1 for row in red._rows[d].values() for v in row.values())
     coords = red.reduce(m.bracket(a, m.bracket(a, b)))[3]
     assert coords and all(type(v) is F for v in coords.values())
+
+
+def _echelon_dimension(red, d):
+    red._build(d)
+    return len(red._keys[d]) - len(red._rows[d])
+
+
+def _non_unit_l3_relations():
+    m = L3_MODEL
+    a, b, c = (m.letter(i) for i in range(3))
+    return [m.sub(m.scale(m.bracket(a, b), 2), m.bracket(b, c)), m.sub(m.bracket(b, c), m.bracket(c, a))]
+
+
+def test_groebner_dimensions_match_the_echelon():
+    for red in (l4_reducer(), l3_reducer()):
+        for d in range(2, 11):
+            assert red.dimension(d) == _echelon_dimension(red, d), (red.model.n, d)
+    red = QuotientReducer(L3_MODEL, _non_unit_l3_relations())
+    assert [red.dimension(d) for d in range(2, 11)] == [_echelon_dimension(red, d) for d in range(2, 11)]
+
+
+def test_groebner_dimensions_match_the_echelon_with_one_relation_dropped():
+    rels = _l4_relations()
+    for drop in range(len(rels)):
+        red = QuotientReducer(L4_MODEL, rels[:drop] + rels[drop + 1:])
+        dims = [red.dimension(d) for d in range(2, 8)]
+        assert dims == ([5, 12, 18, 24, 30, 36] if drop < 3 else [5, 13, 21, 30, 40, 51]), drop
+        assert dims == [_echelon_dimension(red, d) for d in range(2, 8)], drop
+
+
+def test_groebner_basis_certificate():
+    # Buchberger's criterion: every S-vector of two leads in one component reduces to zero
+    reducers = [
+        QuotientReducer(L4_MODEL, _l4_relations()),
+        QuotientReducer(L3_MODEL, pentagon._l3_relations()),
+        QuotientReducer(L3_MODEL, _non_unit_l3_relations()),
+    ]
+    for red in reducers:
+        basis, _ = red.relation_module()
+        assert all(g[max(g)] == 1 for g in basis)
+        index: dict = {}
+        for g in basis:
+            groebner.index_into(index, g)
+        for f, g in combinations(basis, 2):
+            if max(f)[1] == max(g)[1]:
+                assert groebner.module_reduce(groebner.s_vector(f, g), index) == {}
+        # every generator lies in the module the basis generates
+        for vec in pentagon._jacobi_vectors(red.model.n) + red._core_vectors():
+            assert groebner.module_reduce(vec, index) == {}
+        assert not red._rows  # no echelon was built
+
+
+def test_jacobi_vectors_alone_count_the_normal_form_keys():
+    for n in (3, 4, 6):
+        model = pentagon.MetabelianModel(n)
+        basis = groebner.groebner_basis(pentagon._jacobi_vectors(n))
+        numerator = groebner.hilbert_numerator(n, n * (n - 1) // 2, basis)
+        for d in range(2, 12):
+            assert groebner.standard_count(n, numerator, d - 2) == len(model.basis_keys(d)), (n, d)
+
+
+def test_dimensions_follow_the_closed_forms_to_degree_40():
+    l4, l3 = QuotientReducer(L4_MODEL, _l4_relations()), QuotientReducer(L3_MODEL, pentagon._l3_relations())
+    assert [l4.dimension(d) for d in (-1, 0, 1, 2)] == [0, 0, 6, 4]
+    assert [l3.dimension(d) for d in (-1, 0, 1)] == [0, 0, 3]
+    for d in range(3, 41):
+        assert l4.dimension(d) == 5 * (d - 1), d
+    for d in range(2, 41):
+        assert l3.dimension(d) == d - 1, d
+    assert not l4._rows and not l3._rows
+
+
+def test_malformed_relations_are_rejected():
+    m = L3_MODEL
+    a, b, c = (m.letter(i) for i in range(3))
+    # a linear part, a bracket of degree 3, and a relation with a degree-3 term
+    for rel in (m.add(m.bracket(a, b), a), m.bracket(a, m.bracket(b, c)), m.add(m.bracket(b, c), m.bracket(c, m.bracket(a, c)))):
+        with pytest.raises(ValueError, match="brackets of two letters"):
+            QuotientReducer(m, [m.bracket(b, c), rel])
+    # a zero relation is accepted and relates nothing
+    red = QuotientReducer(m, [m.zero(), m.sub(m.bracket(a, b), m.bracket(a, b))] + pentagon._l3_relations())
+    assert [red.dimension(d) for d in range(2, 6)] == [_echelon_dimension(red, d) for d in range(2, 6)] == [1, 2, 3, 4]
+
+
+def test_letters_outside_the_model_are_rejected():
+    for bad in ("v", 3, -1, "ab", "z", ""):
+        with pytest.raises(ValueError, match="not one of the model's 3 letters"):
+            L3_MODEL.combo({bad: 1})
+    with pytest.raises(ValueError):
+        L4_MODEL.letter(6)
+    assert L4_MODEL.letter("v") == ({5: 1}, {}) and L3_MODEL.letter("c") == ({2: 1}, {})
 
 
 def test_three_letter_model_agrees_with_generic_l3_quotient():
