@@ -49,6 +49,8 @@ class ModelElement:
     __slots__ = ("x", "y", "s", "comm")
 
     def __init__(self, x, y, s, comm: BiSeries):
+        if not (QQ.contains(x) and QQ.contains(y) and QQ.contains(s)):
+            raise TypeError(f"ModelElement coefficients must be rational, got {(x, y, s)!r}")
         self.x = Fraction(x)
         self.y = Fraction(y)
         self.s = Fraction(s)

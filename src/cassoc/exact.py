@@ -10,7 +10,7 @@ so the higher modules can cross-check each other.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 __all__ = [
     "bernoulli",
@@ -19,6 +19,8 @@ __all__ = [
     "ext_bernoulli_closed",
     "ext_bernoulli_prime",
     "gamma_coefficients",
+    "is_rational",
+    "clear_denominators",
     "format_rational",
     "parse_rational",
 ]
@@ -125,6 +127,25 @@ def gamma_coefficients(N: int) -> list[Fraction]:
             s += Fraction(out[n - k], odd_fact[k])
         out.append(-s)
     return out
+
+
+_RATIONAL = (int, Fraction)  # the exact rationals; a float is not one
+
+
+def is_rational(c) -> bool:
+    """Whether c is an exact rational, an int or a Fraction."""
+    return isinstance(c, _RATIONAL)
+
+
+def clear_denominators(coeffs: dict) -> tuple:
+    """(den, {key: int}) with coeffs[key] == v / den, den the lcm of the
+    denominators; a coefficient that is not an int or a Fraction raises
+    TypeError."""
+    for c in coeffs.values():
+        if not isinstance(c, _RATIONAL):
+            raise TypeError(f"non-rational coefficient {c!r} in exact rational arithmetic")
+    den = lcm(*[c.denominator for c in coeffs.values()])
+    return den, {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
 
 
 def format_rational(q: Fraction) -> str:

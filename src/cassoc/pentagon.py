@@ -49,10 +49,11 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import lcm
 
+from .exact import clear_denominators
 from .groebner import groebner_basis, hilbert_numerator, standard_count
 from .linalg import solve_exact
+from .series import QQ
 
 __all__ = [
     "LETTERS",
@@ -97,12 +98,15 @@ class MetabelianModel:
 
     def combo(self, coeffs: dict):
         """The linear combination of letters, given by index or by name in
-        ``LETTERS``; a letter outside the model is a ValueError."""
+        ``LETTERS``; a letter outside the model is a ValueError, a coefficient
+        that is not an int or a Fraction a TypeError."""
         lin = {}
         for s, c in coeffs.items():
             idx = LETTERS.find(s) if isinstance(s, str) and len(s) == 1 else s
             if not (isinstance(idx, int) and 0 <= idx < self.n):
                 raise ValueError(f"letter {s!r} is not one of the model's {self.n} letters")
+            if not QQ.contains(c):
+                raise TypeError(f"coefficient {c!r} of letter {s!r} is not rational")
             c = Fraction(c)
             if c:
                 lin[idx] = lin.get(idx, 0) + (c.numerator if c.denominator == 1 else c)
@@ -126,6 +130,8 @@ class MetabelianModel:
                     part.pop(k, None)
 
     def scale(self, x, q):
+        if not QQ.contains(q):
+            raise TypeError(f"scale factor {q!r} is not rational")
         q = Fraction(q)
         if not q:
             return ({}, {})
@@ -253,13 +259,6 @@ def _monomials(n: int, degree: int, minimum: int = 0):
 
 L4_MODEL = MetabelianModel(6)
 L3_MODEL = MetabelianModel(3)
-
-
-def _clear_denominators(coeffs: dict) -> tuple:
-    """(den, {key: int}): den is the lcm of the denominators of the exact
-    coefficients, and each one is multiplied by it."""
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    return den, {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
 
 
 def _l4_relations() -> list:
@@ -436,12 +435,16 @@ class QuotientReducer:
         self._build(degree)
         col_of = self._cols[degree]
         keys = self._keys[degree]
-        den, ints = _clear_denominators(part)
+        den, ints = clear_denominators(part)
         red = self._reduce_vector({col_of[k]: v for k, v in ints.items()}, self._rows[degree])
         return {keys[c]: Fraction(v, den) for c, v in red.items()}
 
     def reduce(self, elem) -> dict:
-        """Reduce every degree part of an element; returns {degree: coords}."""
+        """Reduce every degree part of an element; returns {degree: coords}.
+        Only commutators have coordinates here, so a nonzero linear part is a
+        ValueError."""
+        if elem[0]:
+            raise ValueError("reduce takes a commutator element; this one has a linear part")
         out = {}
         for d, part in self.model.comm_degree_parts(elem).items():
             coords = self.reduce_part(part, d)
@@ -572,7 +575,7 @@ def pentagon_residual(alpha, N: int):
     runs over ints, with alpha's denominators cleared, and is divided by
     their lcm once per coefficient."""
     coeffs = {(k, l): alpha.coeff(k, l) for k in range(N - 1) for l in range(N - 1 - k)}
-    den, scaled = _clear_denominators(coeffs)
+    den, scaled = clear_denominators(coeffs)
     total = _combination(
         (sign * q, ladder[kl]) for sign, ladder in _pentagon_ladders(N) for kl, q in scaled.items()
     )

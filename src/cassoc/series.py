@@ -21,23 +21,24 @@ times a non-rational scalar raises TypeError, because the scalar does not
 name its ring; multiply by a constant series over that ring instead, which
 ``BiSeries.constant`` refuses to build over ``QQ``.
 
-The rational kernels, ``BiSeries.__mul__`` of two ``QQ`` series and
-``substitute_linear`` of one (which ``UniSeries.as_biseries`` calls), clear
-denominators once: each operand is written over the lcm of its denominators,
-the products of integer numerators are summed in a plain dict, and each
+``BiSeries.__mul__`` of two series and ``substitute_linear`` (which
+``UniSeries.as_biseries`` calls) are one loop each for every ring: they sum
+numerators at packed keys k (n + 1) + l.  When every operand is over ``QQ``,
+the numerators are ints over the lcm of each operand's denominators, and each
 surviving coefficient is built as one normalising ``Fraction(v, den)``, so the
-values are exactly those of term-by-term Fraction arithmetic.  A coefficient
-that is not an int or a Fraction raises TypeError there.  Series over other
-rings (the theta symbols) take the generic term-by-term loop.
+values are exactly those of term-by-term Fraction arithmetic; a coefficient
+that is not an int or a Fraction raises TypeError there.  Otherwise the
+numerators are the coefficients as they are, over 1, and each pair of terms
+costs one coefficient product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, prod
 from typing import Iterable
 
-from .exact import bernoulli, format_rational, gamma_coefficients, parse_rational
+from .exact import bernoulli, clear_denominators, format_rational, gamma_coefficients, is_rational, parse_rational
 
 __all__ = [
     "MAX_DEGREE",
@@ -48,7 +49,6 @@ __all__ = [
 ]
 
 MAX_DEGREE = 16  # largest truncation order the command line computes or reads
-_RATIONAL = (int, Fraction)  # the coefficient types of QQ
 
 
 class RationalRing:
@@ -61,9 +61,7 @@ class RationalRing:
     def from_rational(q) -> Fraction:
         return Fraction(q)
 
-    @staticmethod
-    def contains(c) -> bool:
-        return isinstance(c, _RATIONAL)
+    contains = staticmethod(is_rational)
 
     @staticmethod
     def is_zero(c) -> bool:
@@ -228,21 +226,22 @@ class BiSeries:
 
     def __mul__(self, other):
         if isinstance(other, BiSeries):
-            if self.ring is QQ:
-                if other.ring is QQ:
-                    return _rational_product(self, other)
-                # the other ring's coefficients on the left: c * Fraction is a scalar product
-                return other * self
             n = min(self.order, other.order)
-            out = BiSeries(self.ring, {}, n)
-            for (k1, l1), c1 in self.coeffs.items():
-                if k1 + l1 > n:
-                    continue
-                for (k2, l2), c2 in other.coeffs.items():
-                    if k1 + l1 + k2 + l2 <= n:
-                        out._acc((k1 + k2, l1 + l2), c1 * c2)
-            out._clean()
-            return out
+            ring, den, zero, (left, right) = _numerators(self, other)
+            # (k, l) packs as k (n + 1) + l: within the order a sum of packed
+            # keys is the packed sum of exponents
+            right = sorted((k + l, k * (n + 1) + l, w) for (k, l), w in right.items() if k + l <= n)
+            acc: dict = {}
+            get = acc.get
+            for (k, l), v in left.items():
+                room = n - k - l
+                key1 = k * (n + 1) + l
+                for deg, key2, w in right:
+                    if deg > room:
+                        break
+                    key = key1 + key2
+                    acc[key] = get(key, zero) + v * w
+            return _from_numerators(ring, acc, den, n)
         if self.ring is QQ and not QQ.contains(other):
             raise TypeError(f"a series over QQ times the non-rational scalar {other!r}")
         return BiSeries(self.ring, {kl: c * other for kl, c in self.coeffs.items()}, self.order)
@@ -260,27 +259,18 @@ class BiSeries:
         n = self.order
         d1, pow1 = _linear_power_table(a, b, n)
         d2, pow2 = _linear_power_table(c, d, n)
-        if self.ring is QQ:
-            # the (k, l) term over the common denominator den d1^n d2^n
-            den, nums = _numerators(self.coeffs)
-            acc: dict = {}
-            get = acc.get
-            for (k, l), v in nums.items():
-                v *= d1 ** (n - k) * d2 ** (n - l)
-                for key1, s1 in pow1[k]:
-                    v1 = v * s1
-                    for key2, s2 in pow2[l]:
-                        key = key1 + key2
-                        acc[key] = get(key, 0) + v1 * s2
-            return _from_numerators(acc, den * d1 ** n * d2 ** n, n)
-        out = BiSeries(self.ring, {}, n)
-        for (k, l), coef in self.coeffs.items():
-            scale = d1 ** k * d2 ** l
+        # the (k, l) term over the common denominator den d1^n d2^n
+        ring, den, zero, (nums,) = _numerators(self)
+        acc: dict = {}
+        get = acc.get
+        for (k, l), v in nums.items():
+            scale = d1 ** (n - k) * d2 ** (n - l)
             for key1, s1 in pow1[k]:
+                s1 *= scale
                 for key2, s2 in pow2[l]:
-                    out._acc(divmod(key1 + key2, n + 1), coef * Fraction(s1 * s2, scale))
-        out._clean()
-        return out
+                    key = key1 + key2
+                    acc[key] = get(key, zero) + v * (s1 * s2)
+        return _from_numerators(ring, acc, den * d1 ** n * d2 ** n, n)
 
     def swap(self) -> "BiSeries":
         return BiSeries(self.ring, {(l, k): c for (k, l), c in self.coeffs.items()}, self.order)
@@ -435,53 +425,36 @@ def _term_sort_key(item):
     return (k + l, k, l)
 
 
-def _numerators(coeffs: dict) -> tuple:
-    """(den, {key: v}) with coeffs[key] == v / den for ints v, den the lcm of
-    the denominators; a coefficient that is not an int or a Fraction raises
-    TypeError."""
-    for c in coeffs.values():
-        if not isinstance(c, _RATIONAL):
-            raise TypeError(f"a series over QQ holds the non-rational coefficient {c!r}")
-    den = lcm(*[c.denominator for c in coeffs.values()])
-    return den, {kl: c.numerator * (den // c.denominator) for kl, c in coeffs.items()}
+def _numerators(*xs: BiSeries) -> tuple:
+    """(ring, den, zero, [numerators of each x]): over QQ alone, x.coeffs as
+    ints over the lcm of x's denominators, den the product of the lcms;
+    otherwise the first ring that is not QQ, each x.coeffs as it is, den 1.
+    ``zero`` is the numerators' additive identity."""
+    for x in xs:
+        if x.ring is not QQ:
+            return x.ring, 1, x.ring.zero, [x.coeffs for x in xs]
+    cleared = [clear_denominators(x.coeffs) for x in xs]
+    return QQ, prod(d for d, _ in cleared), 0, [v for _, v in cleared]
 
 
-def _from_numerators(acc: dict, den: int, n: int) -> BiSeries:
-    """The QQ series of order n with coefficient v / den at each packed key
-    k (n + 1) + l of ``acc``; zeros are dropped."""
-    out = BiSeries(QQ, {}, n)
-    out.coeffs = {divmod(key, n + 1): Fraction(v, den) for key, v in acc.items() if v}
-    return out
-
-
-def _rational_product(x: BiSeries, y: BiSeries) -> BiSeries:
-    """x * y for two series over QQ, summed over integer numerators."""
-    n = min(x.order, y.order)
-    # (k, l) packs as k (n + 1) + l: within the order a sum of packed keys
-    # is the packed sum of exponents
-    d1, left = _numerators(x.coeffs)
-    d2, nums = _numerators(y.coeffs)
-    right = sorted((k + l, k * (n + 1) + l, w) for (k, l), w in nums.items() if k + l <= n)
-    acc: dict = {}
-    get = acc.get
-    for (k, l), v in left.items():
-        room = n - k - l
-        key1 = k * (n + 1) + l
-        for deg, key2, w in right:
-            if deg > room:
-                break
-            key = key1 + key2
-            acc[key] = get(key, 0) + v * w
-    return _from_numerators(acc, d1 * d2, n)
+def _from_numerators(ring, acc: dict, den: int, n: int) -> BiSeries:
+    """The series over ring of order n with coefficient v / den at each packed
+    key k (n + 1) + l of ``acc``; zeros are dropped."""
+    out = BiSeries(ring, {}, n)
+    if ring is QQ:
+        out.coeffs = {divmod(key, n + 1): Fraction(v, den) for key, v in acc.items() if v}
+        return out
+    out.coeffs = {divmod(key, n + 1): v for key, v in acc.items() if not ring.is_zero(v)}
+    return out if den == 1 else out * Fraction(1, den)
 
 
 def _linear_power_table(a, b, n: int) -> tuple:
     """(D, table) for the rational form a lam + b mu, D the least common
     denominator of a and b: table[k], k = 0..n, lists the nonzero terms of
-    (D a lam + D b mu)^k as (i (n + 1) + k - i, comb(k, i) (Da)^i (Db)^(k-i))."""
-    a, b = Fraction(a), Fraction(b)
-    D = lcm(a.denominator, b.denominator)
-    A, B = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
+    (D a lam + D b mu)^k as (i (n + 1) + k - i, comb(k, i) (Da)^i (Db)^(k-i)).
+    An entry that is not an int or a Fraction raises TypeError."""
+    D, nums = clear_denominators({0: a, 1: b})
+    A, B = nums.values()
     table = []
     for k in range(n + 1):
         terms = [(i * (n + 1) + k - i, comb(k, i) * A ** i * B ** (k - i)) for i in range(k + 1)]

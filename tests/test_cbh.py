@@ -177,3 +177,12 @@ def test_hausdorff_l3_of_p_and_q_is_the_closed_form(N):
     # pins the orientation: Q = X = a and P = Y = b
     q, p, _ = letters(N)
     assert hausdorff_in_l3(p, q, N) == compressed_cbh(N)
+
+
+def test_model_element_rejects_non_rational_coefficients():
+    for bad in (0.1, "1/2", None):
+        for args in ((bad, 0, 0), (0, bad, 0), (0, 0, bad)):
+            with pytest.raises(TypeError):
+                ModelElement(*args, empty(6))
+    x = ModelElement(F(1, 3), 2, 0, empty(6))
+    assert (x.x, x.y, x.s) == (F(1, 3), F(2), F(0))

@@ -336,6 +336,29 @@ def test_letters_outside_the_model_are_rejected():
     assert L4_MODEL.letter("v") == ({5: 1}, {}) and L3_MODEL.letter("c") == ({2: 1}, {})
 
 
+def test_reduce_rejects_a_linear_part():
+    red = l3_reducer()
+    a = L3_MODEL.letter("a")
+    with pytest.raises(ValueError, match="linear part"):
+        red.reduce(a)
+    # a commutator part beside the linear one is no excuse either
+    with pytest.raises(ValueError, match="linear part"):
+        red.reduce(L3_MODEL.add(a, L3_MODEL.bracket(a, L3_MODEL.letter("b"))))
+    assert not red.is_zero(a)
+    assert red.is_zero(L3_MODEL.zero()) and red.reduce(L3_MODEL.zero()) == {}
+
+
+def test_non_rational_coefficients_are_rejected():
+    x = L3_MODEL.bracket(L3_MODEL.letter("a"), L3_MODEL.letter("b"))
+    for bad in (0.1, 0.5, "1/2", None):
+        with pytest.raises(TypeError):
+            L3_MODEL.combo({"a": bad})
+        with pytest.raises(TypeError):
+            L3_MODEL.scale(x, bad)
+    assert L3_MODEL.combo({"a": F(1, 2), "b": 2}) == ({0: F(1, 2), 1: 2}, {})
+    assert L3_MODEL.scale(x, F(1, 2)) == ({}, {key: F(1, 2) * c for key, c in x[1].items()})
+
+
 def test_three_letter_model_agrees_with_generic_l3_quotient():
     # cbh.ModelElement (X = a, Y = b, S = a + b + c central) against the generic
     # L3bar reducer: X^k Y^l [X, Y] -> ad(a)^k ad(b)^l [a, b] is a change of basis

@@ -261,23 +261,23 @@ def test_inverse_of_constant_theta_series_stays_over_theta(c, n):
     assert _over_theta(inv) and inv == BiSeries.constant(THETA, THETA.from_rational(1 / c), n)
 
 
-def _naive_series_product(f, g):
-    """{(k, l): Fraction} of f * g, term by term in Fractions."""
-    n = min(f.order, g.order)
+def _naive_series_product(a, b, n):
+    """{(k, l): Fraction} of the product of two {(k, l): rational} dicts to order n, term by term."""
     out = {}
-    for (k1, l1), c1 in f.coeffs.items():
-        for (k2, l2), c2 in g.coeffs.items():
+    for (k1, l1), c1 in a.items():
+        for (k2, l2), c2 in b.items():
             if k1 + l1 + k2 + l2 <= n:
                 key = (k1 + k2, l1 + l2)
                 out[key] = out.get(key, F(0)) + F(c1) * F(c2)
     return {key: c for key, c in out.items() if c}
 
 
-def _naive_substitution(f, matrix):
-    """{(k, l): Fraction} of f(a lam + b mu, c lam + d mu) by the binomial theorem."""
+def _naive_substitution(coeffs, matrix):
+    """{(k, l): Fraction} of f(a lam + b mu, c lam + d mu), f given by its
+    {(k, l): rational} coefficients, by the binomial theorem."""
     (a, b), (c, d) = ((F(x), F(y)) for x, y in matrix)
     out = {}
-    for (k, l), coef in f.coeffs.items():
+    for (k, l), coef in coeffs.items():
         for i1 in range(k + 1):
             for i2 in range(l + 1):
                 s = comb(k, i1) * a**i1 * b ** (k - i1) * comb(l, i2) * c**i2 * d ** (l - i2)
@@ -295,12 +295,12 @@ def _check_kernel_output(got, order, want):
 @settings(max_examples=60, deadline=None)
 @given(series(max_order=16), series(max_order=16), rationals.filter(bool), st.data())
 def test_rational_product_matches_naive_reference(f, g, q, data):
-    _check_kernel_output(f * g, min(f.order, g.order), _naive_series_product(f, g))
+    _check_kernel_output(f * g, min(f.order, g.order), _naive_series_product(f.coeffs, g.coeffs, min(f.order, g.order)))
     # (f + m)(f - m) = f^2 - m^2: the cross terms cancel inside one product
     k = data.draw(st.integers(0, f.order))
     m = BiSeries.monomial(QQ, k, data.draw(st.integers(0, f.order - k)), q, f.order)
     got = (f + m) * (f - m)
-    _check_kernel_output(got, f.order, _naive_series_product(f + m, f - m))
+    _check_kernel_output(got, f.order, _naive_series_product((f + m).coeffs, (f - m).coeffs, f.order))
     assert got == f * f - m * m
 
 
@@ -308,6 +308,72 @@ def test_rational_product_matches_naive_reference(f, g, q, data):
 @given(series(max_order=16), rational_matrices)
 def test_rational_substitution_matches_naive_reference(f, matrix):
     got = f.substitute_linear(matrix)
-    _check_kernel_output(got, f.order, _naive_substitution(f, matrix))
-    # the theta-ring loop computes the same coefficients, lifted
+    _check_kernel_output(got, f.order, _naive_substitution(f.coeffs, matrix))
+    # over THETA the same loop computes the same coefficients, lifted
     assert _lift(f).substitute_linear(matrix) == _lift(got)
+
+
+def _split(f):
+    """{exponent tuple: {(k, l): Fraction}}: f, over QQ or THETA, as a sum of
+    rational series times theta monomials."""
+    out = {}
+    for kl, c in f.coeffs.items():
+        terms = _terms(c) if isinstance(c, ThetaPoly) else {(0,) * len(THETA.gens): F(c)}
+        for e, q in terms.items():
+            out.setdefault(e, {})[kl] = q
+    return out
+
+
+def _join(parts):
+    """{(k, l): {exponent tuple: Fraction}} of the nonzero terms of a sum of
+    (exponent tuple, {(k, l): Fraction}) parts."""
+    out = {}
+    for e, coeffs in parts:
+        for kl, q in coeffs.items():
+            terms = out.setdefault(kl, {})
+            terms[e] = terms.get(e, 0) + q
+    out = {kl: {e: q for e, q in terms.items() if q} for kl, terms in out.items()}
+    return {kl: terms for kl, terms in out.items() if terms}
+
+
+def _naive_theta_product(f, g):
+    """f * g term by term, theta monomial by theta monomial."""
+    n = min(f.order, g.order)
+    return _join(
+        (tuple(x + y for x, y in zip(e1, e2)), _naive_series_product(a, b, n))
+        for e1, a in _split(f).items()
+        for e2, b in _split(g).items()
+    )
+
+
+def _check_theta_output(got, order, want):
+    assert got.ring is THETA and got.order == order
+    assert all(k >= 0 and l >= 0 and k + l <= order for k, l in got.coeffs)
+    assert all(THETA.contains(c) and not c.is_zero() for c in got.coeffs.values())
+    assert {kl: _terms(c) for kl, c in got.coeffs.items()} == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(series(ring=THETA, max_order=8), series(ring=THETA, max_order=8), series(max_order=8), st.data())
+def test_theta_products_match_naive_reference(t, u, q, data):
+    cut = data.draw(st.integers(0, 8))
+    # independent orders, and a cut that makes the orders differ most of the time
+    for f, g in ((t, u), (t, u.truncate(cut)), (q, t), (t, q), (q.truncate(cut), t), (t, q.truncate(cut))):
+        _check_theta_output(f * g, min(f.order, g.order), _naive_theta_product(f, g))
+    # (t + m)(t - m) = t^2 - m^2: the cross terms cancel inside one product
+    k = data.draw(st.integers(0, t.order))
+    m = BiSeries.monomial(THETA, k, data.draw(st.integers(0, t.order - k)), data.draw(theta_polys), t.order)
+    _check_theta_output((t + m) * (t - m), t.order, _naive_theta_product(t + m, t - m))
+
+
+# 2x2 matrices whose entries are mostly not integers
+halves_to_quarters = st.builds(F, small_ints, st.integers(2, 4))
+fraction_matrices = st.tuples(*[st.tuples(halves_to_quarters, halves_to_quarters)] * 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series(ring=THETA, max_order=8), matrices, rational_matrices, fraction_matrices)
+def test_theta_substitution_matches_naive_reference(t, int_matrix, rational_matrix, fraction_matrix):
+    for matrix in (int_matrix, rational_matrix, fraction_matrix):
+        want = _join((e, _naive_substitution(a, matrix)) for e, a in _split(t).items())
+        _check_theta_output(t.substitute_linear(matrix), t.order, want)

@@ -60,6 +60,14 @@ def test_non_rational_coefficients_raise():
         s.substitute_linear(SUB_NEG)
     with pytest.raises(TypeError):
         UniSeries(QQ, [F(0), 0.5], 1).as_biseries((1, 1))
+    # nor may a float or a string enter as an entry of a substitution matrix
+    for bad in (0.1, "1/2"):
+        with pytest.raises(TypeError):
+            ONE.substitute_linear(((bad, 0), (0, 1)))
+        with pytest.raises(TypeError):
+            ONE.substitute_linear(((1, 0), (0, bad)))
+        with pytest.raises(TypeError):
+            UniSeries(QQ, [F(1), F(1)], 1).as_biseries((1, bad))
 
 
 def test_ring_axioms_random():

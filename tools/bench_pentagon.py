@@ -16,30 +16,22 @@ seeded tables, 12 symmetric and 12 with one asymmetric coefficient changed
 ``pentagon_columns(10)`` (``columns_10``); and the echelon builds of degrees
 11 and 12, whose non-pivot column counts must equal ``dimension(d)``, else the
 run fails (``oracle_d11_d12``).  The builds call ``QuotientReducer._build``,
-so they time the echelon in any checkout.  Each of the REPEATS repeats
-starts a new interpreter, so each one pays the cold build the way a
-command-line call does.  The medians of each stage (seconds) go into column
-``--column`` of ``--out``; other columns already in that file are kept, so
-one file holds a parent and a change run.  Each column also records the
-sha256 of every output (the dimensions, the reduced residual, the 25 check
-results and the columns), so two columns can be seen to compute the same
-thing.
+so they time the echelon in any checkout.  ``bench_harness`` runs the
+repeats, each in a new interpreter that pays the cold build, and writes the
+stage medians into one column of ``--out``; the digest it compares and
+records is the sha256 of every output (the dimensions, the reduced residual,
+the 25 check results and the columns).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import statistics
-import subprocess
 import sys
+
+from bench_harness import main
 
 DEGREE = 8
 COLUMNS_DEGREE = 10
 SEED = 11
-REPEATS = 5
 
 CHILD = """
 import hashlib, json, random, sys, time
@@ -112,57 +104,9 @@ outputs = repr([
     norms,
     [[text(col) for col in columns[d]] for d in sorted(columns)],
 ])
-print(json.dumps({"times": times, "sha256": hashlib.sha256(outputs.encode()).hexdigest()}))
+print(json.dumps({"times": times, "outputs_sha256": hashlib.sha256(outputs.encode()).hexdigest()}))
 """
 
 
-def run_once(src: str) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, src, str(DEGREE), str(COLUMNS_DEGREE), str(SEED)],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return json.loads(proc.stdout)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default="src", help="the src/ directory of the checkout to time")
-    parser.add_argument("--column", required=True, help="name of the column to write, e.g. parent or change")
-    parser.add_argument("--out", required=True, help="JSON file to write the column into")
-    args = parser.parse_args(argv)
-
-    runs = [run_once(os.path.abspath(args.src)) for _ in range(REPEATS)]
-    digests = {r["sha256"] for r in runs}
-    if len(digests) != 1:
-        raise SystemExit("repeats disagree on the computed outputs")
-    (digest,) = digests
-    stages = list(runs[0]["times"])
-    medians = {s: round(statistics.median(r["times"][s] for r in runs), 4) for s in stages}
-    medians["total"] = round(statistics.median(sum(r["times"].values()) for r in runs), 4)
-    column = {
-        "median_s": medians,
-        "repeats": REPEATS,
-        "degree": DEGREE,
-        "columns_degree": COLUMNS_DEGREE,
-        "seed": SEED,
-        "outputs_sha256": digest,
-        "python": platform.python_version(),
-        "nproc": os.cpu_count(),
-    }
-
-    doc = {}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            doc = json.load(fh)
-    doc.setdefault("columns", {})[args.column] = column
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(json.dumps({args.column: medians}))
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(__doc__, CHILD, {"degree": DEGREE, "columns_degree": COLUMNS_DEGREE, "seed": SEED}))
