@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .exact import bernoulli, ext_bernoulli_recursive
+from .exact import bernoulli, ext_bernoulli_recursive, rational
 from .series import QQ, BiSeries
 
 __all__ = [
@@ -49,11 +49,9 @@ class ModelElement:
     __slots__ = ("x", "y", "s", "comm")
 
     def __init__(self, x, y, s, comm: BiSeries):
-        if not (QQ.contains(x) and QQ.contains(y) and QQ.contains(s)):
-            raise TypeError(f"ModelElement coefficients must be rational, got {(x, y, s)!r}")
-        self.x = Fraction(x)
-        self.y = Fraction(y)
-        self.s = Fraction(s)
+        self.x = rational(x)
+        self.y = rational(y)
+        self.s = rational(s)
         self.comm = comm  # coefficient of X^k Y^l [X, Y] at key (k, l)
 
     def __add__(self, other: "ModelElement") -> "ModelElement":

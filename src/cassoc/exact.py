@@ -1,10 +1,11 @@
 """Exact rational tables: Bernoulli numbers and their two-index extension.
 
-Everything here is an exact ``fractions.Fraction``; no floats, ever.  The
-two-index family C[m,n] is the structure-constant table of the commutator
-part of the Hausdorff series once all commutators commute, and is computed
-three independent ways (recursion, closed binomial form, mirrored recursion)
-so the higher modules can cross-check each other.
+Everything here is an exact ``fractions.Fraction``, and ``rational`` is the
+package's one gate into exact arithmetic: an int or a Fraction passes, a
+float never does.  The two-index family C[m,n] is the structure-constant
+table of the commutator part of the Hausdorff series once all commutators
+commute, and is computed three independent ways (recursion, closed binomial
+form, mirrored recursion) so the higher modules can cross-check each other.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ __all__ = [
     "ext_bernoulli_prime",
     "gamma_coefficients",
     "is_rational",
+    "rational",
+    "rationals",
     "clear_denominators",
     "format_rational",
     "parse_rational",
@@ -129,22 +132,34 @@ def gamma_coefficients(N: int) -> list[Fraction]:
     return out
 
 
-_RATIONAL = (int, Fraction)  # the exact rationals; a float is not one
+_RATIONAL = frozenset((int, Fraction))  # exact types: a bool or a float is not one
 
 
 def is_rational(c) -> bool:
-    """Whether c is an exact rational, an int or a Fraction."""
-    return isinstance(c, _RATIONAL)
+    """Whether c is an exact rational: an int or a Fraction, and not a bool."""
+    return type(c) in _RATIONAL
+
+
+def rational(c) -> Fraction:
+    """The gate into exact arithmetic: an int or a Fraction comes back as a
+    Fraction; anything else (a float, a bool, a str, None) raises TypeError."""
+    if type(c) not in _RATIONAL:
+        raise TypeError(f"{c!r} is not an exact rational (an int or a Fraction)")
+    return c if type(c) is Fraction else Fraction(c)
+
+
+def rationals(values):
+    """The collection ``values`` as it is, once each entry has passed ``rational``."""
+    if not _RATIONAL.issuperset(map(type, values)):
+        for c in values:
+            rational(c)
+    return values
 
 
 def clear_denominators(coeffs: dict) -> tuple:
     """(den, {key: int}) with coeffs[key] == v / den, den the lcm of the
-    denominators; a coefficient that is not an int or a Fraction raises
-    TypeError."""
-    for c in coeffs.values():
-        if not isinstance(c, _RATIONAL):
-            raise TypeError(f"non-rational coefficient {c!r} in exact rational arithmetic")
-    den = lcm(*[c.denominator for c in coeffs.values()])
+    denominators; every coefficient must pass ``rational``."""
+    den = lcm(*[c.denominator for c in rationals(coeffs.values())])
     return den, {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
 
 

@@ -58,7 +58,7 @@ class AlphaTable:
     def __init__(self, alpha: dict, order: int, ring=QQ):
         self.ring = ring
         self.order = order  # valid for k + l <= order
-        self.alpha = {kl: c for kl, c in alpha.items() if kl[0] + kl[1] <= order and not ring.is_zero(c)}
+        self.alpha = BiSeries(ring, alpha, order).coeffs  # over QQ, exact rationals only
 
     @classmethod
     def from_series(cls, f: BiSeries) -> "AlphaTable":
@@ -237,13 +237,8 @@ def extreme_coefficients(N: int) -> list:
 def diagonal_series(N: int) -> UniSeries:
     """f(lam, -lam) = 1/lam^2 - 2/(lam (e^lam - e^{-lam})) as an exact series."""
     two = standard_series("two_x_over_sinh2x", N + 2)
-    cs = [Fraction(0)] * (N + 1)
-    for j in range(2, N + 3):
-        # (1 - two)(j) / lam^2
-        c = -two.coeffs[j]
-        if j - 2 <= N:
-            cs[j - 2] = c
-    return UniSeries(QQ, cs, N)
+    # (1 - two) / lam^2, where two = 1 + O(lam^2)
+    return UniSeries(QQ, [-c for c in two.coeffs[2:]], N)
 
 
 # -- associator polynomials -------------------------------------------------------------

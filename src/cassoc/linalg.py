@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .exact import rational, rationals
+
 __all__ = ["solve_exact", "rref"]
 
 
@@ -15,22 +17,25 @@ def rref(matrix: list, pivot_bound: int | None = None) -> tuple:
     """Reduced row echelon form (in place on a copy); returns (rows, pivot_cols).
 
     Only the first ``pivot_bound`` columns (all by default) are searched for
-    pivots; later columns are carried through the row operations, so they may
-    hold any ring element that can be scaled and combined by Fractions.  The
-    pivot is promoted to a Fraction before it divides its row, so an integer
-    matrix gives exact Fractions, never floats.
+    pivots and must hold exact rationals (a float is a TypeError); later
+    columns are carried through the row operations, so they may hold any ring
+    element that can be scaled and combined by Fractions.  The pivot becomes a
+    Fraction before it divides its row, so an int matrix gives Fractions.
     """
     rows = [list(r) for r in matrix]
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
+    bound = n_cols if pivot_bound is None else pivot_bound
+    for row in rows:
+        rationals(row[:bound])
     pivots = []
     r = 0
-    for c in range(n_cols if pivot_bound is None else pivot_bound):
+    for c in range(bound):
         pr = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        pv = Fraction(rows[r][c])
+        pv = rational(rows[r][c])
         rows[r] = [x / pv for x in rows[r]]
         for i in range(n_rows):
             if i != r and rows[i][c] != 0:

@@ -36,8 +36,9 @@ process, in ``_LADDERS``, to the largest degree asked for so far (a ladder to
 N is the k + l <= N - 2 prefix of any longer one).  ``pentagon_residual`` sums
 alpha over them, its denominators cleared, into one new element, and
 ``pentagon_columns`` reads the columns of the pentagon map of every degree
-straight off them, since alpha[k, l] multiplies the single bracket at (k, l);
-``phi_bar_eval`` sums alpha over the ladder of any u, w.
+straight off them, since alpha[k, l] multiplies the single bracket at (k, l).
+``phi_bar_eval`` is the uncached reference, kept for the tests, which check
+``pentagon_residual`` against its sum over ``_PENTAGON``, and for perfbench.
 ``QuotientReducer.reduce`` clears the denominators of what it reduces too, so
 a check after the first costs one sum and one reduction, both over ints.
 ``MetabelianModel.ad`` is the one repeated-bracket primitive behind the
@@ -50,10 +51,9 @@ import heapq
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .exact import clear_denominators
+from .exact import clear_denominators, rational
 from .groebner import groebner_basis, hilbert_numerator, standard_count
 from .linalg import solve_exact
-from .series import QQ
 
 __all__ = [
     "LETTERS",
@@ -105,9 +105,7 @@ class MetabelianModel:
             idx = LETTERS.find(s) if isinstance(s, str) and len(s) == 1 else s
             if not (isinstance(idx, int) and 0 <= idx < self.n):
                 raise ValueError(f"letter {s!r} is not one of the model's {self.n} letters")
-            if not QQ.contains(c):
-                raise TypeError(f"coefficient {c!r} of letter {s!r} is not rational")
-            c = Fraction(c)
+            c = rational(c)
             if c:
                 lin[idx] = lin.get(idx, 0) + (c.numerator if c.denominator == 1 else c)
         return (lin, {})
@@ -130,9 +128,7 @@ class MetabelianModel:
                     part.pop(k, None)
 
     def scale(self, x, q):
-        if not QQ.contains(q):
-            raise TypeError(f"scale factor {q!r} is not rational")
-        q = Fraction(q)
+        q = rational(q)
         if not q:
             return ({}, {})
         return ({i: c * q for i, c in x[0].items()}, {k: c * q for k, c in x[1].items()})
@@ -565,7 +561,9 @@ def _combination(terms):
 
 
 def phi_bar_eval(alpha, u: dict, w: dict, N: int):
-    """sum_{k+l <= N-2} alpha[k,l] [u^k w^l u w] for letter combinations u, w."""
+    """sum_{k+l <= N-2} alpha[k,l] [u^k w^l u w] for letter combinations u, w,
+    over a ladder built afresh: the uncached reference that the tests sum over
+    ``_PENTAGON`` to check ``pentagon_residual``, and that perfbench traces."""
     return _combination((alpha.coeff(k, l), br) for (k, l), br in _ladder(u, w, N).items())
 
 

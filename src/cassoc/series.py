@@ -7,8 +7,10 @@ factor's degree.  Nothing beyond the recorded order is ever trusted.
 
 Coefficients live in a commutative ring with exact equality, described by a
 small adapter object (see ``QQ`` here and the theta-symbol ring in
-``cassoc.zeta``).  The rational instantiation uses ``fractions.Fraction``
-directly as the coefficient type.
+``cassoc.zeta``).  Over ``QQ`` the coefficients are plain ints and Fractions:
+the constructors, ``QQ.from_rational``, the scalar product, ``compose`` and
+``exp_linear`` pass what enters through the gate ``exact.rational``, so a
+float or a bool is a TypeError where it enters.
 
 QQ embeds in every coefficient ring, and that rule lives in
 ``BiSeries.__add__`` and ``BiSeries.__mul__`` alone: when exactly one operand
@@ -26,10 +28,9 @@ name its ring; multiply by a constant series over that ring instead, which
 numerators at packed keys k (n + 1) + l.  When every operand is over ``QQ``,
 the numerators are ints over the lcm of each operand's denominators, and each
 surviving coefficient is built as one normalising ``Fraction(v, den)``, so the
-values are exactly those of term-by-term Fraction arithmetic; a coefficient
-that is not an int or a Fraction raises TypeError there.  Otherwise the
-numerators are the coefficients as they are, over 1, and each pair of terms
-costs one coefficient product.
+values are exactly those of term-by-term Fraction arithmetic, and clearing
+the denominators checks the coefficients again.  Otherwise the numerators are
+the coefficients as they are, over 1, and each pair of terms costs one product.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from math import comb, factorial, prod
 from typing import Iterable
 
 from .exact import bernoulli, clear_denominators, format_rational, gamma_coefficients, is_rational, parse_rational
+from .exact import rational, rationals
 
 __all__ = [
     "MAX_DEGREE",
@@ -52,16 +54,15 @@ MAX_DEGREE = 16  # largest truncation order the command line computes or reads
 
 
 class RationalRing:
-    """Coefficient-ring adapter for plain Fractions."""
+    """Coefficient-ring adapter for plain Fractions; ``from_rational`` is the
+    gate ``exact.rational``, and ``parse`` reads what ``to_json_obj`` writes."""
 
     zero = Fraction(0)
     one = Fraction(1)
-
-    @staticmethod
-    def from_rational(q) -> Fraction:
-        return Fraction(q)
-
+    from_rational = staticmethod(rational)
     contains = staticmethod(is_rational)
+    format = to_json_obj = staticmethod(format_rational)
+    parse = staticmethod(parse_rational)
 
     @staticmethod
     def is_zero(c) -> bool:
@@ -72,19 +73,6 @@ class RationalRing:
         if c == 0:
             raise ZeroDivisionError("non-unit constant term")
         return Fraction(1) / c
-
-    @staticmethod
-    def format(c) -> str:
-        return format_rational(c)
-
-    @staticmethod
-    def to_json_obj(c) -> str:
-        return format_rational(c)
-
-    @staticmethod
-    def parse(text: str):
-        """Inverse of ``to_json_obj``: a "p/q" string."""
-        return parse_rational(text)
 
 
 QQ = RationalRing()
@@ -97,6 +85,8 @@ class UniSeries:
 
     def __init__(self, ring, coeffs: Iterable, order: int):
         cs = list(coeffs)[: order + 1]
+        if ring is QQ:
+            rationals(cs)
         cs += [ring.zero] * (order + 1 - len(cs))
         self.ring = ring
         self.coeffs = cs
@@ -136,6 +126,8 @@ class BiSeries:
         self.coeffs = {}
         self.order = order
         if coeffs:
+            if ring is QQ:
+                rationals(coeffs.values())
             for (k, l), c in coeffs.items():
                 if k + l <= order and not ring.is_zero(c):
                     self.coeffs[(k, l)] = c
@@ -144,8 +136,6 @@ class BiSeries:
 
     @classmethod
     def constant(cls, ring, value, order: int) -> "BiSeries":
-        if ring is QQ and not QQ.contains(value):
-            raise TypeError(f"a constant over QQ must be rational, got {value!r}")
         return cls(ring, {(0, 0): value}, order)
 
     @classmethod
@@ -242,8 +232,8 @@ class BiSeries:
                     key = key1 + key2
                     acc[key] = get(key, zero) + v * w
             return _from_numerators(ring, acc, den, n)
-        if self.ring is QQ and not QQ.contains(other):
-            raise TypeError(f"a series over QQ times the non-rational scalar {other!r}")
+        if self.ring is QQ:
+            rational(other)  # a scalar cannot name its ring, so over QQ it is rational
         return BiSeries(self.ring, {kl: c * other for kl, c in self.coeffs.items()}, self.order)
 
     __rmul__ = __mul__
@@ -314,6 +304,7 @@ class BiSeries:
         if not ring.is_zero(self.coeffs.get((0, 0), ring.zero)):
             raise ValueError("compose needs a series without constant term")
         n = self.order
+        coeffs = [rational(c) for c in coeffs]
         out = BiSeries.constant(ring, ring.from_rational(coeffs[0]), n)
         power = BiSeries.constant(ring, ring.one, n)
         for c in coeffs[1:]:
@@ -505,7 +496,7 @@ def standard_series(name: str, N: int):
 
 def exp_linear(a, b, order: int) -> BiSeries:
     """e^{a lam + b mu} as a BiSeries over QQ."""
-    return BiSeries(QQ, {(1, 0): Fraction(a), (0, 1): Fraction(b)}, order).exp()
+    return BiSeries(QQ, {(1, 0): rational(a), (0, 1): rational(b)}, order).exp()
 
 
 def _c_generating_closed(N: int) -> BiSeries:

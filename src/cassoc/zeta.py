@@ -8,16 +8,16 @@ certifies that no polynomial relation between odd zeta values is implied.
 A ``ThetaPoly`` keeps {packed monomial key: nonzero Fraction}: each exponent
 sits in a 16-bit slot whose top bit guards against overflow, so a product of
 monomials is one integer addition (layout in its docstring).  Coefficients
-become Fractions once, where values enter the ring, and the ring operations
-trust them.
+become Fractions once, through ``exact.rational`` where values enter the ring,
+and the ring operations trust them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
-from .exact import bernoulli, format_rational, gamma_coefficients, parse_rational
+from .exact import bernoulli, format_rational, gamma_coefficients, is_rational, parse_rational, rational
 from .hexagon import ParamSet, decompose_symmetric_series
 from .series import QQ, BiSeries, UniSeries, standard_series
 
@@ -80,10 +80,10 @@ class ThetaPoly:
     every valid key, so exponents stay below 2**15, and a product that sets it
     raises OverflowError instead of carrying into the next slot.
 
-    Coefficients are converted to Fraction once, where values enter (``const``,
-    ``generator``, ``ThetaRing.parse``, scalar ``*`` and ``/``, ``==`` against a
-    rational); the ring operations trust them and only drop the zeros they
-    create.  The constructor takes this internal form as it is.
+    Coefficients become Fractions once, where values enter: ``const`` and the
+    scalar ``*`` and ``/`` take them through the gate ``exact.rational``, and
+    ``ThetaRing.parse`` reads "p/q" strings; the ring operations trust them
+    and only drop the zeros they create.  The constructor takes them as given.
 
     theta_{2k+1} carries weight 2k+1; the weight of a monomial is the weighted
     exponent sum.
@@ -99,7 +99,7 @@ class ThetaPoly:
 
     @classmethod
     def const(cls, gens: tuple, q) -> "ThetaPoly":
-        q = Fraction(q)
+        q = rational(q)
         return cls(gens, {0: q} if q else {})
 
     @classmethod
@@ -140,19 +140,19 @@ class ThetaPoly:
             if any(e & guard for e in out):
                 raise OverflowError(f"exponent above {_MAX_EXPONENT} in a product")
             return ThetaPoly(self.gens, {e: c for e, c in out.items() if c})
-        q = other if type(other) is Fraction else Fraction(other)
+        q = rational(other)
         return ThetaPoly(self.gens, {e: c * q for e, c in self.terms.items()} if q else {})
 
     __rmul__ = __mul__
 
     def __truediv__(self, q) -> "ThetaPoly":
-        return self * (Fraction(1) / Fraction(q))
+        return self * (1 / rational(q))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ThetaPoly):
             # one key names different monomials over different generators
             return self.terms == other.terms and (not self.terms or self.gens == other.gens)
-        if isinstance(other, (int, Fraction)):
+        if is_rational(other):  # exact.is_rational: a float compares unequal
             return self == ThetaPoly.const(self.gens, other)
         return NotImplemented
 
@@ -351,8 +351,6 @@ def verify_even_S_identity(N: int) -> bool:
 def theta_series(N: int, ring: ThetaRing | None = None) -> BiSeries:
     """theta(lam,mu) = -sum theta_{2n+1} ((lam+mu)^{2n+1} - lam^{2n+1} - mu^{2n+1})."""
     ring = ring or ring_for_degree(N)
-    from math import comb
-
     out = BiSeries(ring, {}, N)
     for g in ring.gens:
         if g > N:

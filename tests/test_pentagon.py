@@ -537,6 +537,13 @@ def test_rref_of_int_matrix_gives_fractions():
     assert pivots == [0, 2] and all(type(x) is F for row in rows for x in row)
 
 
+def test_rref_of_float_matrix_raises():
+    # a float in a searched column is refused, pivot or not
+    for matrix in ([[0.5, 1], [1, 1]], [[1, 1], [1, 0.5]], [[2, 1], [4, 2.0]]):
+        with pytest.raises(TypeError):
+            rref(matrix)
+
+
 def test_check_pentagon_rref_sees_no_float(monkeypatch):
     seen = []
     real_rref = linalg.rref

@@ -51,7 +51,11 @@ def test_substitute_composition():
 
 
 def test_non_rational_coefficients_raise():
-    s = BiSeries(QQ, {(1, 0): 0.5, (0, 1): F(1)}, 3)
+    with pytest.raises(TypeError):
+        BiSeries(QQ, {(1, 0): 0.5, (0, 1): F(1)}, 3)
+    # a float written past the constructor still stops the kernels
+    s = BiSeries(QQ, {(0, 1): F(1)}, 3)
+    s.coeffs[(1, 0)] = 0.5
     with pytest.raises(TypeError):
         s * s
     with pytest.raises(TypeError):
