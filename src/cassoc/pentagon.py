@@ -97,13 +97,13 @@ class MetabelianModel:
         return self.combo({s: 1})
 
     def combo(self, coeffs: dict):
-        """The linear combination of letters, given by index or by name in
-        ``LETTERS``; a letter outside the model is a ValueError, a coefficient
-        that is not an int or a Fraction a TypeError."""
+        """The linear combination of letters, given by int index or by name in
+        ``LETTERS``; a letter outside the model (a bool included) is a
+        ValueError, a coefficient that is not an int or a Fraction a TypeError."""
         lin = {}
         for s, c in coeffs.items():
             idx = LETTERS.find(s) if isinstance(s, str) and len(s) == 1 else s
-            if not (isinstance(idx, int) and 0 <= idx < self.n):
+            if not (type(idx) is int and 0 <= idx < self.n):
                 raise ValueError(f"letter {s!r} is not one of the model's {self.n} letters")
             c = rational(c)
             if c:

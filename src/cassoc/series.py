@@ -23,14 +23,17 @@ times a non-rational scalar raises TypeError, because the scalar does not
 name its ring; multiply by a constant series over that ring instead, which
 ``BiSeries.constant`` refuses to build over ``QQ``.
 
+Any other ring is a polynomial ring over QQ whose elements keep ``terms``
+{monomial key: Fraction}, keys adding under multiplication; a series holds
+only what ``ring.contains``, and two such rings combine only if they agree.
+
 ``BiSeries.__mul__`` of two series and ``substitute_linear`` (which
-``UniSeries.as_biseries`` calls) are one loop each for every ring: they sum
-numerators at packed keys k (n + 1) + l.  When every operand is over ``QQ``,
-the numerators are ints over the lcm of each operand's denominators, and each
-surviving coefficient is built as one normalising ``Fraction(v, den)``, so the
-values are exactly those of term-by-term Fraction arithmetic, and clearing
-the denominators checks the coefficients again.  Otherwise the numerators are
-the coefficients as they are, over 1, and each pair of terms costs one product.
+``UniSeries.as_biseries`` calls) are one integer loop each for every ring:
+each operand's terms become ints over the lcm of its denominators, at keys
+(k (n + 1) + l) << ring.key_bits | monomial key, and the loop sums int
+products at sums of keys.  Each surviving term is one ``Fraction(v, den)``,
+exactly the value of term-by-term arithmetic; off QQ, ``ring.from_terms``
+assembles each (k, l) coefficient and rejects an exponent overflow.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ class RationalRing:
 
     zero = Fraction(0)
     one = Fraction(1)
+    key_bits = 0  # a rational is the one monomial, key 0
     from_rational = staticmethod(rational)
     contains = staticmethod(is_rational)
     format = to_json_obj = staticmethod(format_rational)
@@ -84,9 +88,7 @@ class UniSeries:
     __slots__ = ("ring", "coeffs", "order")
 
     def __init__(self, ring, coeffs: Iterable, order: int):
-        cs = list(coeffs)[: order + 1]
-        if ring is QQ:
-            rationals(cs)
+        cs = _members(ring, list(coeffs)[: order + 1])
         cs += [ring.zero] * (order + 1 - len(cs))
         self.ring = ring
         self.coeffs = cs
@@ -126,8 +128,7 @@ class BiSeries:
         self.coeffs = {}
         self.order = order
         if coeffs:
-            if ring is QQ:
-                rationals(coeffs.values())
+            _members(ring, coeffs.values())
             for (k, l), c in coeffs.items():
                 if k + l <= order and not ring.is_zero(c):
                     self.coeffs[(k, l)] = c
@@ -197,7 +198,7 @@ class BiSeries:
     # -- ring operations --------------------------------------------------------
 
     def __add__(self, other: "BiSeries") -> "BiSeries":
-        if self.ring is QQ and other.ring is not QQ:
+        if _common_ring(self, other) is not self.ring:
             return other + self
         n = min(self.order, other.order)
         out = BiSeries(self.ring, self.coeffs, n)
@@ -217,23 +218,25 @@ class BiSeries:
     def __mul__(self, other):
         if isinstance(other, BiSeries):
             n = min(self.order, other.order)
-            ring, den, zero, (left, right) = _numerators(self, other)
-            # (k, l) packs as k (n + 1) + l: within the order a sum of packed
-            # keys is the packed sum of exponents
-            right = sorted((k + l, k * (n + 1) + l, w) for (k, l), w in right.items() if k + l <= n)
+            ring = _common_ring(self, other)
+            bits = ring.key_bits
+            den, (left, right) = _numerators(n, bits, self, other)
+            # within the order a sum of packed keys is the key of the product
+            right = sorted((sum(divmod(key >> bits, n + 1)), key, w) for key, w in right.items())
             acc: dict = {}
             get = acc.get
-            for (k, l), v in left.items():
-                room = n - k - l
-                key1 = k * (n + 1) + l
+            for key1, v in left.items():
+                room = n - sum(divmod(key1 >> bits, n + 1))
                 for deg, key2, w in right:
                     if deg > room:
                         break
                     key = key1 + key2
-                    acc[key] = get(key, zero) + v * w
+                    acc[key] = get(key, 0) + v * w
+            del left, right  # freed before the output is built: a lower peak
             return _from_numerators(ring, acc, den, n)
-        if self.ring is QQ:
-            rational(other)  # a scalar cannot name its ring, so over QQ it is rational
+        if not (is_rational(other) or self.ring.contains(other)):
+            # a scalar cannot name its ring, so over QQ it is rational
+            raise TypeError(f"{other!r} is not a scalar of the series' ring")
         return BiSeries(self.ring, {kl: c * other for kl, c in self.coeffs.items()}, self.order)
 
     __rmul__ = __mul__
@@ -247,20 +250,25 @@ class BiSeries:
         """
         (a, b), (c, d) = matrix
         n = self.order
-        d1, pow1 = _linear_power_table(a, b, n)
-        d2, pow2 = _linear_power_table(c, d, n)
+        bits = self.ring.key_bits
+        d1, pow1 = _linear_power_table(a, b, n, bits)
+        d2, pow2 = _linear_power_table(c, d, n, bits)
         # the (k, l) term over the common denominator den d1^n d2^n
-        ring, den, zero, (nums,) = _numerators(self)
+        den, (nums,) = _numerators(n, bits, self)
         acc: dict = {}
         get = acc.get
-        for (k, l), v in nums.items():
-            scale = d1 ** (n - k) * d2 ** (n - l)
+        for key, v in nums.items():
+            kl, mono = divmod(key, 1 << bits)
+            k, l = divmod(kl, n + 1)
+            v *= d1 ** (n - k) * d2 ** (n - l)
             for key1, s1 in pow1[k]:
-                s1 *= scale
+                key1 += mono
+                s1 *= v
                 for key2, s2 in pow2[l]:
                     key = key1 + key2
-                    acc[key] = get(key, zero) + v * (s1 * s2)
-        return _from_numerators(ring, acc, den * d1 ** n * d2 ** n, n)
+                    acc[key] = get(key, 0) + s1 * s2
+        del nums
+        return _from_numerators(self.ring, acc, den * d1 ** n * d2 ** n, n)
 
     def swap(self) -> "BiSeries":
         return BiSeries(self.ring, {(l, k): c for (k, l), c in self.coeffs.items()}, self.order)
@@ -416,39 +424,68 @@ def _term_sort_key(item):
     return (k + l, k, l)
 
 
-def _numerators(*xs: BiSeries) -> tuple:
-    """(ring, den, zero, [numerators of each x]): over QQ alone, x.coeffs as
-    ints over the lcm of x's denominators, den the product of the lcms;
-    otherwise the first ring that is not QQ, each x.coeffs as it is, den 1.
-    ``zero`` is the numerators' additive identity."""
-    for x in xs:
-        if x.ring is not QQ:
-            return x.ring, 1, x.ring.zero, [x.coeffs for x in xs]
-    cleared = [clear_denominators(x.coeffs) for x in xs]
-    return QQ, prod(d for d, _ in cleared), 0, [v for _, v in cleared]
+def _members(ring, values):
+    """``values`` as they are, once each lies in ``ring``; TypeError otherwise."""
+    if ring is QQ:
+        return rationals(values)
+    for c in values:
+        if not ring.contains(c):
+            raise TypeError(f"{c!r} is not in the coefficient ring")
+    return values
+
+
+def _common_ring(x: BiSeries, y: BiSeries):
+    """The ring of x + y and x * y: QQ embeds in every ring; two others must agree."""
+    if x.ring is not QQ and y.ring is not QQ and not x.ring.contains(y.ring.one):
+        raise TypeError("series over different coefficient rings do not combine")
+    return y.ring if x.ring is QQ else x.ring
+
+
+def _numerators(n: int, bits: int, *xs: BiSeries) -> tuple:
+    """(den, [numerators of each x]): x's terms of degree <= n as {packed key:
+    int} over the lcm of x's denominators, den the product of the lcms; the
+    term q m lam^k mu^l, m a monomial of key e, has key (k (n + 1) + l) << bits | e."""
+    cleared = [clear_denominators(_flatten(x, n, bits)) for x in xs]
+    return prod(d for d, _ in cleared), [v for _, v in cleared]
+
+
+def _flatten(x: BiSeries, n: int, bits: int) -> dict:
+    """{packed key: Fraction} of x's terms of degree <= n; a rational is the monomial 0."""
+    if x.ring is QQ:
+        return {(k * (n + 1) + l) << bits: c for (k, l), c in x.coeffs.items() if k + l <= n}
+    return {(k * (n + 1) + l) << bits | e: q for (k, l), c in x.coeffs.items() if k + l <= n for e, q in c.terms.items()}
 
 
 def _from_numerators(ring, acc: dict, den: int, n: int) -> BiSeries:
-    """The series over ring of order n with coefficient v / den at each packed
-    key k (n + 1) + l of ``acc``; zeros are dropped."""
+    """The series over ring of order n with the term v / den at each packed key
+    of ``acc`` (see ``_numerators``), zeros dropped; off QQ, ``ring.from_terms``
+    builds each (k, l) coefficient as ``acc`` empties, equal monomials sharing one int."""
     out = BiSeries(ring, {}, n)
     if ring is QQ:
         out.coeffs = {divmod(key, n + 1): Fraction(v, den) for key, v in acc.items() if v}
         return out
-    out.coeffs = {divmod(key, n + 1): v for key, v in acc.items() if not ring.is_zero(v)}
-    return out if den == 1 else out * Fraction(1, den)
+    size = 1 << ring.key_bits
+    groups: dict = {}
+    monos: dict = {}
+    while acc:
+        key, v = acc.popitem()
+        if v:
+            kl, m = divmod(key, size)
+            groups.setdefault(kl, {})[monos.setdefault(m, m)] = Fraction(v, den)
+    out.coeffs = {divmod(kl, n + 1): ring.from_terms(terms) for kl, terms in groups.items()}
+    return out
 
 
-def _linear_power_table(a, b, n: int) -> tuple:
+def _linear_power_table(a, b, n: int, bits: int) -> tuple:
     """(D, table) for the rational form a lam + b mu, D the least common
     denominator of a and b: table[k], k = 0..n, lists the nonzero terms of
-    (D a lam + D b mu)^k as (i (n + 1) + k - i, comb(k, i) (Da)^i (Db)^(k-i)).
+    (D a lam + D b mu)^k as ((i (n + 1) + k - i) << bits, comb(k, i) (Da)^i (Db)^(k-i)).
     An entry that is not an int or a Fraction raises TypeError."""
     D, nums = clear_denominators({0: a, 1: b})
     A, B = nums.values()
     table = []
     for k in range(n + 1):
-        terms = [(i * (n + 1) + k - i, comb(k, i) * A ** i * B ** (k - i)) for i in range(k + 1)]
+        terms = [((i * (n + 1) + k - i) << bits, comb(k, i) * A ** i * B ** (k - i)) for i in range(k + 1)]
         table.append([(key, s) for key, s in terms if s])
     return D, table
 

@@ -8,8 +8,9 @@ certifies that no polynomial relation between odd zeta values is implied.
 A ``ThetaPoly`` keeps {packed monomial key: nonzero Fraction}: each exponent
 sits in a 16-bit slot whose top bit guards against overflow, so a product of
 monomials is one integer addition (layout in its docstring).  Coefficients
-become Fractions once, through ``exact.rational`` where values enter the ring,
-and the ring operations trust them.
+become Fractions once, through ``exact.rational`` where values enter the ring.
+The ring operations trust them and serve scalar work, sums and ``compose``;
+series products and substitutions read ``terms`` in ``cassoc.series``' kernels.
 """
 
 from __future__ import annotations
@@ -48,9 +49,12 @@ _SLOT_MASK = (1 << _SLOT) - 1
 _ZERO = Fraction(0)
 
 
-def _guard(n: int) -> int:
-    """The guard bits of an n-slot key."""
-    return (1 << (_SLOT * n)) // _SLOT_MASK * _GUARD_BIT
+def _checked(gens: tuple, terms: dict) -> "ThetaPoly":
+    """ThetaPoly(gens, terms), or OverflowError if a key sets a guard bit."""
+    guard = (1 << (_SLOT * len(gens))) // _SLOT_MASK * _GUARD_BIT
+    if any(e & guard for e in terms):
+        raise OverflowError(f"exponent above {_MAX_EXPONENT} in a product")
+    return ThetaPoly(gens, terms)
 
 
 def _pack(exponents) -> int:
@@ -136,10 +140,7 @@ class ThetaPoly:
                     e = e1 + e2
                     c = get(e)
                     out[e] = c1 * c2 if c is None else c + c1 * c2
-            guard = _guard(len(self.gens))
-            if any(e & guard for e in out):
-                raise OverflowError(f"exponent above {_MAX_EXPONENT} in a product")
-            return ThetaPoly(self.gens, {e: c for e, c in out.items() if c})
+            return _checked(self.gens, {e: c for e, c in out.items() if c})
         q = rational(other)
         return ThetaPoly(self.gens, {e: c * q for e, c in self.terms.items()} if q else {})
 
@@ -237,6 +238,7 @@ class ThetaRing:
         self.gens = tuple(range(3, odd_bound + 1, 2))
         self.zero = ThetaPoly(self.gens)
         self.one = ThetaPoly.const(self.gens, 1)
+        self.key_bits = _SLOT * len(self.gens)
 
     def from_rational(self, q) -> ThetaPoly:
         return ThetaPoly.const(self.gens, q)
@@ -246,6 +248,9 @@ class ThetaRing:
 
     def contains(self, c) -> bool:
         return isinstance(c, ThetaPoly) and c.gens == self.gens
+
+    def from_terms(self, terms: dict) -> ThetaPoly:
+        return _checked(self.gens, terms)
 
     @staticmethod
     def is_zero(c: ThetaPoly) -> bool:

@@ -328,7 +328,7 @@ def test_malformed_relations_are_rejected():
 
 
 def test_letters_outside_the_model_are_rejected():
-    for bad in ("v", 3, -1, "ab", "z", ""):
+    for bad in ("v", 3, -1, "ab", "z", "", True, False, 1.0):
         with pytest.raises(ValueError, match="not one of the model's 3 letters"):
             L3_MODEL.combo({bad: 1})
     with pytest.raises(ValueError):

@@ -377,3 +377,84 @@ def test_theta_substitution_matches_naive_reference(t, int_matrix, rational_matr
     for matrix in (int_matrix, rational_matrix, fraction_matrix):
         want = _join((e, _naive_substitution(a, matrix)) for e, a in _split(t).items())
         _check_theta_output(t.substitute_linear(matrix), t.order, want)
+
+
+def _ring_product(f, g):
+    """{(k, l): ThetaPoly} of f * g, one ThetaPoly product and sum per pair of
+    terms, a rational coefficient lifted into THETA first."""
+    n = min(f.order, g.order)
+    left, right = (_lift(x) if x.ring is QQ else x for x in (f, g))
+    out = {}
+    for (k1, l1), c1 in left.coeffs.items():
+        for (k2, l2), c2 in right.coeffs.items():
+            if k1 + l1 + k2 + l2 <= n:
+                key = (k1 + k2, l1 + l2)
+                out[key] = out.get(key, THETA.zero) + c1 * c2
+    return {key: c for key, c in out.items() if not c.is_zero()}
+
+
+def _ring_substitution(f, matrix):
+    """{(k, l): ThetaPoly} of f(a lam + b mu, c lam + d mu) by the binomial
+    theorem, one ThetaPoly scalar product and sum per term."""
+    (a, b), (c, d) = ((F(x), F(y)) for x, y in matrix)
+    out = {}
+    for (k, l), coef in f.coeffs.items():
+        for i1 in range(k + 1):
+            for i2 in range(l + 1):
+                s = comb(k, i1) * a**i1 * b ** (k - i1) * comb(l, i2) * c**i2 * d ** (l - i2)
+                key = (i1 + i2, k + l - i1 - i2)
+                out[key] = out.get(key, THETA.zero) + coef * s
+    return {key: c for key, c in out.items() if not c.is_zero()}
+
+
+def _check_ring_output(got, order, want):
+    assert got.ring is THETA and got.order == order
+    assert all(THETA.contains(c) and not c.is_zero() for c in got.coeffs.values())
+    assert got.coeffs == want
+
+
+# scales whose denominators are far from those of ``rationals``
+wide_scales = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9).filter(bool)
+
+
+@settings(max_examples=25, deadline=None)
+@given(series(ring=THETA, max_order=6), series(ring=THETA, max_order=6), series(max_order=6), wide_scales, st.data())
+def test_theta_kernels_match_ring_arithmetic(t, u, q, scale, data):
+    cut = data.draw(st.integers(0, 6))
+    wide = u * scale
+    pairs = ((t, u), (t, wide), (wide, t.truncate(cut)), (q, t), (t, q), (q * scale, wide), (wide, q.truncate(cut)))
+    for f, g in pairs:
+        _check_ring_output(f * g, min(f.order, g.order), _ring_product(f, g))
+    for matrix in (data.draw(matrices), data.draw(rational_matrices), data.draw(fraction_matrices)):
+        for f in (t, wide):
+            _check_ring_output(f.substitute_linear(matrix), f.order, _ring_substitution(f, matrix))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, len(THETA.gens) - 1),
+    st.integers(1, MAX_EXPONENT),
+    st.integers(-2, 2),
+    st.integers(0, 3),
+    st.integers(0, 3),
+)
+def test_theta_series_product_overflow_raises_and_never_carries(slot, a, over, k, l):
+    # exponents that sum to MAX_EXPONENT + 1 + over: half the cases overflow
+    b = MAX_EXPONENT + 1 + over - a
+    assume(1 <= b <= MAX_EXPONENT)
+    n = len(THETA.gens)
+    e1 = tuple(a if i == slot else 1 for i in range(n))
+    e2 = tuple(b if i == slot else 1 for i in range(n))
+    # beside the product of the two monomials, terms whose exponents stay small
+    f = BiSeries(THETA, {(k, l): _poly({e1: F(1, 3)}), (4, 0): THETA.one}, 12)
+    g = BiSeries(THETA, {(l, k): _poly({e2: F(-2, 5)}), (0, 4): THETA.generator(3)}, 12)
+    if a + b > MAX_EXPONENT:
+        with pytest.raises(OverflowError):
+            f * g
+        with pytest.raises(OverflowError):
+            g * f
+    else:
+        want = _ring_product(f, g)
+        assert _terms(want[(k + l, k + l)])[tuple(x + y for x, y in zip(e1, e2))] == F(-2, 15)
+        _check_ring_output(f * g, 12, want)
+        _check_ring_output(g * f, 12, want)

@@ -4,7 +4,7 @@ import pytest
 
 from cassoc import zeta
 from cassoc.hexagon import AlphaTable, ParamSet, build_f, residual_15b, split_residuals
-from cassoc.series import QQ, BiSeries
+from cassoc.series import QQ, BiSeries, UniSeries
 from cassoc.zeta import (
     ThetaPoly,
     ThetaRing,
@@ -214,6 +214,34 @@ def test_ring_bound_guard():
     s = drinfeld_s(12)
     assert s.ring.gens == (3, 5, 7, 9, 11)
     assert s.coeff(10, 1) == s.ring.generator(11) * F(-11)
+
+
+def test_theta_series_coefficients_lie_in_the_ring():
+    ring, other = ThetaRing(5), ThetaRing(9)
+    t3 = ring.generator(3)
+    # the ring's own elements, and a ring with the same generators, enter
+    assert BiSeries(ring, {(1, 0): ThetaRing(5).generator(5)}, 2).coeff(1, 0) == ring.generator(5)
+    for bad in (0.5, F(1, 2), 1, True, None, other.generator(9), other.one):
+        with pytest.raises(TypeError):
+            BiSeries(ring, {(0, 0): bad}, 2)
+        with pytest.raises(TypeError):
+            UniSeries(ring, [ring.zero, bad], 2)
+    s = BiSeries(ring, {(0, 0): t3, (1, 0): ring.one}, 2)
+    # a scalar is a rational or an element of the ring
+    assert s * F(1, 2) == s * ring.from_rational(F(1, 2)) == F(1, 2) * s
+    assert s * t3 == s * BiSeries.constant(ring, t3, 2)
+    for bad in (0.5, True, "1/2", other.generator(3), other.one):
+        with pytest.raises(TypeError):
+            s * bad
+    # two theta rings combine only when their generators agree; QQ always does
+    t = BiSeries(other, {(0, 0): other.generator(3)}, 2)
+    q = BiSeries(QQ, {(0, 1): F(1, 3)}, 2)
+    for pair in ((s, t), (t, s)):
+        with pytest.raises(TypeError):
+            pair[0] * pair[1]
+        with pytest.raises(TypeError):
+            pair[0] + pair[1]
+    assert (s * q).ring is ring and (q + s).ring is ring
 
 
 def test_compositions_over_theta_ring():

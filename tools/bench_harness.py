@@ -13,9 +13,10 @@ runs the child REPEATS times, each in a new interpreter so that each repeat
 pays the cold tables the way a command-line call does, and fails unless
 every repeat reports the same digests.  The median of each stage and of the
 per-repeat totals (seconds) go into column ``--column`` of ``--out``, with
-the settings, the digests, the Python version and the CPU count; other
-columns already in that file are kept, so one file holds a parent and a
-change run, and equal digests show that both computed the same thing.
+the settings, the digests, the Python version and the CPU count.  The
+columns sit under the script's name (``bench_zeta`` and so on), and whatever
+else that file holds is kept, so one file holds a parent and a change run of
+several scripts, and equal digests show that both computed the same thing.
 """
 
 from __future__ import annotations
@@ -37,13 +38,14 @@ def run_child(child: str, args: list) -> dict:
     return json.loads(proc.stdout)
 
 
-def merge_column(path: str, name: str, column: dict) -> None:
-    """Write ``column`` as column ``name`` of the JSON file at ``path``, keeping its other columns."""
+def merge_column(path: str, script: str, name: str, column: dict) -> None:
+    """Write ``column`` as column ``name`` of ``script`` in the JSON file at
+    ``path``, keeping everything else in it."""
     doc = {}
     if os.path.exists(path):
         with open(path) as fh:
             doc = json.load(fh)
-    doc.setdefault("columns", {})[name] = column
+    doc.setdefault(script, {}).setdefault("columns", {})[name] = column
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -71,6 +73,7 @@ def main(doc: str, child: str, settings: dict, argv=None) -> int:
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
     }
-    merge_column(args.out, args.column, column)
+    script = os.path.splitext(os.path.basename(sys.argv[0]))[0]
+    merge_column(args.out, script, args.column, column)
     print(json.dumps({args.column: medians}))
     return 0
