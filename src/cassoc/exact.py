@@ -10,6 +10,7 @@ form, mirrored recursion) so the higher modules can cross-check each other.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import comb, lcm
 
@@ -171,10 +172,13 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p"; anything else, a zero denominator included, raises ValueError."""
-    if not isinstance(text, str):
+    """Parse "p/q" or "p": an optional sign, decimal digits, optionally "/"
+    and decimal digits, with whitespace around.  Anything else (a decimal
+    point, an exponent, an underscore, a zero denominator) raises ValueError."""
+    match = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", text.strip()) if isinstance(text, str) else None
+    if match is None:
         raise ValueError(f"rational must be a \"p/q\" string, got {text!r}")
-    try:
-        return Fraction(text.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    p, q = match.groups()
+    if q is not None and not int(q):
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(int(p), int(q or 1))

@@ -6,9 +6,11 @@ rational (an int or a Fraction).  Terms are ordered as the tuples (mono, pos)
 compare, exponents lexicographically, and the larger term leads; multiplying
 by a monomial keeps that order, so it is a module order.  ``groebner_basis``
 runs Buchberger's algorithm (Cox, Little and O'Shea, *Using Algebraic
-Geometry*, ch. 5), and ``hilbert_numerator`` with ``standard_count`` counts
-the standard monomials of each degree, so a quotient module's dimensions
-need no linear algebra per degree.  Meant for small systems: a few dozen
+Geometry*, ch. 5), reducing by ``NormalForm``, and the same ``NormalForm``
+over the finished basis gives canonical coordinates on the standard
+monomials.  ``hilbert_numerator`` with ``standard_count`` counts the
+standard monomials of each degree, so a quotient module's dimensions need
+no linear algebra per degree.  Meant for small systems: a few dozen
 generators of low degree.
 """
 
@@ -19,44 +21,75 @@ from fractions import Fraction
 from math import comb
 from operator import add, le, sub
 
-__all__ = ["groebner_basis", "module_reduce", "index_into", "s_vector", "hilbert_numerator", "standard_count"]
+__all__ = ["groebner_basis", "NormalForm", "s_vector", "hilbert_numerator", "standard_count"]
 
 
-def _shift_into(out: dict, vec: dict, shift: tuple, q) -> None:
-    """out -= q * x^shift * vec in place; terms that cancel are dropped."""
-    for (mono, p), c in vec.items():
-        t = (tuple(map(add, mono, shift)), p)
-        v = out.get(t, 0) - q * c
+def _add_into(out: dict, vec: dict, q) -> None:
+    """out += q * vec in place; terms that cancel are dropped."""
+    for t, c in vec.items():
+        v = out.get(t, 0) + q * c
         if v:
             out[t] = v
         else:
             out.pop(t, None)
 
 
-def index_into(index: dict, g: dict) -> None:
-    """File the monic vector g under its leading component as (lead mono, tail)."""
-    mono, p = max(g)
-    tail = dict(g)
-    del tail[mono, p]
-    index.setdefault(p, []).append((mono, tail))
+def _shifted(vec: dict, shift: tuple) -> dict:
+    """x^shift * vec."""
+    return {(tuple(map(add, mono, shift)), p): c for (mono, p), c in vec.items()}
 
 
-def module_reduce(vec: dict, index: dict) -> dict:
-    """The normal form of vec modulo the monic vectors filed in index by
-    ``index_into``: no term of the result is a multiple of a leading term."""
-    vec = dict(vec)
-    out = {}
-    while vec:
-        term = max(vec)
-        c = vec.pop(term)
-        mono, p = term
-        for lmono, tail in index.get(p, ()):
-            if all(map(le, lmono, mono)):
-                _shift_into(vec, tail, tuple(map(sub, mono, lmono)), c)
-                break
-        else:
-            out[term] = c
-    return out
+class NormalForm:
+    """Normal forms modulo the monic vectors filed so far (``file``).
+
+    The normal form of a vector is the sum of its terms' normal forms, each
+    memoised.  A term that no filed lead divides is standard and its own
+    normal form; any other term (mono, pos) is rewritten by the first filed
+    vector whose lead divides it, as -sum c * NF(x^shift * t) over that
+    vector's tail terms c * t, all smaller in the term order, so rewriting ends.
+    Each memo entry is built in locals and stored whole, so threads sharing
+    a finished index read complete entries; filing a vector empties the
+    memo.  Rewriting recurses once per step of a chain of rewrites; on the
+    pentagon quotient that stays under 50 frames through letter degree 20.
+    """
+
+    def __init__(self, vectors=()):
+        self._index: dict = {}  # pos -> [(lead mono, tail)], in filing order
+        self._memo: dict = {}  # term -> its normal form, {standard term: coeff}
+        for g in vectors:
+            self.file(g)
+
+    def file(self, g: dict) -> None:
+        """File the monic vector g under its leading component as (lead mono, tail)."""
+        mono, p = max(g)
+        tail = dict(g)
+        del tail[mono, p]
+        self._index.setdefault(p, []).append((mono, tail))
+        self._memo = {}
+
+    def _term(self, term) -> dict:
+        """The normal form of one term; read it, never mutate it."""
+        out = self._memo.get(term)
+        if out is None:
+            mono, p = term
+            for lmono, tail in self._index.get(p, ()):
+                if all(map(le, lmono, mono)):
+                    shift = tuple(map(sub, mono, lmono))
+                    out = {}
+                    for (m, q), c in tail.items():
+                        _add_into(out, self._term((tuple(map(add, m, shift)), q)), -c)
+                    break
+            else:
+                out = {term: 1}
+            self._memo[term] = out
+        return out
+
+    def __call__(self, vec: dict) -> dict:
+        """The normal form of vec: no term of it is a multiple of a filed lead."""
+        out: dict = {}
+        for t, c in vec.items():
+            _add_into(out, self._term(t), c)
+        return out
 
 
 def s_vector(f: dict, g: dict) -> dict:
@@ -64,9 +97,8 @@ def s_vector(f: dict, g: dict) -> dict:
     each is shifted to the lcm of the leads, and their difference taken."""
     (fm, _), (gm, _) = max(f), max(g)
     top = tuple(map(max, fm, gm))
-    out: dict = {}
-    _shift_into(out, f, tuple(map(sub, top, fm)), -1)
-    _shift_into(out, g, tuple(map(sub, top, gm)), 1)
+    out = _shifted(f, tuple(map(sub, top, fm)))
+    _add_into(out, _shifted(g, tuple(map(sub, top, gm))), -1)
     return out
 
 
@@ -76,10 +108,11 @@ def groebner_basis(vectors) -> tuple:
     component is reduced, and what is left is added, made monic, until none
     is left.  Pairs are taken by ascending lcm, so degree by degree.  A unit
     lead is its own inverse, so integral vectors with unit leads stay
-    integral."""
+    integral.  Every reduction is by ``NormalForm``, whose memo each new
+    vector empties."""
     basis: list = []
     heads: list = []
-    index: dict = {}
+    normal_form = NormalForm()
     pending: list = []
 
     def keep(vec):
@@ -93,15 +126,15 @@ def groebner_basis(vectors) -> tuple:
                 heapq.heappush(pending, (sum(top), top, idx, len(basis)))
         basis.append(g)
         heads.append(head)
-        index_into(index, g)
+        normal_form.file(g)
 
     for vec in vectors:
-        rest = module_reduce(vec, index)
+        rest = normal_form(vec)
         if rest:
             keep(rest)
     while pending:
         _, _, i, j = heapq.heappop(pending)
-        rest = module_reduce(s_vector(basis[i], basis[j]), index)
+        rest = normal_form(s_vector(basis[i], basis[j]))
         if rest:
             keep(rest)
     return tuple(basis)

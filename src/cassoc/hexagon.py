@@ -129,7 +129,7 @@ class ParamSet:
     @classmethod
     def from_json(cls, text: str, ring=QQ) -> "ParamSet":
         """Parse ``to_json`` output (which ``zeta solve-betas`` prints);
-        malformed input raises ValueError."""
+        malformed input, a repeated (n, k) included, raises ValueError."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("parameter file must hold a JSON object")
@@ -140,7 +140,10 @@ class ParamSet:
                 isinstance(e, list) and len(e) == 3 and type(e[0]) is int and type(e[1]) is int for e in items
             ):
                 raise ValueError(f"{name} must be a list of [n, k, value] with int n, k")
-            return {(n, k): ring.parse(v) for n, k, v in items}
+            values = {(n, k): ring.parse(v) for n, k, v in items}
+            if len(values) < len(items):
+                raise ValueError(f"{name} lists an (n, k) twice")
+            return values
 
         return cls(entries("beta"), entries("beta_tilde"), ring)
 

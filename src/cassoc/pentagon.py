@@ -12,21 +12,16 @@ moves the smallest letter into the core.
 
 The defining relations of the quotient ([a,e] = [b,v] = [c,d] = 0 and the
 x, y, z, u identifications) generate, as monomial multiples, a linear
-subspace per degree; ``QuotientReducer`` row-reduces that subspace once and
-then reduces arbitrary elements to canonical coordinates on the complement.
-Its dimensions need no such echelon: commutators commute in the quotient, so
-the commutator part is a module over the commuting letter variables, and a
-Groebner basis of the relation module (the Jacobi step and the relations'
-core vectors, built once per reducer by Buchberger's algorithm) gives the
-dimension of every degree as a count of standard monomials.
-Each relation row goes straight into normal form, one ``_norm_core`` call per
-core term of the relation, and is reduced fully by the rows stored before it,
-by the same loop that reduces any element, before it is stored.  The
-elimination runs over Python ints: the L4bar and L3bar relations have
-coefficients +-1 and all their pivots are units (checked through degree 11),
-so pivot rows stay integral; a non-unit pivot falls back to exact Fractions.
-The hand-derived rewrite identities of the source theory are *checked*
-against this generic reduction, never assumed.
+subspace per degree.  Commutators commute in the quotient, so the commutator
+part is a module over the commuting letter variables, and ``QuotientReducer``
+computes one Groebner basis of the relation module (the Jacobi step and the
+relations' core vectors, by Buchberger's algorithm in ``cassoc.groebner``).
+That one basis gives both the dimension of every degree, as a count of
+standard monomials, and the canonical coordinates of any element, as its
+normal form on them.  An independent path, the per-degree row echelon of
+the relation rows, lives in ``tests/echelon_oracle.py`` as the tests' oracle
+for both.  The hand-derived rewrite identities of the source theory are
+*checked* against this generic reduction, never assumed.
 
 The substituted pentagon is written once, as ``_PENTAGON``: five signed
 substitutions (sign, u, w) of phi.  For each, ``_ladder`` builds the brackets
@@ -40,19 +35,19 @@ straight off them, since alpha[k, l] multiplies the single bracket at (k, l).
 ``phi_bar_eval`` is the uncached reference, kept for the tests, which check
 ``pentagon_residual`` against its sum over ``_PENTAGON``, and for perfbench.
 ``QuotientReducer.reduce`` clears the denominators of what it reduces too, so
-a check after the first costs one sum and one reduction, both over ints.
+a check after the first costs one sum and one reduction, both over ints, and
+the normal forms it memoises serve every later check.
 ``MetabelianModel.ad`` is the one repeated-bracket primitive behind the
 section-5 identity suite.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .exact import clear_denominators, rational
-from .groebner import groebner_basis, hilbert_numerator, standard_count
+from .groebner import NormalForm, groebner_basis, hilbert_numerator, standard_count
 from .linalg import solve_exact
 
 __all__ = [
@@ -217,14 +212,6 @@ class MetabelianModel:
             elem = self.ad(self.letter(s), e, elem)
         return elem
 
-    def comm_degree_parts(self, x) -> dict:
-        """Split the commutator part by total degree (letters incl. the core pair)."""
-        parts: dict = {}
-        for (i, j, mono), c in x[1].items():
-            d = sum(mono) + 2
-            parts.setdefault(d, {})[(i, j, mono)] = c
-        return parts
-
     def basis_keys(self, degree: int) -> list:
         """All normal-form keys of the given total degree, in deterministic
         (core pair, monomial) lexicographic order."""
@@ -289,9 +276,8 @@ def _l3_relations() -> list:
 # The commutator part is a module over the commuting letter variables
 # Q[x_0..x_{n-1}] (Lemma 5.4a), a quotient of the free module with one basis
 # vector e_ij per core pair i > j, at position pos (``_pair_positions``), in
-# the vectors of ``cassoc.groebner``.  The echelon's key order is not a module
-# order: there a letter times a pivot key can run a Jacobi step and lead
-# elsewhere, so the standard monomials of the two differ.
+# the vectors of ``cassoc.groebner``.  The key (i, j, mono) is the term
+# (mono, pos[i, j]).
 
 
 def _pair_positions(n: int) -> dict:
@@ -315,41 +301,31 @@ def _jacobi_vectors(n: int) -> list:
 
 
 class QuotientReducer:
-    """Per-degree row echelon form of the relation module, built on demand.
+    """The quotient by a Groebner basis of its relation module.
 
     The relation subspace at degree n is spanned by monomial * r over the
     quadratic relations r (bracketing a relation into another commutator dies
     in the metabelian quotient, so monomial multiples generate everything).
-    The letters act on the commutator part as commuting variables, so the row
-    of monomial * r is the sum of c * monomial * [x_i, x_j] over the terms of
-    r, each put in normal form by ``MetabelianModel._norm_core``.  Each row is
-    reduced fully by the pivot rows stored before it (``_reduce_vector``, the
-    loop ``reduce`` uses) and what is left is stored, made monic, at its
-    smallest column.  A unit pivot (+-1) is its own inverse, so integral
-    relations give integral pivot rows; any other pivot is inverted as a
-    Fraction, which keeps the elimination exact for any relation set.  The
-    pivot columns are the leading columns of the relation space, and a
-    reduced element has no entry in any of them, so its canonical
-    coordinates do not depend on the order in which rows were stored.
+    The letters act on the commutator part as commuting variables, so these
+    are the submodule that the relations' core vectors and the Jacobi step
+    generate (``relation_module``), and one Groebner basis of it, built once
+    per reducer by Buchberger's algorithm, serves every degree.
 
-    ``reduce`` runs without Fractions against integral pivot rows: each
-    degree part is multiplied by the lcm of its denominators, reduced over
-    ints, and every surviving coordinate is divided by that lcm once, so
-    coordinates come back as Fractions.  Against non-unit pivot rows the
-    same loop meets Fractions and stays exact.
-
-    ``dimension`` builds no echelon.  It counts the standard monomials of a
-    Groebner basis of the relation module (``relation_module``), built once
-    per reducer; the echelon of a degree has as many non-pivot columns, and
-    the tests hold the two counts equal.  A relation must be a combination of
-    brackets of two letters (its core vector); anything else is a ValueError.
+    ``reduce`` reads each key (i, j, mono) as the term (mono, pos[i, j]) and
+    takes its normal form (``groebner.NormalForm``, memoised per term), so
+    its canonical coordinates sit on the standard monomials.  It clears the
+    denominators of the element first and reduces over ints; every surviving
+    coordinate is divided by that lcm once, so coordinates come back as
+    Fractions.  ``dimension`` counts the same standard monomials.  A relation
+    must be a combination of brackets of two letters (its core vector);
+    anything else is a ValueError.
     """
 
     def __init__(self, model: MetabelianModel, relations: list):
         self.model = model
         self.relations = relations
         # each relation as its core vector, (i, j, c) over its keys (i, j, 0...);
-        # integral coefficients become ints so unit-pivot rows stay integral
+        # integral coefficients become ints so the basis stays integral
         self._cores = []
         for rel in relations:
             if any(rel[0].values()) or any(any(mono) for _, _, mono in rel[1]):
@@ -357,83 +333,9 @@ class QuotientReducer:
             self._cores.append(
                 [(i, j, c.numerator if c.denominator == 1 else c) for (i, j, _), c in rel[1].items()]
             )
-        self._cols: dict = {}  # degree -> {key: column index}
-        self._keys: dict = {}  # degree -> [key]
-        self._rows: dict = {}  # degree -> {pivot column: sparse row dict}
-        self._module = None  # (Groebner basis, Hilbert numerator), once built
-
-    def _relation_rows(self, degree: int):
-        """Yield mono * r in normal form, {key: coeff}, for every monomial of
-        degree - 2 and, within it, every relation r in order."""
-        norm = self.model._norm_core
-        for mono in _monomials(self.model.n, degree - 2):
-            for core in self._cores:
-                elem: dict = {}
-                for i, j, c in core:
-                    norm(i, j, mono, c, elem)
-                yield elem
-
-    def _build(self, degree: int) -> None:
-        if degree in self._rows or degree < 2:
-            return
-        keys = self.model.basis_keys(degree)
-        col_of = {k: idx for idx, k in enumerate(keys)}
-        pivot_rows: dict = {}
-        for elem in self._relation_rows(degree):
-            self._insert({col_of[k]: c for k, c in elem.items()}, pivot_rows)
-        self._cols[degree] = col_of
-        self._keys[degree] = keys
-        self._rows[degree] = pivot_rows
-
-    @staticmethod
-    def _insert(row: dict, pivot_rows: dict) -> None:
-        """Reduce a relation row and store what is left, made monic, at its
-        smallest column; a unit is its own inverse."""
-        row = QuotientReducer._reduce_vector(row, pivot_rows)
-        if row:
-            c = min(row)
-            inv = row[c] if abs(row[c]) == 1 else Fraction(1, row[c])
-            pivot_rows[c] = {cc: v * inv for cc, v in row.items()}
-
-    @staticmethod
-    def _reduce_vector(row: dict, pivot_rows: dict) -> dict:
-        """The representative of row modulo the pivot rows with no entry in a
-        pivot column.  Columns are visited in ascending order, and a pivot
-        row only reaches columns after its pivot."""
-        heap = list(row)
-        heapq.heapify(heap)
-        seen = set()
-        out = dict(row)
-        while heap:
-            c = heapq.heappop(heap)
-            if c in seen:
-                continue
-            seen.add(c)
-            val = out.get(c)
-            if not val:
-                continue
-            piv = pivot_rows.get(c)
-            if piv is None:
-                continue
-            for cc, vv in piv.items():
-                nv = out.get(cc, 0) - val * vv
-                if nv:
-                    out[cc] = nv
-                    if cc not in seen:
-                        heapq.heappush(heap, cc)
-                elif cc in out:
-                    del out[cc]
-        return out
-
-    def reduce_part(self, part: dict, degree: int) -> dict:
-        """Canonical coordinates {key: Fraction} of a degree-homogeneous part,
-        reduced over ints after its denominators are cleared."""
-        self._build(degree)
-        col_of = self._cols[degree]
-        keys = self._keys[degree]
-        den, ints = clear_denominators(part)
-        red = self._reduce_vector({col_of[k]: v for k, v in ints.items()}, self._rows[degree])
-        return {keys[c]: Fraction(v, den) for c, v in red.items()}
+        self._pos = _pair_positions(model.n)
+        self._pairs = list(self._pos)  # pos -> (i, j)
+        self._module = None  # (Groebner basis, Hilbert numerator, NormalForm), once built
 
     def reduce(self, elem) -> dict:
         """Reduce every degree part of an element; returns {degree: coords}.
@@ -441,11 +343,12 @@ class QuotientReducer:
         ValueError."""
         if elem[0]:
             raise ValueError("reduce takes a commutator element; this one has a linear part")
-        out = {}
-        for d, part in self.model.comm_degree_parts(elem).items():
-            coords = self.reduce_part(part, d)
-            if coords:
-                out[d] = coords
+        normal_form = self._built()[2]
+        pos, pairs = self._pos, self._pairs
+        den, ints = clear_denominators(elem[1])
+        out: dict = {}
+        for (mono, p), v in normal_form({(mono, pos[i, j]): v for (i, j, mono), v in ints.items()}).items():
+            out.setdefault(sum(mono) + 2, {})[(*pairs[p], mono)] = Fraction(v, den)
         return out
 
     def is_zero(self, elem) -> bool:
@@ -457,32 +360,35 @@ class QuotientReducer:
         """(basis, numerator): a Groebner basis of the relation module, the
         Jacobi vectors and the relations' core vectors, and the Hilbert
         numerator of its standard monomials (``groebner.hilbert_numerator``).
-        Built once, in locals, and published by one rebinding; read it,
-        never mutate it."""
+        Read it, never mutate it."""
+        return self._built()[:2]
+
+    def _built(self) -> tuple:
+        """(basis, numerator, normal form), built once, in locals, and
+        published by one rebinding."""
         module = self._module
         if module is None:
             n = self.model.n
             basis = groebner_basis(_jacobi_vectors(n) + self._core_vectors())
-            module = (basis, hilbert_numerator(n, n * (n - 1) // 2, basis))
+            module = (basis, hilbert_numerator(n, len(self._pos), basis), NormalForm(basis))
             self._module = module
         return module
 
     def _core_vectors(self) -> list:
         """Each nonzero relation as a module vector, its terms at the zero
         monomial."""
-        pos = _pair_positions(self.model.n)
         zero = (0,) * self.model.n
-        return [{(zero, pos[i, j]): c for i, j, c in core} for core in self._cores if core]
+        return [{(zero, self._pos[i, j]): c for i, j, c in core} for core in self._cores if core]
 
     def dimension(self, degree: int) -> int:
         """The dimension of the quotient at letter degree ``degree``: the
         standard monomials of the relation module's Groebner basis of
-        polynomial degree ``degree - 2``, counted without any echelon."""
+        polynomial degree ``degree - 2``."""
         if degree == 1:
             return self.model.n
         if degree < 2:
             return 0
-        return standard_count(self.model.n, self.relation_module()[1], degree - 2)
+        return standard_count(self.model.n, self._built()[1], degree - 2)
 
 
 _L4_REDUCER: QuotientReducer | None = None

@@ -398,7 +398,8 @@ class BiSeries:
 
     @classmethod
     def from_records(cls, ring, records, order: int) -> "BiSeries":
-        """Inverse of ``to_records``; malformed input raises ValueError."""
+        """Inverse of ``to_records``; malformed input, a repeated (k, l)
+        included, raises ValueError."""
         if not _is_index(order) or order > MAX_DEGREE:
             raise ValueError(f"truncation order must be an int in 0..{MAX_DEGREE}, got {order!r}")
         if not isinstance(records, list):
@@ -410,7 +411,9 @@ class BiSeries:
             k, l = rec["k"], rec["l"]
             if not (_is_index(k) and _is_index(l) and k + l <= order):
                 raise ValueError(f"exponents ({k!r}, {l!r}) must be ints >= 0 with k + l <= {order}")
-            out._acc((k, l), ring.parse(rec["coeff"]))
+            if (k, l) in out.coeffs:
+                raise ValueError(f"exponents ({k}, {l}) appear twice")
+            out.coeffs[k, l] = ring.parse(rec["coeff"])
         out._clean()
         return out
 

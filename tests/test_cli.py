@@ -201,12 +201,30 @@ def test_missing_input_file(tmp_path, capsys):
     ("negative-exponent", json.dumps({"truncation_order": 2, "alpha": [{"k": -1, "l": 0, "coeff": "1"}]})),
     ("beyond-order", json.dumps({"truncation_order": 3, "alpha": [{"k": 5, "l": 0, "coeff": "1"}]})),
     ("order-too-large", json.dumps({"truncation_order": 17, "alpha": []})),
+    ("decimal-point", json.dumps({"truncation_order": 2, "alpha": [{"k": 0, "l": 0, "coeff": "1.5"}]})),
+    ("exponent", json.dumps({"truncation_order": 2, "alpha": [{"k": 0, "l": 0, "coeff": "1e999999999"}]})),
+    ("underscore", json.dumps({"truncation_order": 2, "alpha": [{"k": 0, "l": 0, "coeff": "1_000"}]})),
+    ("repeated-record", json.dumps({"truncation_order": 2, "alpha": [{"k": 0, "l": 0, "coeff": "1/3"}] * 2})),
 ])
 def test_malformed_alpha_table(tmp_path, capsys, case, text):
     path = tmp_path / f"{case}.json"
     path.write_text(text)
     run_usage_error(capsys, "hexagon", "residual", "--input", str(path))
     run_usage_error(capsys, "pentagon", "check", "--degree", "6", "--input", str(path))
+
+
+@pytest.mark.parametrize("case, params, message", [
+    ("decimal-point", {"beta": [[3, 1, "1.5"]]}, "p/q"),
+    ("exponent", {"beta_tilde": [[0, 0, "1e999999999"]]}, "p/q"),
+    ("underscore", {"beta": [[3, 1, "1_000"]]}, "p/q"),
+    ("repeated-entry", {"beta_tilde": [[0, 0, "1"], [0, 0, "2"]]}, "twice"),
+])
+def test_malformed_parameter_values(tmp_path, capsys, case, params, message):
+    pfile = tmp_path / f"{case}.json"
+    pfile.write_text(json.dumps(params))
+    err = run_usage_error(capsys, "hexagon", "solve", "--family", "custom",
+                          "--params", str(pfile), "--degree", "6")
+    assert message in err["error"]
 
 
 def test_param_index_out_of_range(tmp_path, capsys):

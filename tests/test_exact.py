@@ -16,7 +16,7 @@ from cassoc.exact import (
     parse_rational,
 )
 from cassoc.hexagon import AlphaTable
-from cassoc.pentagon import L4_MODEL, QuotientReducer, _l4_relations, l4_reducer
+from cassoc.pentagon import L4_MODEL, QuotientReducer, _l4_relations
 
 
 def test_bernoulli_values():
@@ -102,6 +102,17 @@ def test_rational_serialization():
     assert parse_rational("-4") == F(-4)
 
 
+def test_parse_rational_takes_only_signed_digit_fractions():
+    assert [parse_rational(t) for t in ("+6/4", " -0012 ", "0\n")] == [F(3, 2), -12, 0]
+    # a decimal point, an exponent (Fraction would build 10**exp), an underscore,
+    # a non-ASCII digit, a sign after the slash or spaces inside
+    for text in ("1.5", "1e3", "1e999999999", "1_000", "\u0663", "1/-2", "- 1", "3/ 4", "/2", "1/", "", "0x10"):
+        with pytest.raises(ValueError, match="p/q"):
+            parse_rational(text)
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational(" +06/00 ")
+
+
 def test_bad_inputs():
     with pytest.raises(ValueError):
         bernoulli(-1)
@@ -136,28 +147,24 @@ def _in_three_threads(fn) -> list:
 
 
 def test_caches_fill_safely_from_three_threads(monkeypatch):
-    # _BERN is published whole; a reducer publishes a degree's pivot rows last,
-    # and those are what its readers test for, and its relation module whole
+    # _BERN is published whole; a reducer publishes its relation module whole,
+    # and each memoised normal form of a term is built in locals and stored whole
     want = [bernoulli(n) for n in range(161)]
     for _ in range(3):
         monkeypatch.setattr(exact, "_BERN", [F(1), F(-1, 2)])
         assert _in_three_threads(lambda: bernoulli(160)) == [want[160]] * 3
         assert exact._BERN == want
-    red = l4_reducer()
-    x = L4_MODEL.long_commutator([2, 0, 5, 1, 3, 4, 1])
+    elems = [L4_MODEL.long_commutator(w) for w in ([2, 0, 5, 1, 3, 4, 1], [5, 4, 3, 2, 1, 0, 1, 2], [1, 0, 2, 3, 0, 4])]
+    single = QuotientReducer(L4_MODEL, _l4_relations())
     fresh = QuotientReducer(L4_MODEL, _l4_relations())
 
-    def fill():
-        for d in range(2, 8):
-            fresh._build(d)
-        return fresh.relation_module(), [fresh.dimension(d) for d in range(2, 8)], fresh.reduce(x)
+    def fill(red):
+        return red.relation_module(), [red.dimension(d) for d in range(2, 8)], [red.reduce(x) for x in elems]
 
-    for d in range(2, 8):
-        red._build(d)
-    got = _in_three_threads(fill)
-    assert got == [(red.relation_module(), [red.dimension(d) for d in range(2, 8)], red.reduce(x))] * 3
-    assert fresh._module == red.relation_module()
-    assert all(fresh._rows[d] == red._rows[d] for d in range(2, 8))
+    got = _in_three_threads(lambda: fill(fresh))
+    assert got == [fill(single)] * 3
+    assert fresh._module[:2] == single.relation_module()
+    assert fresh._module[2]._memo == single._module[2]._memo
     # the pentagon ladders are built in locals and published by one rebinding
     alpha = AlphaTable({(k, l): F(k + 1, l + 2) for k in range(9) for l in range(9 - k)}, 8)
     degrees = (4, 5, 10, 7, 2)

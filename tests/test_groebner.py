@@ -1,6 +1,6 @@
 from fractions import Fraction as F
 
-from cassoc.groebner import groebner_basis, hilbert_numerator, index_into, module_reduce, s_vector, standard_count
+from cassoc.groebner import NormalForm, groebner_basis, hilbert_numerator, s_vector, standard_count
 
 # two variables x > y; one component unless a test says otherwise
 X2, XY, Y2, Y3 = (2, 0), (1, 1), (0, 2), (0, 3)
@@ -25,12 +25,18 @@ def test_s_vector_adds_the_missing_lead():
         assert counts == [1, 2, 1, 0, 0, 0]
         assert {(Y3, 0): 1} in basis
         assert all(g[max(g)] == 1 for g in basis)
-        index: dict = {}
-        for g in basis:
-            index_into(index, g)
-        assert module_reduce(s_vector(basis[0], basis[1]), index) == {}
-        assert module_reduce({((3, 0), 0): 1}, index) == {}  # x^3 = x y^2 = 0
-        assert module_reduce({((0, 2), 0): 7}, index) == {((0, 2), 0): 7}
+        normal_form = NormalForm(basis)
+        assert normal_form(s_vector(basis[0], basis[1])) == {}
+        assert normal_form({((3, 0), 0): 1}) == {}  # x^3 = x y^2 = 0
+        assert normal_form({((0, 2), 0): 7}) == {((0, 2), 0): 7}
+
+
+def test_normal_form_forgets_its_memo_when_a_vector_is_filed():
+    normal_form = NormalForm([{(X2, 0): 1, (Y2, 0): -1}])  # x^2 = y^2
+    x3 = {((3, 0), 0): 2, (XY, 0): F(1, 2)}
+    assert normal_form(x3) == {((1, 2), 0): 2, (XY, 0): F(1, 2)}
+    normal_form.file({(XY, 0): 1})  # now x y = 0 too, so x^3 = x y^2 = 0
+    assert normal_form(x3) == {}
 
 
 def test_components_do_not_mix():

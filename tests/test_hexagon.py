@@ -408,6 +408,23 @@ def test_alpha_table_serialization():
     assert tab.is_symmetric()
 
 
+def test_repeated_records_are_rejected():
+    # two records of one coefficient are an error, not a sum or the last one kept
+    from cassoc.zeta import ThetaRing
+
+    for ring in (QQ, ThetaRing(5)):
+        for coeffs in (["1/3", "1/3"], ["0", "0"], ["1", "-1"]):
+            records = [{"k": 0, "l": 0, "coeff": c} for c in coeffs]
+            with pytest.raises(ValueError, match=r"\(0, 0\) appear twice"):
+                AlphaTable.from_json(json.dumps({"truncation_order": 2, "alpha": records}), ring)
+        for name in ("beta", "beta_tilde"):
+            with pytest.raises(ValueError, match=f"{name} lists an"):
+                ParamSet.from_json(json.dumps({name: [[3, 1, "1/3"], [3, 1, "2/3"]]}), ring)
+    table = AlphaTable.from_json(json.dumps({"truncation_order": 2, "alpha": [
+        {"k": 0, "l": 0, "coeff": "1/3"}, {"k": 1, "l": 0, "coeff": "0"}, {"k": 0, "l": 1, "coeff": "1/3"}]}))
+    assert table.alpha == {(0, 0): F(1, 3), (0, 1): F(1, 3)}
+
+
 def test_paramset_validation():
     with pytest.raises(ValueError):
         ParamSet(beta={(3, 0): F(1)})  # the spine is not a free parameter

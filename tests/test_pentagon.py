@@ -1,9 +1,11 @@
 import hashlib
 import random
+import sys
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from echelon_oracle import EchelonReducer, l3_oracle, l4_oracle
 
 from cassoc import groebner, linalg, pentagon, verify
 from cassoc.cbh import ModelElement
@@ -203,10 +205,10 @@ def test_l4_dimensions_bound():
         assert report[d]["dimension"] == 5 * (d - 1)
 
 
-def test_relation_rows_match_bracket_chains(red):
+def test_relation_rows_match_bracket_chains():
     rels = _l4_relations()
     for degree in range(2, 8):
-        rows = list(red._relation_rows(degree))
+        rows = list(l4_oracle()._relation_rows(degree))
         expected = [
             L4_MODEL.mono_mult(rel, {s: e for s, e in enumerate(mono) if e})[1]
             for mono in _monomials(6, degree - 2)
@@ -215,10 +217,11 @@ def test_relation_rows_match_bracket_chains(red):
         assert rows == expected, degree
 
 
-def test_pivot_rows_are_integral_and_monic(red):
+def test_pivot_rows_are_integral_and_monic():
+    oracle = l4_oracle()
     for d in range(2, 11):
-        red._build(d)
-        for col, row in red._rows[d].items():
+        oracle._build(d)
+        for col, row in oracle._rows[d].items():
             assert min(row) == col and row[col] == 1
             assert all(type(v) is int for v in row.values())
 
@@ -227,7 +230,7 @@ def test_reducer_with_non_unit_pivots():
     m = L3_MODEL
     a, b, c = (m.letter(i) for i in range(3))
     rels = [m.sub(m.scale(m.bracket(a, b), 2), m.bracket(b, c)), m.sub(m.bracket(b, c), m.bracket(c, a))]
-    red = QuotientReducer(m, rels)
+    red, oracle = QuotientReducer(m, rels), EchelonReducer(m, rels)
     for d in range(2, 7):
         keys = m.basis_keys(d)
         multiples = [
@@ -236,18 +239,12 @@ def test_reducer_with_non_unit_pivots():
             for rel in rels
         ]
         _, pivots = rref([[elem[1].get(k, F(0)) for k in keys] for elem in multiples])
-        red._build(d)
-        assert red.dimension(d) == len(keys) - len(pivots) == len(red._keys[d]) - len(red._rows[d]) == d - 1
+        assert red.dimension(d) == len(keys) - len(pivots) == oracle.echelon_dimension(d) == d - 1
         for elem in multiples:
-            assert red.is_zero(elem)
-        assert any(v.denominator > 1 for row in red._rows[d].values() for v in row.values())
+            assert red.is_zero(elem) and oracle.is_zero(elem)
+        assert any(v.denominator > 1 for row in oracle._rows[d].values() for v in row.values())
     coords = red.reduce(m.bracket(a, m.bracket(a, b)))[3]
     assert coords and all(type(v) is F for v in coords.values())
-
-
-def _echelon_dimension(red, d):
-    red._build(d)
-    return len(red._keys[d]) - len(red._rows[d])
 
 
 def _non_unit_l3_relations():
@@ -257,20 +254,21 @@ def _non_unit_l3_relations():
 
 
 def test_groebner_dimensions_match_the_echelon():
-    for red in (l4_reducer(), l3_reducer()):
+    for red, oracle in ((l4_reducer(), l4_oracle()), (l3_reducer(), l3_oracle())):
         for d in range(2, 11):
-            assert red.dimension(d) == _echelon_dimension(red, d), (red.model.n, d)
-    red = QuotientReducer(L3_MODEL, _non_unit_l3_relations())
-    assert [red.dimension(d) for d in range(2, 11)] == [_echelon_dimension(red, d) for d in range(2, 11)]
+            assert red.dimension(d) == oracle.echelon_dimension(d), (red.model.n, d)
+    red, oracle = (cls(L3_MODEL, _non_unit_l3_relations()) for cls in (QuotientReducer, EchelonReducer))
+    assert [red.dimension(d) for d in range(2, 11)] == [oracle.echelon_dimension(d) for d in range(2, 11)]
 
 
 def test_groebner_dimensions_match_the_echelon_with_one_relation_dropped():
     rels = _l4_relations()
     for drop in range(len(rels)):
-        red = QuotientReducer(L4_MODEL, rels[:drop] + rels[drop + 1:])
+        kept = rels[:drop] + rels[drop + 1:]
+        red, oracle = QuotientReducer(L4_MODEL, kept), EchelonReducer(L4_MODEL, kept)
         dims = [red.dimension(d) for d in range(2, 8)]
         assert dims == ([5, 12, 18, 24, 30, 36] if drop < 3 else [5, 13, 21, 30, 40, 51]), drop
-        assert dims == [_echelon_dimension(red, d) for d in range(2, 8)], drop
+        assert dims == [oracle.echelon_dimension(d) for d in range(2, 8)], drop
 
 
 def test_groebner_basis_certificate():
@@ -283,16 +281,13 @@ def test_groebner_basis_certificate():
     for red in reducers:
         basis, _ = red.relation_module()
         assert all(g[max(g)] == 1 for g in basis)
-        index: dict = {}
-        for g in basis:
-            groebner.index_into(index, g)
+        normal_form = groebner.NormalForm(basis)
         for f, g in combinations(basis, 2):
             if max(f)[1] == max(g)[1]:
-                assert groebner.module_reduce(groebner.s_vector(f, g), index) == {}
+                assert normal_form(groebner.s_vector(f, g)) == {}
         # every generator lies in the module the basis generates
         for vec in pentagon._jacobi_vectors(red.model.n) + red._core_vectors():
-            assert groebner.module_reduce(vec, index) == {}
-        assert not red._rows  # no echelon was built
+            assert normal_form(vec) == {}
 
 
 def test_jacobi_vectors_alone_count_the_normal_form_keys():
@@ -312,7 +307,6 @@ def test_dimensions_follow_the_closed_forms_to_degree_40():
         assert l4.dimension(d) == 5 * (d - 1), d
     for d in range(2, 41):
         assert l3.dimension(d) == d - 1, d
-    assert not l4._rows and not l3._rows
 
 
 def test_malformed_relations_are_rejected():
@@ -323,8 +317,9 @@ def test_malformed_relations_are_rejected():
         with pytest.raises(ValueError, match="brackets of two letters"):
             QuotientReducer(m, [m.bracket(b, c), rel])
     # a zero relation is accepted and relates nothing
-    red = QuotientReducer(m, [m.zero(), m.sub(m.bracket(a, b), m.bracket(a, b))] + pentagon._l3_relations())
-    assert [red.dimension(d) for d in range(2, 6)] == [_echelon_dimension(red, d) for d in range(2, 6)] == [1, 2, 3, 4]
+    rels = [m.zero(), m.sub(m.bracket(a, b), m.bracket(a, b))] + pentagon._l3_relations()
+    red, oracle = QuotientReducer(m, rels), EchelonReducer(m, rels)
+    assert [red.dimension(d) for d in range(2, 6)] == [oracle.echelon_dimension(d) for d in range(2, 6)] == [1, 2, 3, 4]
 
 
 def test_letters_outside_the_model_are_rejected():
@@ -405,11 +400,10 @@ def test_reducer_degree_bound_error():
         dimension_report(4, "L5bar")
 
 
-def _random_element(rng, degree, terms=4):
-    m = L4_MODEL
+def _random_element(rng, degree, terms=4, m=L4_MODEL):
     el = m.zero()
     for _ in range(terms):
-        w = [rng.randrange(6) for _ in range(degree)]
+        w = [rng.randrange(m.n) for _ in range(degree)]
         el = m.add(el, m.scale(m.long_commutator(w), F(rng.randint(-5, 5), rng.randint(1, 4))))
     return el
 
@@ -419,19 +413,79 @@ def _random_asymmetric_table(rng, order):
     return AlphaTable(coeffs, order)
 
 
-def test_reduced_coordinates_digest(red):
-    # canonical coordinates do not depend on how the pivot rows were built
+def _digest_elements():
+    """The L4bar elements whose echelon coordinates the digest pins."""
     rng = random.Random(8)
     elems = [elem for _, elem in identity_suite(2, 2)]
     elems.append(pentagon_residual(_random_asymmetric_table(rng, 6), 8))
     elems += [_random_element(rng, degree) for degree in range(3, 9)]
+    return elems
+
+
+def test_reduced_coordinates_digest():
+    # the echelon's canonical coordinates do not depend on how the pivot rows were built
+    oracle = l4_oracle()
     text = repr([
-        sorted((d, sorted((key, str(c)) for key, c in coords.items())) for d, coords in red.reduce(e).items())
-        for e in elems
+        sorted((d, sorted((key, str(c)) for key, c in coords.items())) for d, coords in oracle.reduce(e).items())
+        for e in _digest_elements()
     ])
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "fd23b7acabab2f6d8549cf220082cc31017d5f9c6904bcf304832a09dcded351"
     )
+
+
+def _change_of_basis(red, oracle, d):
+    """T_d: the echelon coordinates of each standard monomial of ``red`` at
+    letter degree d, checked to be a basis of the quotient there."""
+    table = {}
+    for key in red.model.basis_keys(d):
+        unit = ({}, {key: 1})
+        if red.reduce(unit) == {d: {key: 1}}:
+            table[key] = oracle.reduce(unit).get(d, {})
+    keys = sorted({key for coords in table.values() for key in coords})
+    assert len(table) == red.dimension(d) == len(keys) == len(rref([[c.get(k, 0) for k in keys] for c in table.values()])[1])
+    return table
+
+
+def _through(table, coords):
+    """T_d applied to the coordinates of one degree."""
+    out: dict = {}
+    for key, c in coords.items():
+        for okey, v in table[key].items():
+            out[okey] = out.get(okey, 0) + c * v
+    return {key: c for key, c in out.items() if c}
+
+
+def test_reduce_agrees_with_the_echelon_through_a_change_of_basis():
+    # oracle(x) = T_d . reduce(x) degree by degree, T_d fixed per degree
+    rng = random.Random(19)
+    l3_elems = [_random_element(rng, degree, m=L3_MODEL) for degree in range(2, 11)]
+    a, b = L3_MODEL.letter(0), L3_MODEL.letter(1)
+    l3_elems += [L3_MODEL.ad(a, k, L3_MODEL.ad(b, 6 - k, L3_MODEL.bracket(a, b))) for k in range(7)]
+    non_unit = _non_unit_l3_relations()
+    cases = [
+        (l4_reducer(), l4_oracle(), _digest_elements()),
+        (l3_reducer(), l3_oracle(), l3_elems),
+        (QuotientReducer(L3_MODEL, non_unit), EchelonReducer(L3_MODEL, non_unit), l3_elems),
+    ]
+    for red, oracle, elems in cases:
+        tables = {d: _change_of_basis(red, oracle, d) for d in range(2, 11)}
+        for elem in elems:
+            mapped = {d: _through(tables[d], coords) for d, coords in red.reduce(elem).items()}
+            assert {d: coords for d, coords in mapped.items() if coords} == oracle.reduce(elem)
+
+
+def test_degree_16_reduces_under_the_default_recursion_limit():
+    family = pentagon_residual(AlphaTable.from_series(family_I(14)), 16)
+    asymmetric = pentagon_residual(AlphaTable({(0, 14): F(1)}, 14), 16)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        red = QuotientReducer(L4_MODEL, _l4_relations())  # a cold memo
+        assert red.reduce(family) == {}
+        assert set(red.reduce(asymmetric)) == {16}
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_pentagon_columns_give_every_residual(red):
@@ -454,7 +508,16 @@ def test_pentagon_check_rejects_short_table():
 
 
 def test_pentagon_columns_digest():
-    columns = pentagon_columns(10)
+    # the echelon's coordinates of every column's element, and the columns map onto them
+    ladders = pentagon._pentagon_ladders(10)
+    oracle, red = l4_oracle(), l4_reducer()
+    columns = {
+        d: [
+            oracle.reduce(pentagon._combination((sign, ladder[k, d - 2 - k]) for sign, ladder in ladders)).get(d, {})
+            for k in range(d - 1)
+        ]
+        for d in range(2, 11)
+    }
     text = repr([
         [sorted((key, str(c)) for key, c in col.items()) for col in columns[d]]
         for d in range(2, 11)
@@ -462,6 +525,9 @@ def test_pentagon_columns_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "7a0ed75c4c69f065f86a5ecd59b1887a4ce74899bd7516970a7a4dfdf8c49ae7"
     )
+    for d, cols in pentagon_columns(10).items():
+        table = _change_of_basis(red, oracle, d)
+        assert [_through(table, col) for col in cols] == columns[d], d
 
 
 def test_pentagon_columns_are_residuals_of_unit_tables(red):

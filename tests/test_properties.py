@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 from math import comb
+from operator import le
 
 import pytest
 
@@ -92,9 +93,12 @@ def test_reduce_is_linear_idempotent_and_avoids_pivots(x_spec, y_spec, q):
     assert red.reduce(m.add(x, m.scale(y, q))) == _combine(rx, ry, q)
     lifted = ({}, {key: c for coords in rx.values() for key, c in coords.items()})
     assert red.reduce(lifted) == rx
-    for d, coords in rx.items():
-        pivots = red._rows[d]
-        assert not any(red._cols[d][key] in pivots for key in coords)
+    # every coordinate sits on a standard monomial: no lead of the basis divides it
+    leads = [max(g) for g in red.relation_module()[0]]
+    for coords in rx.values():
+        for i, j, mono in coords:
+            p = red._pos[i, j]
+            assert not any(lp == p and all(map(le, lmono, mono)) for lmono, lp in leads)
 
 
 # scalars whose denominators are far beyond any the pivot rows or terms carry
@@ -181,8 +185,11 @@ def test_theta_json_round_trip(p):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, len(THETA.gens) - 1), st.integers(1, MAX_EXPONENT), st.integers(1, MAX_EXPONENT))
-def test_theta_product_overflow_raises_and_never_carries(slot, a, b):
+@given(st.integers(0, len(THETA.gens) - 1), st.integers(1, MAX_EXPONENT), st.integers(-2, 2))
+def test_theta_product_overflow_raises_and_never_carries(slot, a, over):
+    # exponents that sum to MAX_EXPONENT + over: the cases over > 0 overflow
+    b = MAX_EXPONENT + over - a
+    assume(1 <= b <= MAX_EXPONENT)
     n = len(THETA.gens)
     e1 = tuple(a if i == slot else 1 for i in range(n))
     e2 = tuple(b if i == slot else 1 for i in range(n))

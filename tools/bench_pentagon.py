@@ -3,24 +3,31 @@
     python3 tools/bench_pentagon.py --src src --column change --out BENCH.json
     python3 tools/bench_pentagon.py --src ../parent/src --column parent --out BENCH.json
 
-Stages, in order: ``QuotientReducer.dimension(d)``, d = 1..10, on fresh
-L4bar and L3bar reducers, what ``cassoc pentagon dims --degree 10`` computes
-for both variants (``dims_10``); the cold L4bar echelon build to letter
-degree 8 (``build_d8``);
-the five ladders of ``pentagon._PENTAGON`` to degree 8 (``ladders``: the
-ladder cache where the checkout has one, else the five ``_ladder`` calls);
-one ``pentagon_residual`` of a seeded asymmetric table (``residual``) and its
-``reduce`` (``reduce``); ``pentagon_check`` at degree 8 on family I and 24
-seeded tables, 12 symmetric and 12 with one asymmetric coefficient changed
-(``checks_25``); the L4bar build of degrees 9 and 10 (``build_d9_d10``);
-``pentagon_columns(10)`` (``columns_10``); and the echelon builds of degrees
-11 and 12, whose non-pivot column counts must equal ``dimension(d)``, else the
-run fails (``oracle_d11_d12``).  The builds call ``QuotientReducer._build``,
-so they time the echelon in any checkout.  ``bench_harness`` runs the
-repeats, each in a new interpreter that pays the cold build, and writes the
-stage medians into one column of ``--out``; the digest it compares and
-records is the sha256 of every output (the dimensions, the reduced residual,
-the 25 check results and the columns).
+Path stages, in order of their first run: ``QuotientReducer.dimension(d)``,
+d = 1..10, on fresh L4bar and L3bar reducers, what ``cassoc pentagon dims
+--degree 10`` computes for both variants (``dims_10``); the five ladders of
+``pentagon._PENTAGON`` to degree 8 (``ladders``); one ``pentagon_residual``
+of a seeded asymmetric table (``residual``) and its ``reduce`` on the cold
+``l4_reducer()`` (``reduce``); ``pentagon_check`` on family I and 24 seeded
+tables, 12 symmetric and 12 with one asymmetric coefficient changed, at
+letter degrees 8, 12 and 16 (``checks_25``, ``checks_25_d12``,
+``checks_25_d16``); and ``pentagon_columns`` at 10, 12 and 16
+(``columns_10``, ``columns_12``, ``columns_16``).
+
+Oracle stages time the per-degree row echelon of the relation rows on a
+reducer of its own: its build to degree 8 (``build_d8``), of degrees 9 and
+10 (``build_d9_d10``), and of degrees 11 and 12, whose non-pivot column
+counts must equal ``dimension(d)``, else the run fails (``oracle_d11_d12``).
+The echelon is ``EchelonReducer`` from ``tests/echelon_oracle.py`` beside
+``--src``; in a checkout without that file it is ``QuotientReducer``'s own
+``_build``.  ``bench_harness`` runs the repeats, each in a new interpreter
+that pays every cold build, and writes the stage medians into one column of
+``--out``.  The digest it compares and records covers only outputs that no
+choice of coordinates changes: the dimensions, the degrees where the reduced
+residual and each check are nonzero, and, per degree of each columns stage,
+whether c_{d-2-k} = -c_k for every k and the rank of the first
+floor((d-1)/2) columns.  So checkouts that reduce to different coordinates
+still record one digest.
 """
 
 from __future__ import annotations
@@ -32,13 +39,22 @@ from bench_harness import main
 DEGREE = 8
 COLUMNS_DEGREE = 10
 SEED = 11
+HIGH_DEGREES = "12,16"
 
 CHILD = """
-import hashlib, json, random, sys, time
+import hashlib, json, os, random, sys, time
 from fractions import Fraction
-sys.path.insert(0, sys.argv[1])
-from cassoc import hexagon, pentagon
+src = sys.argv[1]
+sys.path.insert(0, src)
+from cassoc import hexagon, linalg, pentagon
 N, NC, seed = (int(a) for a in sys.argv[2:5])
+high = [int(a) for a in sys.argv[5].split(",")]
+tests = os.path.join(os.path.dirname(src), "tests")
+if os.path.exists(os.path.join(tests, "echelon_oracle.py")):
+    sys.path.insert(0, tests)
+    from echelon_oracle import EchelonReducer as Echelon
+else:
+    Echelon = pentagon.QuotientReducer
 times = {}
 
 def timed(name, fn):
@@ -57,56 +73,69 @@ def symmetric(rng, order):
             coeffs[k, l] = coeffs[l, k] = rational(rng)
     return coeffs
 
-def text(coords):
-    return sorted((key, str(c)) for key, c in coords.items())
+def tables(rng, order):
+    out = [hexagon.AlphaTable.from_series(hexagon.family_I(order))]
+    for _ in range(12):
+        sym = symmetric(rng, order)
+        bad = dict(sym)
+        k = rng.randint(0, (order - 1) // 2)
+        bad[k, rng.randint(k + 1, order - k)] += Fraction(1, rng.randint(1, 5))
+        out += [hexagon.AlphaTable(sym, order), hexagon.AlphaTable(bad, order)]
+    return out
+
+def checks(degree, tabs):
+    return [sorted(d for d, n in pentagon.pentagon_check(t, degree).items() if n) for t in tabs]
+
+def criterion_7(columns):
+    out = []
+    for d, cols in sorted(columns.items()):
+        antisymmetric = all(cols[d - 2 - k] == {key: -c for key, c in col.items()} for k, col in enumerate(cols))
+        half = (d - 1) // 2
+        keys = sorted({key for col in cols[:half] for key in col})
+        _, pivots = linalg.rref([[col.get(key, 0) for key in keys] for col in cols[:half]])
+        out.append((d, antisymmetric, len(pivots)))
+    return out
 
 rng = random.Random(seed)
-order = N - 2
-tables = [hexagon.AlphaTable.from_series(hexagon.family_I(order))]
-for _ in range(12):
-    sym = symmetric(rng, order)
-    bad = dict(sym)
-    k = rng.randint(0, (order - 1) // 2)
-    bad[k, rng.randint(k + 1, order - k)] += Fraction(1, rng.randint(1, 5))
-    tables += [hexagon.AlphaTable(sym, order), hexagon.AlphaTable(bad, order)]
+tabs = tables(rng, N - 2)
 asym = hexagon.AlphaTable(
-    {(k, l): rational(rng) for k in range(order + 1) for l in range(order + 1 - k)}, order)
+    {(k, l): rational(rng) for k in range(N - 1) for l in range(N - 1 - k)}, N - 2)
+high_tabs = {n: tables(rng, n - 2) for n in high}
 
 def fresh_dims():
     fresh = (pentagon.QuotientReducer(pentagon.L4_MODEL, pentagon._l4_relations()),
              pentagon.QuotientReducer(pentagon.L3_MODEL, pentagon._l3_relations()))
     return [[r.dimension(d) for d in range(1, NC + 1)] for r in fresh]
 
+echelon = Echelon(pentagon.L4_MODEL, pentagon._l4_relations())
+
 def oracle():
     dims = {}
     for d in (NC + 1, NC + 2):
-        red._build(d)
-        dims[d] = (red.dimension(d), len(red._keys[d]) - len(red._rows[d]))
+        echelon._build(d)
+        dims[d] = (red.dimension(d), len(echelon._keys[d]) - len(echelon._rows[d]))
         if dims[d][0] != dims[d][1]:
             raise SystemExit(f"degree {d}: dimension {dims[d][0]} != echelon {dims[d][1]}")
     return dims
 
 dims = timed("dims_10", fresh_dims)
 red = pentagon.l4_reducer()
-timed("build_d8", lambda: [red._build(d) for d in range(2, N + 1)])
-cache = getattr(pentagon, "_pentagon_ladders", None)
-timed("ladders", lambda: cache(N) if cache else [pentagon._ladder(u, w, N) for _, u, w in pentagon._PENTAGON])
+timed("build_d8", lambda: [echelon._build(d) for d in range(2, N + 1)])
+timed("ladders", lambda: pentagon._pentagon_ladders(N))
 residual = timed("residual", lambda: pentagon.pentagon_residual(asym, N))
 reduced = timed("reduce", lambda: red.reduce(residual))
-norms = timed("checks_25", lambda: [pentagon.pentagon_check(t, N) for t in tables])
-timed("build_d9_d10", lambda: [red._build(d) for d in range(N + 1, NC + 1)])
-columns = timed("columns_10", lambda: pentagon.pentagon_columns(NC))
-oracle_dims = timed("oracle_d11_d12", oracle)
-outputs = repr([
-    dims,
-    oracle_dims,
-    sorted((d, text(part)) for d, part in reduced.items()),
-    norms,
-    [[text(col) for col in columns[d]] for d in sorted(columns)],
-])
-print(json.dumps({"times": times, "outputs_sha256": hashlib.sha256(outputs.encode()).hexdigest()}))
+outputs = [dims, sorted(reduced), timed("checks_25", lambda: checks(N, tabs))]
+timed("build_d9_d10", lambda: [echelon._build(d) for d in range(N + 1, NC + 1)])
+outputs.append(criterion_7(timed("columns_10", lambda: pentagon.pentagon_columns(NC))))
+outputs.append(timed("oracle_d11_d12", oracle))
+for n in high:
+    outputs.append(timed(f"checks_25_d{n}", lambda: checks(n, high_tabs[n])))
+    outputs.append(criterion_7(timed(f"columns_{n}", lambda: pentagon.pentagon_columns(n))))
+print(json.dumps({"times": times, "outputs_sha256": hashlib.sha256(repr(outputs).encode()).hexdigest()}))
 """
 
 
 if __name__ == "__main__":
-    sys.exit(main(__doc__, CHILD, {"degree": DEGREE, "columns_degree": COLUMNS_DEGREE, "seed": SEED}))
+    sys.exit(main(__doc__, CHILD, {
+        "degree": DEGREE, "columns_degree": COLUMNS_DEGREE, "seed": SEED, "high_degrees": HIGH_DEGREES,
+    }))
