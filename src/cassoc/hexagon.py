@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 from . import linalg
 from .cbh import ModelElement, hausdorff_in_l3
-from .exact import bernoulli, gamma_coefficients
+from .exact import bernoulli, clear_denominators, gamma_coefficients
 from .series import QQ, BiSeries, UniSeries, exp_linear, standard_series
 
 __all__ = [
@@ -414,8 +414,8 @@ _LOOKAHEAD = 3  # degrees solved past N; see solve_degreewise
 
 
 def _operator_slice(k: int, l: int, d: int) -> list:
-    """slice_d L(E_kl) (see ``solve_degreewise``) as the coefficients of
-    lam^i mu^(d-i), i = 0..d."""
+    """d! * slice_d L(E_kl) (see ``solve_degreewise``) as the int coefficients
+    of lam^i mu^(d-i), i = 0..d."""
     s = d - k - l
     col = [0] * (d + 1)
     for a, b in {(k, l), (l, k)}:
@@ -425,8 +425,8 @@ def _operator_slice(k: int, l: int, d: int) -> list:
             c = (-1) ** b * comb(b, i)  # rho^b = sum_i c lam^i mu^(b-i)
             col[i] += c  # mu^s mu^a lam^i mu^(b-i)
             col[s + a + i] += (-1) ** s * c  # (-lam)^s lam^a lam^i mu^(b-i)
-    fact = factorial(s)
-    return [Fraction(x, fact) for x in col]
+    scale = factorial(d) // factorial(s)
+    return [x * scale for x in col]
 
 
 def solve_degreewise(N: int) -> dict:
@@ -463,31 +463,43 @@ def solve_degreewise(N: int) -> dict:
     evaluated once, at the horizon; ``residual_15b`` is not called here: it
     checks the solver's output instead.
 
+    The sweep is fraction-free.  Every form is held as int numerators over
+    one denominator D shared by all forms, so an unknown's value is
+    numerator / D.  Degree d's slices are scaled by d! (``_operator_slice``)
+    and its right side by the lcm L of its denominators, so each row is the
+    exact row times L * D * d!, all ints, and ``linalg.rref_int`` eliminates
+    it.  A pivot row with pivot p gives its unknown over p; the forms take
+    the substitution over P, the lcm of the pivots, so D becomes D * P, and
+    then every numerator and D are divided by their common gcd.  Only the
+    report builds Fractions.
+
     Returns a report with the canonical table (all live unknowns set to
     zero), per-degree solution-space dimensions, the free-parameter census
     they must match, and the kernel directions in the unknown basis.
     """
     horizon = N + _LOOKAHEAD
     rhs = _rhs_15b(horizon)
-    forms: dict = {}  # (k, l), k <= l -> {None: constant, live unknown: coeff}
+    forms: dict = {}  # (k, l), k <= l -> {None: constant, live unknown: coeff}, numerators over den
+    den = 1
     live: list = []  # by degree, then k
     for d in range(0, horizon + 1):
         new = [(k, d - k) for k in range(0, d // 2 + 1)]
         for u in new:
-            forms[u] = {u: Fraction(1)}
+            forms[u] = {u: den}
         cols = new + live[::-1]  # the older live unknowns newest first
         where = {u: j for j, u in enumerate(cols)}
         where[None] = len(cols)
-        rows = [[Fraction(0)] * len(cols) + [-rhs.coeffs.get((i, d - i), Fraction(0))] for i in range(d + 1)]
+        rhs_den, rhs_num = clear_denominators({i: rhs.coeffs.get((i, d - i), 0) for i in range(d + 1)})
+        scale = den * factorial(d)
+        matrix = [[0] * (d + 1) for _ in cols] + [[-rhs_num[i] * scale for i in range(d + 1)]]  # by column
         for (k, l), form in forms.items():
             col = _operator_slice(k, l, d)
             for key, c in form.items():
                 j = where[key]
-                for row, x in zip(rows, col):
-                    if x:
-                        row[j] += c * x
-        red, pivots = linalg.rref(rows)
-        dead: dict = {}
+                c *= rhs_den
+                matrix[j] = [a + c * x for a, x in zip(matrix[j], col)]
+        red, pivots = linalg.rref_int(list(zip(*matrix)))
+        dead: dict = {}  # eliminated unknown -> (pivot, its form: numerators over the pivot)
         for row, pc in zip(red, pivots):
             if pc == len(cols):
                 raise ArithmeticError(f"inconsistent system at degree {d}")
@@ -496,21 +508,28 @@ def solve_degreewise(N: int) -> dict:
             for j in range(pc + 1, len(cols)):
                 if row[j]:
                     form[cols[j]] = -row[j]
-            dead[cols[pc]] = form
-        for u, form in forms.items():
-            if any(key in dead for key in form):
+            dead[cols[pc]] = (row[pc], form)
+        if dead:
+            lcm_p = lcm(*(p for p, _ in dead.values()))
+            subs = {u: {key: c * (lcm_p // p) for key, c in form.items()} for u, (p, form) in dead.items()}
+            for u, form in forms.items():
                 out: dict = {}
                 for key, c in form.items():
-                    for k2, c2 in dead.get(key, {key: Fraction(1)}).items():
-                        out[k2] = out.get(k2, Fraction(0)) + c * c2
+                    for k2, c2 in subs.get(key, {key: lcm_p}).items():
+                        out[k2] = out.get(k2, 0) + c * c2
                 forms[u] = {k2: c2 for k2, c2 in out.items() if c2 or k2 is None}
+            den *= lcm_p
+            g = gcd(den, *(c for form in forms.values() for c in form.values()))
+            if g > 1:
+                den //= g
+                forms = {u: {key: c // g for key, c in form.items()} for u, form in forms.items()}
         live = [u for u in live + new if u not in dead]
 
     table: dict = {}
     for (k, l), form in forms.items():
-        val = form.get(None, Fraction(0))
+        val = form.get(None, 0)
         if k + l <= N and val:
-            table[(k, l)] = val
+            table[(k, l)] = val = Fraction(val, den)
             if k != l:
                 table[(l, k)] = val
     degrees = []
@@ -522,7 +541,7 @@ def solve_degreewise(N: int) -> dict:
                 "degree": d,
                 "dimension": len(free),
                 "census": free_parameter_census(d),
-                "kernel": [[forms[w].get(u, Fraction(0)) for w in unknowns] for u in free],
+                "kernel": [[Fraction(forms[w].get(u, 0), den) for w in unknowns] for u in free],
                 "unknowns": unknowns,
             }
         )

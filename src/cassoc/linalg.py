@@ -1,16 +1,22 @@
-"""Dense exact Gaussian elimination over Fractions for small systems.
+"""Dense exact Gaussian elimination for small systems.
 
-Used by the degreewise hexagon solver and the associator-polynomial
-decompositions; matrices here have at most a few dozen rows.
+``rref_int`` is fraction-free: it eliminates an int matrix with int row
+operations only and is what the degreewise hexagon solver runs.  ``rref``
+works over Fractions and may carry ring elements in its later columns; it
+backs ``solve_exact`` (the associator-polynomial decompositions, theta-ring
+right sides included), the pentagon rank check in ``verify``, and the tests,
+where it is the oracle for ``rref_int``.  Matrices here have at most a few
+dozen rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .exact import rational, rationals
 
-__all__ = ["solve_exact", "rref"]
+__all__ = ["solve_exact", "rref", "rref_int"]
 
 
 def rref(matrix: list, pivot_bound: int | None = None) -> tuple:
@@ -46,6 +52,51 @@ def rref(matrix: list, pivot_bound: int | None = None) -> tuple:
         if r == n_rows:
             break
     return rows, pivots
+
+
+def rref_int(matrix: list) -> tuple:
+    """Fraction-free reduced row echelon form of an int matrix; returns
+    (rows, pivot_cols) with the same pivots as ``rref``.
+
+    Gauss-Jordan with int row operations only: each row is kept primitive
+    (divided by the gcd of its entries) after every step, and each pivot row
+    ends with a positive pivot.  So ``rref(matrix)``'s row r is row r divided
+    by its pivot, and the rows past the pivots are zero.  An entry that is not
+    an int (a bool or a Fraction included) is a TypeError.
+    """
+    if any(type(x) is not int for row in matrix for x in row):
+        raise TypeError("rref_int takes an int matrix")
+    rows = [_primitive(list(r)) for r in matrix]
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pr = next((i for i in range(r, n_rows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        if prow[c] < 0:
+            prow = rows[r] = [-x for x in prow]
+        pv = prow[c]
+        for i in range(n_rows):
+            f = rows[i][c]
+            if i != r and f:
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                rows[i] = _primitive([a * x - b * y for x, y in zip(rows[i], prow)])
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return rows, pivots
+
+
+def _primitive(row: list) -> list:
+    """An int row divided by the gcd of its entries (a zero row as it is)."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
 
 
 def solve_exact(matrix: list, rhs: list) -> tuple:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import cassoc
 from cassoc.cli import main
 
 
@@ -259,3 +263,13 @@ def test_verify_degree_below_pentagon_minimum(capsys, degree):
 def test_degree_below_computable_minimum(capsys, argv, low):
     err = run_usage_error(capsys, *argv)
     assert err["error"] == f"{argv[0]} degree {argv[-1]} out of bounds ({low}..16)"
+
+
+def test_python_m_cassoc_prints_what_main_prints(capsys):
+    # ``python -m cassoc`` runs cli.main on the same package the suite imports
+    src = os.path.dirname(os.path.dirname(cassoc.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["hexagon", "solve", "--degree", "8"]
+    proc = subprocess.run([sys.executable, "-m", "cassoc", *argv], capture_output=True, env=env, check=False)
+    code, out = run_cli(capsys, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), b"") and code == 0

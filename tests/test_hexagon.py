@@ -2,9 +2,11 @@ import hashlib
 import json
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
+from cassoc import hexagon
 from cassoc.golden import EXAMPLE_37_ALPHA, FAMILY_I_PRINTED, FAMILY_II_PRINTED, G_B_PARTS, T_B_PARTS
 from cassoc.hexagon import (
     AlphaTable,
@@ -343,6 +345,8 @@ def test_solver_report():
     (9, "2d4c194ddefb64d3357dd45e95cb892c6907504bf5c671263be02a0cb857b29a"),
     (12, "f4858bfe89beb0136f91d70ef9ddb67ffbcf079389aa5b60eb5ab8a80ed3df55"),
     (16, "d1b1ddd1d1545ee4a1d718c1253c6be34184b462d5e65a7cf03641bf70a42355"),
+    (20, "14b3698bfd098ba187749fd4c4c23c00bb2a417209808943c39dc40b4f368f08"),
+    (24, "1a4f1f2dfda06010b678280a0a1aa43b64760b5a3527cda0f785514e9d9e6800"),
 ])
 def test_solver_report_digest(N, digest):
     report = solve_degreewise(N)
@@ -359,7 +363,18 @@ def test_operator_slices_match_residual_differences():
             for k in range(e // 2 + 1):
                 l = e - k
                 res = residual_15b(BiSeries(QQ, {(k, l): F(1), (l, k): F(1)}, d)) - zero
-                assert _operator_slice(k, l, d) == [res.coeffs.get((i, d - i), F(0)) for i in range(d + 1)]
+                # _operator_slice is scaled by d! so that it holds ints
+                slice_d = [F(x, factorial(d)) for x in _operator_slice(k, l, d)]
+                assert slice_d == [res.coeffs.get((i, d - i), F(0)) for i in range(d + 1)]
+
+
+@pytest.mark.parametrize("key, degree", [((0, 0), 1), ((2, 1), 3), ((3, 3), 6), ((0, 6), 6)])
+def test_solver_rejects_inconsistent_right_side(monkeypatch, key, degree):
+    # a unit bump of one right-side coefficient makes some degree's system inconsistent
+    rhs_15b = hexagon._rhs_15b
+    monkeypatch.setattr(hexagon, "_rhs_15b", lambda n: rhs_15b(n) + BiSeries.monomial(QQ, *key, F(1), n))
+    with pytest.raises(ArithmeticError, match=f"^inconsistent system at degree {degree}$"):
+        solve_degreewise(4)
 
 
 @pytest.mark.parametrize("N", [8, 9])

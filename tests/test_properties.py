@@ -9,6 +9,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+from test_linalg import assert_matches_rref  # noqa: E402
+
 from cassoc.pentagon import L4_MODEL, l4_reducer  # noqa: E402
 from cassoc.series import QQ, BiSeries  # noqa: E402
 from cassoc.zeta import ThetaPoly, ThetaRing  # noqa: E402
@@ -43,6 +45,25 @@ theta_polys = theta_terms.map(_poly)
 entries = st.one_of(st.integers(-2, 2), st.fractions(min_value=-2, max_value=2, max_denominator=4))
 rows = st.one_of(st.just((0, 0)), st.tuples(entries, entries))
 rational_matrices = st.tuples(rows, rows)
+
+
+@st.composite
+def int_matrices(draw):
+    """Int matrices up to 6 x 7 with zero columns, zero rows and dependent
+    rows mixed in, shuffled so that pivots often need a row swap."""
+    n_cols = draw(st.integers(1, 7))
+    row = st.lists(st.integers(-4, 4), min_size=n_cols, max_size=n_cols)
+    matrix = draw(st.lists(row, max_size=5))
+    for c in draw(st.sets(st.integers(0, n_cols - 1), max_size=2)):
+        for r in matrix:
+            r[c] = 0
+    if matrix and draw(st.booleans()):
+        a, b = draw(st.sampled_from(matrix)), draw(st.sampled_from(matrix))
+        p, q = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        matrix.append([p * x + q * y for x, y in zip(a, b)])
+    if draw(st.booleans()):
+        matrix.append([0] * n_cols)
+    return draw(st.permutations(matrix))
 
 
 @st.composite
@@ -465,3 +486,9 @@ def test_theta_series_product_overflow_raises_and_never_carries(slot, a, over, k
         assert _terms(want[(k + l, k + l)])[tuple(x + y for x, y in zip(e1, e2))] == F(-2, 15)
         _check_ring_output(f * g, 12, want)
         _check_ring_output(g * f, 12, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices())
+def test_rref_int_matches_rref_oracle(matrix):
+    assert_matches_rref(matrix)

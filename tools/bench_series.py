@@ -3,16 +3,19 @@
     python3 tools/bench_series.py --src src --column change --out BENCH.json
     python3 tools/bench_series.py --src ../parent/src --column parent --out BENCH.json
 
-Kernel stages, on order-16 series over QQ built before the clock starts: one
-product ``c_generating_closed(16) * family_I(16)``, one
-``family_I(16).substitute_linear(_SUB_MU_RHO)`` and one ``exp_linear(1, 1, 16)``.
+Kernel stages, on order-16 series over QQ built before the clock starts,
+each the time of 20 calls, the fastest of 5 such batches, since one call
+takes only 1-3 ms and a cold one is noisy: the product
+``c_generating_closed(16) * family_I(16)``,
+``family_I(16).substitute_linear(_SUB_MU_RHO)`` and ``exp_linear(1, 1, 16)``.
 Then the stages of the ``hexagon-solve`` workload at degree 16:
 ``solve_degreewise(16)``; for families I, II, III and a fixed-seed rational
 ParamSet, ``residual_15b``, ``residual_39``, ``split_residuals`` and
 ``model_hexagon_check`` (each stage summed over the four); and ``build_f`` of
-that ParamSet.  ``bench_harness`` runs the repeats, each in a new
-interpreter, and writes the stage medians into one column of ``--out``; the
-digests it compares and records are the sha256 of every stage's output.
+that ParamSet.  Last, ``solve_degreewise`` at degrees 20 and 24.
+``bench_harness`` runs the repeats, each in a new interpreter, and writes the
+stage medians into one column of ``--out``; the digests it compares and
+records are the sha256 of every stage's output.
 """
 
 from __future__ import annotations
@@ -22,13 +25,16 @@ import sys
 from bench_harness import main
 
 DEGREE = 16
+KERNEL_CALLS = 20
+KERNEL_BATCHES = 5
+SOLVER_DEGREES = "20,24"
 
 CHILD = """
-import hashlib, json, random, sys, time
+import hashlib, json, random, sys, time, timeit
 from fractions import Fraction
 sys.path.insert(0, sys.argv[1])
 from cassoc import hexagon, series
-N = int(sys.argv[2])
+N, calls, batches = int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
 times = {}
 outputs = []
 
@@ -38,6 +44,10 @@ def timed(name, fn):
     times[name] = times.get(name, 0.0) + time.perf_counter() - t0
     outputs.append((name, out))
     return out
+
+def timed_kernel(name, fn):
+    times[name] = min(timeit.repeat(fn, number=calls, repeat=batches))
+    outputs.append((name, fn()))
 
 def text(x):
     if isinstance(x, series.BiSeries):
@@ -53,9 +63,9 @@ params = hexagon.ParamSet(
 )
 c = series.standard_series("c_generating_closed", N)
 f1 = hexagon.family_I(N)
-timed("mul", lambda: c * f1)
-timed("substitute_linear", lambda: f1.substitute_linear(hexagon._SUB_MU_RHO))
-timed("exp_linear", lambda: series.exp_linear(1, 1, N))
+timed_kernel("mul", lambda: c * f1)
+timed_kernel("substitute_linear", lambda: f1.substitute_linear(hexagon._SUB_MU_RHO))
+timed_kernel("exp_linear", lambda: series.exp_linear(1, 1, N))
 timed("solve_degreewise", lambda: hexagon.solve_degreewise(N))
 families = [f1, hexagon.family_II(N), hexagon.family_III(N), timed("build_f", lambda: hexagon.build_f(params, N))]
 for f in families:
@@ -63,6 +73,8 @@ for f in families:
     timed("residual_39", lambda: hexagon.residual_39(f))
     timed("split_residuals", lambda: hexagon.split_residuals(f))
     timed("model_hexagon_check", lambda: hexagon.model_hexagon_check(hexagon.AlphaTable.from_series(f), N + 2))
+for n in map(int, sys.argv[5].split(",")):
+    timed(f"solve_degreewise.{n}", lambda: hexagon.solve_degreewise(n))
 digests = {}
 for name, out in outputs:
     digests.setdefault(name, hashlib.sha256()).update(text(out).encode())
@@ -71,4 +83,9 @@ print(json.dumps({"times": times, "sha256": {name: h.hexdigest() for name, h in 
 
 
 if __name__ == "__main__":
-    sys.exit(main(__doc__, CHILD, {"degree": DEGREE}))
+    sys.exit(main(__doc__, CHILD, {
+        "degree": DEGREE,
+        "kernel_calls": KERNEL_CALLS,
+        "kernel_batches": KERNEL_BATCHES,
+        "solver_degrees": SOLVER_DEGREES,
+    }))
