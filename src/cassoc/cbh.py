@@ -188,35 +188,28 @@ def _nc_log(f: dict, N: int) -> dict:
     return {w: c for w, c in out.items() if c}
 
 
-def _eval_long_commutator(word: tuple, letters: tuple) -> ModelElement:
-    """Right-nested [s_1, [s_2, [... s_k]]] evaluated in the model."""
-    acc = letters[word[-1]]
-    for s in reversed(word[:-1]):
-        acc = letters[s].bracket(acc)
-        if acc.is_zero():
-            return acc
-    return acc
-
-
 def associative_log_oracle(N: int) -> ModelElement:
-    """log(exp P * exp Q) in the truncated free algebra, converted degree by
-    degree to the model through the Dynkin projection (left-bracketing / n)."""
+    """log(exp P * exp Q) in the truncated free algebra, converted to the model
+    through the Dynkin projection: a word w of length n >= 2 goes to its
+    right-nested commutator over n, which ``word_to_canonical`` reads off the
+    letter counts."""
     if N < 1:
         raise ValueError("N must be >= 1")
     h = _nc_log(_nc_mul(_nc_exp_letter(P_LETTER, N), _nc_exp_letter(Q_LETTER, N), N), N)
-    letters = _pq_letters(N)  # indexed by P_LETTER, Q_LETTER
-    total = ModelElement(0, 0, 0, BiSeries(QQ, {}, N - 2))
+    lin = [Fraction(0), Fraction(0)]  # indexed by P_LETTER, Q_LETTER
+    comm: dict = {}
     for w, c in h.items():
         n = len(w)
         if n == 0:
-            if c:
-                raise ArithmeticError("log has a constant term")
-            continue
+            raise ArithmeticError("log has a constant term")
         if n == 1:
-            total = total + letters[w[0]].scale(c)
+            lin[w[0]] += c
             continue
-        total = total + _eval_long_commutator(w, letters).scale(Fraction(c, n))
-    return total
+        mapped = word_to_canonical("".join("PQ"[s] for s in w))
+        if mapped is not None:
+            key, sign = mapped
+            comm[key] = comm.get(key, 0) + sign * c / n
+    return ModelElement(lin[Q_LETTER], lin[P_LETTER], 0, BiSeries(QQ, comm, N - 2))
 
 
 def word_to_canonical(word: str) -> tuple | None:

@@ -24,19 +24,14 @@ for both.  The hand-derived rewrite identities of the source theory are
 *checked* against this generic reduction, never assumed.
 
 The substituted pentagon is written once, as ``_PENTAGON``: five signed
-substitutions (sign, u, w) of phi.  For each, ``_ladder`` builds the brackets
-[u^k w^l u w] = (ad u)^k (ad w)^l [u, w], each one bracket away from a
-neighbour; their coefficients are ints.  The five ladders are built once per
-process, in ``_LADDERS``, to the largest degree asked for so far (a ladder to
-N is the k + l <= N - 2 prefix of any longer one).  ``pentagon_residual`` sums
-alpha over them, its denominators cleared, into one new element, and
-``pentagon_columns`` reads the columns of the pentagon map of every degree
-straight off them, since alpha[k, l] multiplies the single bracket at (k, l).
-``phi_bar_eval`` is the uncached reference, kept for the tests, which check
-``pentagon_residual`` against its sum over ``_PENTAGON``, and for perfbench.
-``QuotientReducer.reduce`` clears the denominators of what it reduces too, so
-a check after the first costs one sum and one reduction, both over ints, and
-the normal forms it memoises serve every later check.
+substitutions (sign, u, w) of phi.  The letters act on commutators as
+commuting variables, so each term sum alpha[k, l] [u^k w^l u w] is
+alpha(u, w) [u, w], the polynomial alpha in the two linear forms times the
+core.  ``pentagon_check`` and ``pentagon_columns`` expand alpha(u, w) from
+power tables of u and w, over ints, and reduce the result with its keys
+left unstraightened: the Groebner basis holds the Jacobi step.
+``pentagon_residual``, the signed sum of ``phi_bar_eval`` in model normal
+form, brackets every [u^k w^l u w] afresh; it is the tests' reference.
 ``MetabelianModel.ad`` is the one repeated-bracket primitive behind the
 section-5 identity suite.
 """
@@ -45,6 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import add
 
 from .exact import clear_denominators, rational
 from .groebner import NormalForm, groebner_basis, hilbert_numerator, standard_count
@@ -339,8 +335,9 @@ class QuotientReducer:
 
     def reduce(self, elem) -> dict:
         """Reduce every degree part of an element; returns {degree: coords}.
-        Only commutators have coordinates here, so a nonzero linear part is a
-        ValueError."""
+        A commutator key may be any (i, j, mono) with i > j, in model normal
+        form or not: it is read as the term mono * e_ij.  Only commutators
+        have coordinates here, so a nonzero linear part is a ValueError."""
         if elem[0]:
             raise ValueError("reduce takes a commutator element; this one has a linear part")
         normal_form = self._built()[2]
@@ -436,26 +433,6 @@ def _ladder(u: dict, w: dict, N: int) -> dict:
     return ladder
 
 
-# The five ladders of ``_PENTAGON`` to the largest N asked for so far, as
-# (N, ((sign, ladder), ...)).  A ladder to N is the k + l <= N - 2 prefix of
-# any longer one, so one entry serves every N up to its own.  A larger build is
-# published by one rebinding; a reader holds the tuple it read, so a thread
-# that rebinds the cache concurrently cannot change what another one reads.
-_LADDERS: tuple = (0, ())
-
-
-def _pentagon_ladders(N: int) -> tuple:
-    """((sign, ladder), ...) over ``_PENTAGON`` holding every (k, l) with
-    k + l <= N - 2 (and possibly more).  The brackets are shared: read them,
-    never mutate them."""
-    global _LADDERS
-    cached = _LADDERS
-    if cached[0] < N:
-        cached = (N, tuple((sign, _ladder(u, w, N)) for sign, u, w in _PENTAGON))
-        _LADDERS = cached
-    return cached[1]
-
-
 def _combination(terms):
     """sum q * elem over the (q, elem) pairs, in L4_MODEL, accumulated into one
     new element (the elems are only read)."""
@@ -468,62 +445,84 @@ def _combination(terms):
 
 def phi_bar_eval(alpha, u: dict, w: dict, N: int):
     """sum_{k+l <= N-2} alpha[k,l] [u^k w^l u w] for letter combinations u, w,
-    over a ladder built afresh: the uncached reference that the tests sum over
-    ``_PENTAGON`` to check ``pentagon_residual``, and that perfbench traces."""
+    in model normal form, over a ladder built afresh."""
     return _combination((alpha.coeff(k, l), br) for (k, l), br in _ladder(u, w, N).items())
 
 
 def pentagon_residual(alpha, N: int):
-    """LHS - RHS of the substituted pentagon: the signed sum of phi_bar over
-    the five terms of ``_PENTAGON``, read off the cached ladders.  The sum
-    runs over ints, with alpha's denominators cleared, and is divided by
-    their lcm once per coefficient."""
-    coeffs = {(k, l): alpha.coeff(k, l) for k in range(N - 1) for l in range(N - 1 - k)}
-    den, scaled = clear_denominators(coeffs)
-    total = _combination(
-        (sign * q, ladder[kl]) for sign, ladder in _pentagon_ladders(N) for kl, q in scaled.items()
-    )
-    return tuple({key: Fraction(v, den) for key, v in part.items()} for part in total)
+    """LHS - RHS of the substituted pentagon in model normal form: the signed
+    sum of ``phi_bar_eval`` over the five terms of ``_PENTAGON``.  The
+    reference that the tests hold ``pentagon_check``'s element to."""
+    return _combination((sign, phi_bar_eval(alpha, u, w, N)) for sign, u, w in _PENTAGON)
+
+
+def _powers(form: dict, top: int) -> list:
+    """[form^0, ..., form^top] of a linear form {letter: coeff}, as
+    polynomials {mono: coeff} in the commuting letters."""
+    table = [{(0,) * L4_MODEL.n: 1}]
+    for _ in range(top):
+        power: dict = {}
+        for mono, c in table[-1].items():
+            for s, cs in form.items():
+                key = mono[:s] + (mono[s] + 1,) + mono[s + 1:]
+                power[key] = power.get(key, 0) + c * cs
+        table.append(power)
+    return table
+
+
+def _pentagon_elements(tables: list) -> list:
+    """Per q in ``tables``, the residual sum sign * alpha(u, w) [u, w] over
+    ``_PENTAGON``, alpha(u, w) = sum q[k, l] u^k w^l, over one set of power
+    tables of u and w.  A key (i, j, mono) is the term mono * e_ij, left
+    unstraightened: the Groebner basis holds the Jacobi step, so ``reduce``
+    gives the coordinates of ``pentagon_residual``.  Int q, int element."""
+    m = L4_MODEL
+    k_top = max((k for q in tables for k, _ in q), default=0)
+    l_top = max((l for q in tables for _, l in q), default=0)
+    outs: list = [{} for _ in tables]
+    for sign, u, w in _PENTAGON:
+        eu, ew = m.combo(u), m.combo(w)
+        u_pows, w_pows = _powers(eu[0], k_top), _powers(ew[0], l_top)
+        core = [(i, j, sign * r) for (i, j, _), r in m.bracket(eu, ew)[1].items()]
+        for q, out in zip(tables, outs):
+            alpha: dict = {}
+            for (k, l), c in q.items():
+                for mu, cu in u_pows[k].items():
+                    for mw, cw in w_pows[l].items():
+                        mono = tuple(map(add, mu, mw))
+                        alpha[mono] = alpha.get(mono, 0) + c * cu * cw
+            for i, j, r in core:
+                for mono, p in alpha.items():
+                    out[i, j, mono] = out.get((i, j, mono), 0) + r * p
+    return [({}, {key: v for key, v in out.items() if v}) for out in outs]
 
 
 def pentagon_check(alpha, N: int) -> dict:
     """Reduce the pentagon residual; returns per-degree counts of nonzero
     canonical coordinates (all zeros means the pentagon holds to degree N).
     The residual lives at letter degree >= 2, so N must be at least 2, and
-    the table must reach order N - 2, the last one the residual reads."""
+    the table must reach order N - 2, the last one the residual reads.
+    alpha's denominators are cleared, so the element is built over ints."""
     if N < 2:
         raise ValueError(f"pentagon letter degree {N} is below 2, where the residual starts")
     if alpha.order < N - 2:
         raise ValueError(f"alpha table order {alpha.order} too small for letter degree {N}")
-    residual = pentagon_residual(alpha, N)
-    reduced = l4_reducer().reduce(residual)
-    norms = {d: 0 for d in range(2, N + 1)}
-    for d, coords in reduced.items():
-        norms[d] = len(coords)
-    return norms
+    _, q = clear_denominators({kl: c for kl, c in alpha.alpha.items() if sum(kl) <= N - 2})
+    reduced = l4_reducer().reduce(_pentagon_elements([q])[0])
+    return {d: len(reduced.get(d, {})) for d in range(2, N + 1)}
 
 
 def pentagon_columns(N: int) -> dict:
     """The pentagon maps of every letter degree d = 2..N, as {d: [c_k]}:
     c_k, k = 0..d-2, holds the canonical coordinates of
     sum sign * [u^k w^(d-2-k) u w] over the five terms (sign, u, w) of
-    ``_PENTAGON``.
-
-    The residual is linear in alpha, and alpha[k, l] multiplies the bracket
-    [u^k w^l u w] of letter degree k + l + 2 only, so the degree-d coordinates
-    of any table's residual are sum_k alpha[k, d-2-k] c_k.  The five cached
-    ladders hold every such bracket, so every column of every degree is read
-    off them, and ``pentagon_residual`` shares the same brackets.
-    """
-    ladders = _pentagon_ladders(N)
+    ``_PENTAGON``, the reduced element of the unit table at (k, d-2-k).
+    The residual is linear in alpha, and alpha[k, l] shows at letter degree
+    k + l + 2 only, so any table's degree-d coordinates are
+    sum_k alpha[k, d-2-k] c_k."""
     red = l4_reducer()
-    return {
-        d: [
-            red.reduce(_combination((sign, ladder[k, d - 2 - k]) for sign, ladder in ladders)).get(d, {})
-            for k in range(d - 1)
-        ]
-        for d in range(2, N + 1)
-    }
+    elements = iter(_pentagon_elements([{(k, d - 2 - k): 1} for d in range(2, N + 1) for k in range(d - 1)]))
+    return {d: [red.reduce(next(elements)).get(d, {}) for _ in range(d - 1)] for d in range(2, N + 1)}
 
 
 def dimension_report(N: int, variant: str) -> dict:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cassoc import exact, pentagon
+from cassoc import exact
 from cassoc.exact import (
     bernoulli,
     check_bernoulli_identity,
@@ -15,7 +15,6 @@ from cassoc.exact import (
     gamma_coefficients,
     parse_rational,
 )
-from cassoc.hexagon import AlphaTable
 from cassoc.pentagon import L4_MODEL, QuotientReducer, _l4_relations
 
 
@@ -165,14 +164,3 @@ def test_caches_fill_safely_from_three_threads(monkeypatch):
     assert got == [fill(single)] * 3
     assert fresh._module[:2] == single.relation_module()
     assert fresh._module[2]._memo == single._module[2]._memo
-    # the pentagon ladders are built in locals and published by one rebinding
-    alpha = AlphaTable({(k, l): F(k + 1, l + 2) for k in range(9) for l in range(9 - k)}, 8)
-    degrees = (4, 5, 10, 7, 2)
-    want = [pentagon.pentagon_residual(alpha, n) for n in degrees]
-    for _ in range(3):
-        monkeypatch.setattr(pentagon, "_LADDERS", (0, ()))
-        got = _in_three_threads(lambda: [pentagon.pentagon_residual(alpha, n) for n in degrees])
-        assert got == [want] * 3
-        n, ladders = pentagon._LADDERS
-        assert n >= 4
-        assert ladders == tuple((sign, pentagon._ladder(u, w, n)) for sign, u, w in pentagon._PENTAGON)

@@ -9,7 +9,8 @@ from echelon_oracle import EchelonReducer, l3_oracle, l4_oracle
 
 from cassoc import groebner, linalg, pentagon, verify
 from cassoc.cbh import ModelElement
-from cassoc.hexagon import AlphaTable, family_I
+from cassoc.exact import clear_denominators
+from cassoc.hexagon import AlphaTable, family_I, family_II, family_III
 from cassoc.linalg import rref, solve_exact
 from cassoc.pentagon import (
     _PENTAGON,
@@ -475,9 +476,39 @@ def test_reduce_agrees_with_the_echelon_through_a_change_of_basis():
             assert {d: coords for d, coords in mapped.items() if coords} == oracle.reduce(elem)
 
 
+def _checked_element(alpha, N):
+    """(den, the element ``pentagon_check`` reduces): ``_pentagon_elements`` of
+    alpha's coefficients, their denominators cleared."""
+    den, q = clear_denominators({kl: c for kl, c in alpha.alpha.items() if sum(kl) <= N - 2})
+    return den, pentagon._pentagon_elements([q])[0]
+
+
+def _random_symmetric_table(rng, order):
+    coeffs = {}
+    for k in range(order + 1):
+        for l in range(k, order + 1 - k):
+            coeffs[k, l] = coeffs[l, k] = F(rng.randint(-9, 9), rng.randint(1, 5))
+    return AlphaTable(coeffs, order)
+
+
+def test_checked_element_has_the_residuals_coordinates(red):
+    # alpha(u, w) [u, w] left unstraightened reduces to the model normal form's coordinates, times den
+    rng = random.Random(22)
+    for N in range(2, 13):
+        order = N - 2
+        tables = [AlphaTable.from_series(f(order)) for f in (family_I, family_II, family_III)]
+        tables += [_random_symmetric_table(rng, order), _random_asymmetric_table(rng, order)]
+        tables.append(AlphaTable({(rng.randint(0, order), 0): F(rng.randint(1, 9), rng.randint(1, 5))}, order))
+        for alpha in tables:
+            den, element = _checked_element(alpha, N)
+            want = red.reduce(pentagon_residual(alpha, N))
+            assert red.reduce(element) == {d: {key: c * den for key, c in coords.items()} for d, coords in want.items()}, N
+            assert pentagon_check(alpha, N) == {d: len(want.get(d, {})) for d in range(2, N + 1)}, N
+
+
 def test_degree_16_reduces_under_the_default_recursion_limit():
-    family = pentagon_residual(AlphaTable.from_series(family_I(14)), 16)
-    asymmetric = pentagon_residual(AlphaTable({(0, 14): F(1)}, 14), 16)
+    _, family = _checked_element(AlphaTable.from_series(family_I(14)), 16)
+    _, asymmetric = _checked_element(AlphaTable({(0, 14): F(1)}, 14), 16)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # CPython's default
     try:
@@ -509,7 +540,7 @@ def test_pentagon_check_rejects_short_table():
 
 def test_pentagon_columns_digest():
     # the echelon's coordinates of every column's element, and the columns map onto them
-    ladders = pentagon._pentagon_ladders(10)
+    ladders = [(sign, pentagon._ladder(u, w, 10)) for sign, u, w in _PENTAGON]
     oracle, red = l4_oracle(), l4_reducer()
     columns = {
         d: [
@@ -541,44 +572,14 @@ def test_pentagon_columns_are_residuals_of_unit_tables(red):
         assert columns[d] == want, d
 
 
-def _cold_residual(alpha, N):
-    """The pentagon residual summed from freshly built ladders, via phi_bar_eval."""
-    total = L4_MODEL.zero()
-    for sign, u, w in _PENTAGON:
-        total = L4_MODEL.add(total, L4_MODEL.scale(phi_bar_eval(alpha, u, w, N), sign))
-    return total
-
-
 def test_ladders_are_integral():
-    ladders = pentagon._pentagon_ladders(6)
-    assert all(type(c) is int for _, ladder in ladders for br in ladder.values() for c in br[1].values())
+    assert all(type(c) is int for _, u, w in _PENTAGON for br in pentagon._ladder(u, w, 6).values() for c in br[1].values())
     assert all(type(c) is int for rel in pentagon._l4_relations() for c in rel[1].values())
+    q = {(k, l): k - 2 * l + 1 for k in range(5) for l in range(5 - k)}
+    assert all(type(c) is int for c in pentagon._pentagon_elements([q])[0][1].values())
 
 
-def test_ladder_cache_serves_smaller_degrees(monkeypatch):
-    alpha = _random_asymmetric_table(random.Random(21), 8)
-    monkeypatch.setattr(pentagon, "_LADDERS", (0, ()))
-    for N in (4, 5, 10):  # grows one degree and several at a time
-        pentagon_residual(alpha, N)
-        assert pentagon._LADDERS[0] == N
-    warm = {N: pentagon_residual(alpha, N) for N in (10, 7, 5, 4, 2)}
-    assert pentagon._LADDERS[0] == 10
-    for N, residual in warm.items():
-        monkeypatch.setattr(pentagon, "_LADDERS", (0, ()))
-        assert residual == pentagon_residual(alpha, N) == _cold_residual(alpha, N), N
-
-
-def test_mutating_results_leaves_the_ladder_cache_intact():
-    tables = [AlphaTable({(0, 1): F(1)}, 4), _random_asymmetric_table(random.Random(3), 6)]
-    for alpha in tables:
-        want = pentagon_residual(alpha, 8)
-        for got in (pentagon_residual(alpha, 8), phi_bar_eval(alpha, {"a": 1}, {"b": 1}, 8)):
-            for part in got:
-                for key in list(part):
-                    part[key] = 7
-                part[object()] = 1
-        assert pentagon_residual(alpha, 8) == want
-        assert pentagon_residual(alpha, 8) == _cold_residual(alpha, 8)
+def test_mutating_columns_leaves_later_columns_intact():
     columns = pentagon_columns(6)
     columns[4][0].clear()
     assert pentagon_columns(6)[4][0]

@@ -6,17 +6,19 @@ settings' values in order.  It times its stages and prints one JSON object:
 ``times`` ({stage: seconds}) and, under any other keys, digests of what it
 computed.  ``main`` gives every script the same command line,
 
-    python3 tools/bench_<name>.py --src src --column change --out BENCH.json
-    python3 tools/bench_<name>.py --src ../parent/src --column parent --out BENCH.json
+    python3 tools/bench_<name>.py --parent ../parent/src --change src --out BENCH.json
 
-runs the child REPEATS times, each in a new interpreter so that each repeat
-pays the cold tables the way a command-line call does, and fails unless
-every repeat reports the same digests.  The median of each stage and of the
-per-repeat totals (seconds) go into column ``--column`` of ``--out``, with
-the settings, the digests, the Python version and the CPU count.  The
-columns sit under the script's name (``bench_zeta`` and so on), and whatever
-else that file holds is kept, so one file holds a parent and a change run of
-several scripts, and equal digests show that both computed the same thing.
+runs the child REPEATS times on each checkout, each in a new interpreter so
+that each repeat pays the cold tables the way a command-line call does.  The
+two checkouts' repeats alternate, and which one goes first alternates too,
+so drift of the host over the run lands on both columns alike.  The run
+fails unless every repeat of a checkout reports the same digests.  The
+median of each stage and of the per-repeat totals (seconds) go into columns
+``parent`` and ``change`` of ``--out``, with the settings, the digests, the
+Python version and the CPU count.  The columns sit under the script's name
+(``bench_zeta`` and so on), and whatever else that file holds is kept, so
+one file holds the runs of several scripts, and equal digests show that both
+checkouts computed the same thing.
 """
 
 from __future__ import annotations
@@ -51,29 +53,42 @@ def merge_column(path: str, script: str, name: str, column: dict) -> None:
         fh.write("\n")
 
 
-def main(doc: str, child: str, settings: dict, argv=None) -> int:
-    """The command line of a benchmark script with docstring ``doc``."""
-    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
-    parser.add_argument("--src", default="src", help="the src/ directory of the checkout to time")
-    parser.add_argument("--column", required=True, help="name of the column to write, e.g. parent or change")
-    parser.add_argument("--out", required=True, help="JSON file to write the column into")
-    args = parser.parse_args(argv)
-
-    runs = [run_child(child, [os.path.abspath(args.src), *settings.values()]) for _ in range(REPEATS)]
+def summarize(runs: list, settings: dict) -> dict:
+    """One column: the stage medians of one checkout's repeats, which must
+    agree on every digest."""
     digests = [{key: value for key, value in run.items() if key != "times"} for run in runs]
     if any(d != digests[0] for d in digests):
         raise SystemExit("repeats disagree on the computed outputs")
     medians = {s: round(statistics.median(r["times"][s] for r in runs), 4) for s in runs[0]["times"]}
     medians["total"] = round(statistics.median(sum(r["times"].values()) for r in runs), 4)
-    column = {
+    return {
         "median_s": medians,
-        "repeats": REPEATS,
+        "repeats": len(runs),
         **settings,
         **digests[0],
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
     }
+
+
+def main(doc: str, child: str, settings: dict, argv=None) -> int:
+    """The command line of a benchmark script with docstring ``doc``."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="the src/ directory of the parent checkout")
+    parser.add_argument("--change", default="src", help="the src/ directory of the changed checkout")
+    parser.add_argument("--out", required=True, help="JSON file to write the two columns into")
+    args = parser.parse_args(argv)
+
+    srcs = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    runs: dict = {name: [] for name in srcs}
+    for repeat in range(REPEATS):
+        for name in sorted(srcs, reverse=bool(repeat % 2)):
+            runs[name].append(run_child(child, [srcs[name], *settings.values()]))
     script = os.path.splitext(os.path.basename(sys.argv[0]))[0]
-    merge_column(args.out, script, args.column, column)
-    print(json.dumps({args.column: medians}))
+    medians = {}
+    for name in srcs:
+        column = summarize(runs[name], settings)
+        merge_column(args.out, script, name, column)
+        medians[name] = column["median_s"]
+    print(json.dumps(medians))
     return 0

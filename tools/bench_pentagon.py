@@ -1,27 +1,30 @@
 """Time the pentagon-check path stage by stage, each repeat in a fresh interpreter.
 
-    python3 tools/bench_pentagon.py --src src --column change --out BENCH.json
-    python3 tools/bench_pentagon.py --src ../parent/src --column parent --out BENCH.json
+    python3 tools/bench_pentagon.py --parent ../parent/src --change src --out BENCH.json
 
 Path stages, in order of their first run: ``QuotientReducer.dimension(d)``,
 d = 1..10, on fresh L4bar and L3bar reducers, what ``cassoc pentagon dims
---degree 10`` computes for both variants (``dims_10``); the five ladders of
-``pentagon._PENTAGON`` to degree 8 (``ladders``); one ``pentagon_residual``
-of a seeded asymmetric table (``residual``) and its ``reduce`` on the cold
-``l4_reducer()`` (``reduce``); ``pentagon_check`` on family I and 24 seeded
-tables, 12 symmetric and 12 with one asymmetric coefficient changed, at
-letter degrees 8, 12 and 16 (``checks_25``, ``checks_25_d12``,
-``checks_25_d16``); and ``pentagon_columns`` at 10, 12 and 16
-(``columns_10``, ``columns_12``, ``columns_16``).
+--degree 10`` computes for both variants (``dims_10``); the reference
+``pentagon_residual`` of a seeded asymmetric table at degree 8
+(``residual``) and its ``reduce`` on the cold ``l4_reducer()``
+(``reduce``); ``pentagon_check`` on family I and 24 seeded tables, 12
+symmetric and 12 with one asymmetric coefficient changed, at letter
+degrees 8, 12 and 16 (``checks_25``, ``checks_25_d12``, ``checks_25_d16``);
+``pentagon_columns`` at 10, 12 and 16 (``columns_10``, ``columns_12``,
+``columns_16``); and last, at each of 8, 12 and 16, one family-I
+``pentagon_check`` on a fresh ``l4_reducer()`` whose Groebner basis is
+built before the clock starts, so its normal-form memo is empty
+(``check_cold_d8`` ...), and the same check again (``check_warm_d8`` ...).
 
 Oracle stages time the per-degree row echelon of the relation rows on a
 reducer of its own: its build to degree 8 (``build_d8``), of degrees 9 and
 10 (``build_d9_d10``), and of degrees 11 and 12, whose non-pivot column
 counts must equal ``dimension(d)``, else the run fails (``oracle_d11_d12``).
 The echelon is ``EchelonReducer`` from ``tests/echelon_oracle.py`` beside
-``--src``; in a checkout without that file it is ``QuotientReducer``'s own
-``_build``.  ``bench_harness`` runs the repeats, each in a new interpreter
-that pays every cold build, and writes the stage medians into one column of
+the checkout's ``src/``; in a checkout without that file it is
+``QuotientReducer``'s own ``_build``.  ``bench_harness`` runs the two
+checkouts' repeats alternately, each in a new interpreter that pays every
+cold build, and writes each one's stage medians into its column of
 ``--out``.  The digest it compares and records covers only outputs that no
 choice of coordinates changes: the dimensions, the degrees where the reduced
 residual and each check are nonzero, and, per degree of each columns stage,
@@ -121,7 +124,6 @@ def oracle():
 dims = timed("dims_10", fresh_dims)
 red = pentagon.l4_reducer()
 timed("build_d8", lambda: [echelon._build(d) for d in range(2, N + 1)])
-timed("ladders", lambda: pentagon._pentagon_ladders(N))
 residual = timed("residual", lambda: pentagon.pentagon_residual(asym, N))
 reduced = timed("reduce", lambda: red.reduce(residual))
 outputs = [dims, sorted(reduced), timed("checks_25", lambda: checks(N, tabs))]
@@ -131,6 +133,12 @@ outputs.append(timed("oracle_d11_d12", oracle))
 for n in high:
     outputs.append(timed(f"checks_25_d{n}", lambda: checks(n, high_tabs[n])))
     outputs.append(criterion_7(timed(f"columns_{n}", lambda: pentagon.pentagon_columns(n))))
+for n in [N] + high:
+    family = hexagon.AlphaTable.from_series(hexagon.family_I(n - 2))
+    pentagon._L4_REDUCER = None
+    pentagon.l4_reducer().dimension(2)  # builds the Groebner basis
+    for stage in ("cold", "warm"):
+        outputs.append(timed(f"check_{stage}_d{n}", lambda: checks(n, [family])))
 print(json.dumps({"times": times, "outputs_sha256": hashlib.sha256(repr(outputs).encode()).hexdigest()}))
 """
 

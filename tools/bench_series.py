@@ -1,7 +1,6 @@
 """Time the rational series kernels and the hexagon-solve stages, each repeat in a fresh interpreter.
 
-    python3 tools/bench_series.py --src src --column change --out BENCH.json
-    python3 tools/bench_series.py --src ../parent/src --column parent --out BENCH.json
+    python3 tools/bench_series.py --parent ../parent/src --change src --out BENCH.json
 
 Kernel stages, on order-16 series over QQ built before the clock starts,
 each the time of 20 calls, the fastest of 5 such batches, since one call
@@ -13,9 +12,10 @@ Then the stages of the ``hexagon-solve`` workload at degree 16:
 ParamSet, ``residual_15b``, ``residual_39``, ``split_residuals`` and
 ``model_hexagon_check`` (each stage summed over the four); and ``build_f`` of
 that ParamSet.  Last, ``solve_degreewise`` at degrees 20 and 24.
-``bench_harness`` runs the repeats, each in a new interpreter, and writes the
-stage medians into one column of ``--out``; the digests it compares and
-records are the sha256 of every stage's output.
+``bench_harness`` runs the two checkouts' repeats alternately, each in a new
+interpreter, and writes each one's stage medians into its column of
+``--out``; the digests it compares and records are the sha256 of every
+stage's output.
 """
 
 from __future__ import annotations

@@ -1,16 +1,15 @@
 """Time the zeta-symbol path stage by stage, each repeat in a fresh interpreter.
 
-    python3 tools/bench_zeta.py --src src --column change --out BENCH.json
-    python3 tools/bench_zeta.py --src ../parent/src --column parent --out BENCH.json
+    python3 tools/bench_zeta.py --parent ../parent/src --change src --out BENCH.json
 
 Stages, in the order the ``zeta-series`` workload runs them, at degree 16
 (the workload's) and again at degree 24: ``drinfeld_f(N)``, its
 ``residual_15b`` and ``split_residuals``, ``solve_betas_in_theta(N)`` and
 the ``build_f`` rebuild from those parameters; a stage is named
-``<stage>.<N>``.  ``bench_harness`` runs the repeats, each in a new
-interpreter, and writes the stage medians into one column of ``--out``; the
-digests it compares and records are the sha256 of the drinfeld and rebuilt
-series at each degree.
+``<stage>.<N>``.  ``bench_harness`` runs the two checkouts' repeats
+alternately, each in a new interpreter, and writes each one's stage medians
+into its column of ``--out``; the digests it compares and records are the
+sha256 of the drinfeld and rebuilt series at each degree.
 """
 
 from __future__ import annotations
