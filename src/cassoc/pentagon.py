@@ -342,10 +342,12 @@ class QuotientReducer:
             raise ValueError("reduce takes a commutator element; this one has a linear part")
         normal_form = self._built()[2]
         pos, pairs = self._pos, self._pairs
-        den, ints = clear_denominators(elem[1])
+        coords = elem[1]
+        # the checks pass all-int elements, which need no clearing and no division
+        den, ints = (1, coords) if all(type(v) is int for v in coords.values()) else clear_denominators(coords)
         out: dict = {}
         for (mono, p), v in normal_form({(mono, pos[i, j]): v for (i, j, mono), v in ints.items()}).items():
-            out.setdefault(sum(mono) + 2, {})[(*pairs[p], mono)] = Fraction(v, den)
+            out.setdefault(sum(mono) + 2, {})[(*pairs[p], mono)] = Fraction(v, den) if den > 1 else Fraction(v)
         return out
 
     def is_zero(self, elem) -> bool:

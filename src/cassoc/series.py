@@ -14,32 +14,51 @@ float or a bool is a TypeError where it enters.
 
 QQ embeds in every coefficient ring, and that rule lives in
 ``BiSeries.__add__`` and ``BiSeries.__mul__`` alone: when exactly one operand
-is over ``QQ``, the result takes the other operand's ring, and a sum lifts
-each rational coefficient with ``ring.from_rational`` as it meets it.  So
-every purely rational series (the classical series, e^{a lam + b mu}, the
-CBH table) is built over ``QQ`` with plain Fractions and combines with series
-over any ring.  The one case the rule cannot lift is a scalar: a ``QQ`` series
-times a non-rational scalar raises TypeError, because the scalar does not
-name its ring; multiply by a constant series over that ring instead, which
-``BiSeries.constant`` refuses to build over ``QQ``.
+is over ``QQ``, the result takes the other operand's ring.  So every purely
+rational series (the classical series, e^{a lam + b mu}, the CBH table) is
+built over ``QQ`` and combines with series over any ring.  The one case the
+rule cannot lift is a scalar: a ``QQ`` series times a non-rational scalar
+raises TypeError, because the scalar does not name its ring; multiply by a
+constant series over that ring instead, which ``BiSeries.constant`` refuses
+to build over ``QQ``.
 
 Any other ring is a polynomial ring over QQ whose elements keep ``terms``
 {monomial key: Fraction}, keys adding under multiplication; a series holds
 only what ``ring.contains``, and two such rings combine only if they agree.
 
-``BiSeries.__mul__`` of two series and ``substitute_linear`` (which
-``UniSeries.as_biseries`` calls) are one integer loop each for every ring:
-each operand's terms become ints over the lcm of its denominators, at keys
-(k (n + 1) + l) << ring.key_bits | monomial key, and the loop sums int
-products at sums of keys.  Each surviving term is one ``Fraction(v, den)``,
-exactly the value of term-by-term arithmetic; off QQ, ``ring.from_terms``
-assembles each (k, l) coefficient and rejects an exponent overflow.
+A ``BiSeries`` is its integer form ``(den, {packed key: int})``: every term
+q m lam^k mu^l, m a monomial of the ring with key e (0 over QQ), is an int
+numerator over one positive denominator shared by the whole series, at key
+((k << 8 | l) << ring.key_bits) | e.  The layout does not depend on the
+order (an order is at most 255, so l fits its 8 bits), and within the order
+a sum of keys is the key of the product.  Sums, negation, the rational
+scalar product, products, ``substitute_linear``, ``compose`` (and so
+``exp``, ``log``, ``sqrt``, ``inverse``), ``truncate``, ``pad``, ``swap``,
+the parity parts and the exact divisions by lam^k mu^l and by lam + mu read
+and write that form: a sum brings two numerators over the lcm of the
+denominators, a QQ operand joins another ring by a shift of its keys, a
+product or a substitution is one integer loop, and each result is reduced
+once by the gcd of its denominator and numerators (a negation, a swap, a
+padding or a division by lam^k mu^l keeps its operand's gcd): exactly the
+value of term-by-term arithmetic.
+
+``coeffs`` is a view built on demand: {(k, l): coefficient}, a Fraction over
+QQ and ``ring.from_terms`` of the monomial terms elsewhere.  Reading it hands
+the dict to the caller and drops the integer form, so a write through it can
+never leave a stale one; the next integer operation clears the dict's
+denominators again (every value through ``ring.contains`` or
+``exact.rational``) and drops the dict.  A series holds one form at a time.
+
+A ring whose monomial keys pack exponents into slots names their top bits in
+``ring.guard``; every integer result, and every power inside ``compose``,
+checks its keys against it and raises OverflowError on a set guard bit, so a
+chain of products never carries one exponent into the next slot.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, lcm
 from typing import Iterable
 
 from .exact import bernoulli, clear_denominators, format_rational, gamma_coefficients, is_rational, parse_rational
@@ -55,6 +74,11 @@ __all__ = [
 
 MAX_DEGREE = 16  # largest truncation order the command line computes or reads
 
+# a packed key holds (k << _L_BITS | l) above the monomial key
+_L_BITS = 8
+_L_MASK = (1 << _L_BITS) - 1
+_MAX_ORDER = _L_MASK  # k + l <= order keeps l below 2**_L_BITS
+
 
 class RationalRing:
     """Coefficient-ring adapter for plain Fractions; ``from_rational`` is the
@@ -63,6 +87,7 @@ class RationalRing:
     zero = Fraction(0)
     one = Fraction(1)
     key_bits = 0  # a rational is the one monomial, key 0
+    guard = 0  # and it has no exponent slots
     from_rational = staticmethod(rational)
     contains = staticmethod(is_rational)
     format = to_json_obj = staticmethod(format_rational)
@@ -119,19 +144,25 @@ class UniSeries:
 
 
 class BiSeries:
-    """Series sum_{k+l <= order} c_{kl} lam^k mu^l over an exact ring."""
+    """Series sum_{k+l <= order} c_{kl} lam^k mu^l over an exact ring.
 
-    __slots__ = ("ring", "coeffs", "order")
+    The series is held either as its integer form (``_den``, ``_nums``) or as
+    the coefficient dict ``_dict`` that ``coeffs`` hands out, never both; see
+    the module docstring."""
+
+    __slots__ = ("ring", "order", "_dict", "_den", "_nums")
 
     def __init__(self, ring, coeffs: dict | None = None, order: int = 0):
+        _check_order(order)
         self.ring = ring
-        self.coeffs = {}
         self.order = order
+        self._den = self._nums = None
+        self._dict = {}
         if coeffs:
             _members(ring, coeffs.values())
             for (k, l), c in coeffs.items():
                 if k + l <= order and not ring.is_zero(c):
-                    self.coeffs[(k, l)] = c
+                    self._dict[(k, l)] = c
 
     # -- construction helpers -------------------------------------------------
 
@@ -144,13 +175,65 @@ class BiSeries:
         return cls(ring, {(k, l): value}, order)
 
     def _acc(self, key, val) -> None:
-        cur = self.coeffs.get(key)
-        self.coeffs[key] = val if cur is None else cur + val
+        coeffs = self.coeffs
+        cur = coeffs.get(key)
+        coeffs[key] = val if cur is None else cur + val
 
     def _clean(self) -> None:
-        dead = [k for k, v in self.coeffs.items() if self.ring.is_zero(v)]
+        coeffs = self.coeffs
+        dead = [k for k, v in coeffs.items() if self.ring.is_zero(v)]
         for k in dead:
-            del self.coeffs[k]
+            del coeffs[k]
+
+    # -- the two forms ---------------------------------------------------------
+
+    @property
+    def coeffs(self) -> dict:
+        """{(k, l): coefficient} of the nonzero terms, built on the first read
+        after an integer operation; writes through it change the series."""
+        if self._dict is None:
+            self._dict = _coefficients(self.ring, self._den, self._nums)
+            self._den = self._nums = None
+        return self._dict
+
+    def _ints(self) -> tuple:
+        """(den, {packed key: int}), cleared from the coefficient dict if a
+        reader holds that, each value checked to lie in the ring."""
+        if self._nums is None:
+            ring, n, coeffs = self.ring, self.order, self._dict
+            _members(ring, coeffs.values())
+            if ring is QQ:
+                flat = {k << _L_BITS | l: c for (k, l), c in coeffs.items() if c and k + l <= n}
+            else:  # a ThetaPoly keeps no zero terms
+                bits = ring.key_bits
+                flat = {
+                    (k << _L_BITS | l) << bits | e: q
+                    for (k, l), c in coeffs.items()
+                    if k + l <= n
+                    for e, q in c.terms.items()
+                }
+            self._den, self._nums = clear_denominators(flat)
+            self._dict = None
+        return self._den, self._nums
+
+    def _terms(self, ring, n: int) -> tuple:
+        """(den, nums) of the terms of degree <= n, keyed for ``ring``: a
+        series over QQ joins another ring by a shift of its keys."""
+        den, nums = self._ints()
+        bits = self.ring.key_bits
+        shift = ring.key_bits - bits
+        if n < self.order:
+            nums = {key << shift: v for key, v in nums.items() if _degree(key >> bits) <= n}
+        elif shift:
+            nums = {key << shift: v for key, v in nums.items()}
+        return den, nums
+
+    def _constant(self):
+        """The (0, 0) coefficient."""
+        den, nums = self._ints()
+        size = 1 << self.ring.key_bits
+        constant = _coefficients(self.ring, den, {key: v for key, v in nums.items() if key < size})
+        return constant.get((0, 0), self.ring.zero)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -163,33 +246,36 @@ class BiSeries:
         return {kl: c for kl, c in self.coeffs.items() if kl[0] + kl[1] == d}
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._ints()[1]
 
     def is_symmetric(self) -> bool:
-        return all(self.coeffs.get((l, k), self.ring.zero) == c for (k, l), c in self.coeffs.items())
+        nums = self._ints()[1]
+        bits = self.ring.key_bits
+        return all(nums.get(_swapped(key, bits)) == v for key, v in nums.items())
 
     def truncate(self, order: int) -> "BiSeries":
         if order >= self.order:
             return self
-        return BiSeries(self.ring, self.coeffs, order)
+        return _series(self.ring, order, *self._terms(self.ring, order))
 
     def pad(self, order: int) -> "BiSeries":
         """Raise the claimed order: only valid when the series is an exact
         polynomial (every higher coefficient genuinely zero)."""
         if order <= self.order:
             return self
-        return BiSeries(self.ring, self.coeffs, order)
+        _check_order(order)
+        return _wrap(self.ring, order, *self._ints())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        keys = set(self.coeffs) | set(other.coeffs)
-        z = self.ring.zero
-        for kl in keys:
-            if kl[0] + kl[1] <= n and self.coeffs.get(kl, z) != other.coeffs.get(kl, z):
-                return False
-        return True
+        if self.ring is not QQ and other.ring is not QQ and not self.ring.contains(other.ring.one):
+            # coefficients of two different rings are equal only when both are zero
+            return self.truncate(n).is_zero() and other.truncate(n).is_zero()
+        ring = _common_ring(self, other)
+        (d1, a), (d2, b) = self._terms(ring, n), other._terms(ring, n)
+        return a.keys() == b.keys() and all(v * d2 == b[key] * d1 for key, v in a.items())
 
     def __repr__(self) -> str:
         terms = ", ".join(f"({k},{l}): {c}" for (k, l), c in sorted(self.coeffs.items(), key=_term_sort_key))
@@ -198,46 +284,39 @@ class BiSeries:
     # -- ring operations --------------------------------------------------------
 
     def __add__(self, other: "BiSeries") -> "BiSeries":
-        if _common_ring(self, other) is not self.ring:
-            return other + self
+        ring = _common_ring(self, other)
         n = min(self.order, other.order)
-        out = BiSeries(self.ring, self.coeffs, n)
-        lift = self.ring.from_rational if other.ring is QQ and self.ring is not QQ else None
-        for kl, c in other.coeffs.items():
-            if kl[0] + kl[1] <= n:
-                out._acc(kl, lift(c) if lift else c)
-        out._clean()
-        return out
+        (d1, a), (d2, b) = self._terms(ring, n), other._terms(ring, n)
+        den = lcm(d1, d2)
+        m1, m2 = den // d1, den // d2
+        out = {key: v * m1 for key, v in a.items()}
+        get = out.get
+        for key, v in b.items():
+            out[key] = get(key, 0) + v * m2
+        return _series(ring, n, den, out)
 
     def __sub__(self, other: "BiSeries") -> "BiSeries":
         return self + (-other)
 
     def __neg__(self) -> "BiSeries":
-        return BiSeries(self.ring, {kl: -c for kl, c in self.coeffs.items()}, self.order)
+        den, nums = self._ints()
+        return _wrap(self.ring, self.order, den, {key: -v for key, v in nums.items()})
 
     def __mul__(self, other):
         if isinstance(other, BiSeries):
-            n = min(self.order, other.order)
             ring = _common_ring(self, other)
-            bits = ring.key_bits
-            den, (left, right) = _numerators(n, bits, self, other)
-            # within the order a sum of packed keys is the key of the product
-            right = sorted((sum(divmod(key >> bits, n + 1)), key, w) for key, w in right.items())
-            acc: dict = {}
-            get = acc.get
-            for key1, v in left.items():
-                room = n - sum(divmod(key1 >> bits, n + 1))
-                for deg, key2, w in right:
-                    if deg > room:
-                        break
-                    key = key1 + key2
-                    acc[key] = get(key, 0) + v * w
-            del left, right  # freed before the output is built: a lower peak
-            return _from_numerators(ring, acc, den, n)
-        if not (is_rational(other) or self.ring.contains(other)):
-            # a scalar cannot name its ring, so over QQ it is rational
-            raise TypeError(f"{other!r} is not a scalar of the series' ring")
-        return BiSeries(self.ring, {kl: c * other for kl, c in self.coeffs.items()}, self.order)
+            n = min(self.order, other.order)
+            (d1, left), (d2, right) = self._terms(ring, n), other._terms(ring, n)
+            return _series(ring, n, d1 * d2, _product(left, _by_degree(right, ring.key_bits), n, ring.key_bits))
+        if is_rational(other):
+            q = rational(other)
+            den, nums = self._ints()
+            p = q.numerator
+            return _series(self.ring, self.order, den * q.denominator, {key: v * p for key, v in nums.items()})
+        if self.ring.contains(other):
+            return self * BiSeries.constant(self.ring, other, self.order)
+        # a scalar cannot name its ring, so over QQ it is rational
+        raise TypeError(f"{other!r} is not a scalar of the series' ring")
 
     __rmul__ = __mul__
 
@@ -254,39 +333,39 @@ class BiSeries:
         d1, pow1 = _linear_power_table(a, b, n, bits)
         d2, pow2 = _linear_power_table(c, d, n, bits)
         # the (k, l) term over the common denominator den d1^n d2^n
-        den, (nums,) = _numerators(n, bits, self)
+        den, nums = self._ints()
         acc: dict = {}
         get = acc.get
         for key, v in nums.items():
-            kl, mono = divmod(key, 1 << bits)
-            k, l = divmod(kl, n + 1)
+            kl = key >> bits
+            k, l = kl >> _L_BITS, kl & _L_MASK
+            mono = key - (kl << bits)
             v *= d1 ** (n - k) * d2 ** (n - l)
             for key1, s1 in pow1[k]:
                 key1 += mono
                 s1 *= v
                 for key2, s2 in pow2[l]:
-                    key = key1 + key2
-                    acc[key] = get(key, 0) + s1 * s2
-        del nums
-        return _from_numerators(self.ring, acc, den * d1 ** n * d2 ** n, n)
+                    out = key1 + key2
+                    acc[out] = get(out, 0) + s1 * s2
+        return _series(self.ring, n, den * d1 ** n * d2 ** n, acc)
 
     def swap(self) -> "BiSeries":
-        return BiSeries(self.ring, {(l, k): c for (k, l), c in self.coeffs.items()}, self.order)
+        den, nums = self._ints()
+        bits = self.ring.key_bits
+        return _wrap(self.ring, self.order, den, {_swapped(key, bits): v for key, v in nums.items()})
 
     def even_part(self) -> "BiSeries":
         # (s(lam,mu) + s(-lam,-mu))/2 keeps exactly the even-total-degree terms
-        out = BiSeries(self.ring, {}, self.order)
-        for (k, l), c in self.coeffs.items():
-            if (k + l) % 2 == 0:
-                out.coeffs[(k, l)] = c
-        return out
+        return self._parity_part(0)
 
     def odd_part(self) -> "BiSeries":
-        out = BiSeries(self.ring, {}, self.order)
-        for (k, l), c in self.coeffs.items():
-            if (k + l) % 2 == 1:
-                out.coeffs[(k, l)] = c
-        return out
+        return self._parity_part(1)
+
+    def _parity_part(self, parity: int) -> "BiSeries":
+        den, nums = self._ints()
+        bits = self.ring.key_bits
+        part = {key: v for key, v in nums.items() if _degree(key >> bits) % 2 == parity}
+        return _series(self.ring, self.order, den, part)
 
     def set_mu_zero(self) -> UniSeries:
         """Restrict to mu = 0, producing a series in lam."""
@@ -307,29 +386,45 @@ class BiSeries:
 
     def compose(self, coeffs) -> "BiSeries":
         """sum_j coeffs[j] * self^j for rational coeffs; self must have no
-        constant term.  Stops at the first power of self that vanishes."""
-        ring = self.ring
-        if not ring.is_zero(self.coeffs.get((0, 0), ring.zero)):
+        constant term.  Stops at the first power of self that vanishes.
+
+        Over ints: with self = nums / den and coeffs[j] = cs[j] / q, the power
+        self^j is nums^j over den^j.  It vanishes once j exceeds ``top``, the
+        order over the lowest degree in self, so the sum is held over
+        q den^top and step j adds cs[j] den^(top - j) nums^j."""
+        ring, n = self.ring, self.order
+        bits = ring.key_bits
+        den, nums = self._ints()
+        low = min((_degree(key >> bits) for key in nums), default=n + 1)
+        if low == 0:
             raise ValueError("compose needs a series without constant term")
-        n = self.order
-        coeffs = [rational(c) for c in coeffs]
-        out = BiSeries.constant(ring, ring.from_rational(coeffs[0]), n)
-        power = BiSeries.constant(ring, ring.one, n)
-        for c in coeffs[1:]:
-            power = power * self
-            if power.is_zero():
+        q, cs = clear_denominators(dict(enumerate(coeffs)))
+        top = min(len(cs) - 1, n // low)
+        right = _by_degree(nums, bits)
+        acc = {0: cs[0] * den**top}
+        power = {0: 1}
+        for j in range(1, top + 1):
+            power = {key: v for key, v in _product(power, right, n, bits).items() if v}
+            _check_guard(ring, power)
+            if not power:
                 break
+            c = cs[j] * den ** (top - j)
             if c:
-                out = out + power * c
-        return out
+                get = acc.get
+                for key, v in power.items():
+                    acc[key] = get(key, 0) + c * v
+        return _series(ring, n, q * den**top, acc)
 
     def _minus_one(self) -> "BiSeries":
-        if self.coeffs.get((0, 0), self.ring.zero) != self.ring.one:
+        den, nums = self._ints()
+        size = 1 << self.ring.key_bits
+        if [(key, v) for key, v in nums.items() if key < size] != [(0, den)]:
             raise ValueError("non-unit constant term")
-        return self - BiSeries.constant(self.ring, self.ring.one, self.order)
+        return _wrap(self.ring, self.order, den, {key: v for key, v in nums.items() if key})
 
     def exp(self) -> "BiSeries":
-        if not self.ring.is_zero(self.coeffs.get((0, 0), self.ring.zero)):
+        size = 1 << self.ring.key_bits
+        if any(key < size for key in self._ints()[1]):
             raise ValueError("non-unit constant term")
         return self.compose([Fraction(1, factorial(j)) for j in range(self.order + 1)])
 
@@ -345,7 +440,7 @@ class BiSeries:
         return self._minus_one().compose(coeffs)
 
     def inverse(self) -> "BiSeries":
-        inv0 = self.ring.inverse_of(self.coeffs.get((0, 0), self.ring.zero))
+        inv0 = self.ring.inverse_of(self._constant())
         u = BiSeries.constant(self.ring, self.ring.one, self.order) - self * inv0
         return u.compose([Fraction(1)] * (self.order + 1)) * inv0
 
@@ -356,35 +451,36 @@ class BiSeries:
 
     def divide_monomial(self, k: int, l: int) -> "BiSeries":
         """Exact division by lam^k mu^l; raises if any required coefficient survives."""
-        out = BiSeries(self.ring, {}, self.order - k - l)
-        for (i, j), c in self.coeffs.items():
-            if i < k or j < l:
-                raise ArithmeticError("not divisible")
-            if (i - k) + (j - l) <= out.order:
-                out.coeffs[(i - k, j - l)] = c
-        return out
+        den, nums = self._ints()
+        bits = self.ring.key_bits
+        if any((key >> bits >> _L_BITS) < k or (key >> bits & _L_MASK) < l for key in nums):
+            raise ArithmeticError("not divisible")
+        shift = (k << _L_BITS | l) << bits
+        return _wrap(self.ring, self.order - k - l, den, {key - shift: v for key, v in nums.items()})
 
     def divide_lam_plus_mu(self) -> "BiSeries":
-        """Exact division by (lam + mu), degree by degree."""
-        out = BiSeries(self.ring, {}, self.order - 1)
-        for d in range(1, self.order + 1):
-            # divide the homogeneous degree-d slice by lam + mu
-            prev = self.ring.zero
-            for i in range(d - 1, -1, -1):
-                # coefficient of lam^{i+1} mu^{d-1-i} in slice = e_i + e_{i+1}...
-                c = self.coeffs.get((i + 1, d - 1 - i), self.ring.zero)
-                e = c - prev
-                if not self.ring.is_zero(e) and d - 1 <= out.order:
-                    out._acc((i, d - 1 - i), e)
-                prev = e
-            rem = self.coeffs.get((0, d), self.ring.zero) - prev
-            if not self.ring.is_zero(rem):
-                raise ArithmeticError("not divisible")
-        const = self.coeffs.get((0, 0), self.ring.zero)
-        if not self.ring.is_zero(const):
-            raise ArithmeticError("not divisible")
-        out._clean()
-        return out
+        """Exact division by (lam + mu), degree by degree: in each degree-d
+        slice and for each monomial of the ring, the quotient's coefficient of
+        lam^i mu^(d-1-i) is the slice's of lam^(i+1) mu^(d-1-i) less the
+        quotient's of lam^(i+1) mu^(d-2-i), and what is left at mu^d (the
+        constant term, when d = 0) must be 0."""
+        den, nums = self._ints()
+        bits = self.ring.key_bits
+        slices: dict = {}
+        for key in nums:
+            kl = key >> bits
+            slices.setdefault(_degree(kl), set()).add(key - (kl << bits))
+        out = {}
+        for d, monos in slices.items():
+            for m in monos:
+                prev = 0
+                for i in range(d - 1, -1, -1):
+                    prev = nums.get(((i + 1) << _L_BITS | d - 1 - i) << bits | m, 0) - prev
+                    if prev:
+                        out[(i << _L_BITS | d - 1 - i) << bits | m] = prev
+                if nums.get(d << bits | m, 0) != prev:
+                    raise ArithmeticError("not divisible")
+        return _series(self.ring, self.order - 1, den, out)
 
     # -- serialization -------------------------------------------------------------------
 
@@ -405,21 +501,27 @@ class BiSeries:
         if not isinstance(records, list):
             raise ValueError("records must be a list")
         out = cls(ring, {}, order)
+        coeffs = out.coeffs
         for rec in records:
             if not isinstance(rec, dict) or not {"k", "l", "coeff"} <= rec.keys():
                 raise ValueError(f"record needs k, l and coeff: {rec!r}")
             k, l = rec["k"], rec["l"]
             if not (_is_index(k) and _is_index(l) and k + l <= order):
                 raise ValueError(f"exponents ({k!r}, {l!r}) must be ints >= 0 with k + l <= {order}")
-            if (k, l) in out.coeffs:
+            if (k, l) in coeffs:
                 raise ValueError(f"exponents ({k}, {l}) appear twice")
-            out.coeffs[k, l] = ring.parse(rec["coeff"])
+            coeffs[k, l] = ring.parse(rec["coeff"])
         out._clean()
         return out
 
 
 def _is_index(x) -> bool:
     return type(x) is int and x >= 0
+
+
+def _check_order(order: int) -> None:
+    if order > _MAX_ORDER:
+        raise ValueError(f"truncation order {order} above {_MAX_ORDER}")
 
 
 def _term_sort_key(item):
@@ -444,51 +546,89 @@ def _common_ring(x: BiSeries, y: BiSeries):
     return y.ring if x.ring is QQ else x.ring
 
 
-def _numerators(n: int, bits: int, *xs: BiSeries) -> tuple:
-    """(den, [numerators of each x]): x's terms of degree <= n as {packed key:
-    int} over the lcm of x's denominators, den the product of the lcms; the
-    term q m lam^k mu^l, m a monomial of key e, has key (k (n + 1) + l) << bits | e."""
-    cleared = [clear_denominators(_flatten(x, n, bits)) for x in xs]
-    return prod(d for d, _ in cleared), [v for _, v in cleared]
+def _degree(kl: int) -> int:
+    """k + l of the packed (k << _L_BITS | l)."""
+    return (kl >> _L_BITS) + (kl & _L_MASK)
 
 
-def _flatten(x: BiSeries, n: int, bits: int) -> dict:
-    """{packed key: Fraction} of x's terms of degree <= n; a rational is the monomial 0."""
-    if x.ring is QQ:
-        return {(k * (n + 1) + l) << bits: c for (k, l), c in x.coeffs.items() if k + l <= n}
-    return {(k * (n + 1) + l) << bits | e: q for (k, l), c in x.coeffs.items() if k + l <= n for e, q in c.terms.items()}
+def _swapped(key: int, bits: int) -> int:
+    """The key of the same monomial at (l, k) in place of (k, l)."""
+    kl = key >> bits
+    return ((kl & _L_MASK) << _L_BITS | kl >> _L_BITS) << bits | (key - (kl << bits))
 
 
-def _from_numerators(ring, acc: dict, den: int, n: int) -> BiSeries:
-    """The series over ring of order n with the term v / den at each packed key
-    of ``acc`` (see ``_numerators``), zeros dropped; off QQ, ``ring.from_terms``
-    builds each (k, l) coefficient as ``acc`` empties, equal monomials sharing one int."""
-    out = BiSeries(ring, {}, n)
+def _wrap(ring, order: int, den: int, nums: dict) -> BiSeries:
+    """The series over ring of that order whose integer form is (den, nums),
+    taken as it is: nonzero ints over den, keys within the order and the guard."""
+    out = BiSeries.__new__(BiSeries)
+    out.ring, out.order, out._dict, out._den, out._nums = ring, order, None, den, nums
+    return out
+
+
+def _series(ring, order: int, den: int, nums: dict) -> BiSeries:
+    """``_wrap`` of (den, nums) with the zeros dropped, reduced by the gcd of
+    den and the numerators, its keys checked against ``ring.guard``."""
+    nums = {key: v for key, v in nums.items() if v}
+    g = gcd(den, *nums.values())
+    if g > 1:
+        den //= g
+        nums = {key: v // g for key, v in nums.items()}
+    _check_guard(ring, nums)
+    return _wrap(ring, order, den, nums)
+
+
+def _check_guard(ring, nums: dict) -> None:
+    guard = ring.guard
+    if guard and any(key & guard for key in nums):
+        raise OverflowError("an exponent of the coefficient ring overflows its slot in a product")
+
+
+def _by_degree(nums: dict, bits: int) -> list:
+    """[(k + l, key, v)] of an integer form, by ascending degree."""
+    return sorted((_degree(key >> bits), key, v) for key, v in nums.items())
+
+
+def _product(left: dict, right: list, n: int, bits: int) -> dict:
+    """{packed key: int} of the product of two integer forms to degree n, the
+    right one listed by ``_by_degree``; zeros are kept."""
+    acc: dict = {}
+    get = acc.get
+    for key1, v in left.items():
+        room = n - _degree(key1 >> bits)
+        for deg, key2, w in right:
+            if deg > room:
+                break
+            key = key1 + key2
+            acc[key] = get(key, 0) + v * w
+    return acc
+
+
+def _coefficients(ring, den: int, nums: dict) -> dict:
+    """{(k, l): coefficient} of an integer form: a Fraction over QQ, and
+    ``ring.from_terms`` of {monomial key: Fraction} elsewhere, equal
+    monomial keys sharing one int."""
     if ring is QQ:
-        out.coeffs = {divmod(key, n + 1): Fraction(v, den) for key, v in acc.items() if v}
-        return out
-    size = 1 << ring.key_bits
+        return {(key >> _L_BITS, key & _L_MASK): Fraction(v, den) for key, v in nums.items()}
+    bits = ring.key_bits
     groups: dict = {}
     monos: dict = {}
-    while acc:
-        key, v = acc.popitem()
-        if v:
-            kl, m = divmod(key, size)
-            groups.setdefault(kl, {})[monos.setdefault(m, m)] = Fraction(v, den)
-    out.coeffs = {divmod(kl, n + 1): ring.from_terms(terms) for kl, terms in groups.items()}
-    return out
+    for key, v in nums.items():
+        kl = key >> bits
+        m = key - (kl << bits)
+        groups.setdefault(kl, {})[monos.setdefault(m, m)] = Fraction(v, den)
+    return {(kl >> _L_BITS, kl & _L_MASK): ring.from_terms(terms) for kl, terms in groups.items()}
 
 
 def _linear_power_table(a, b, n: int, bits: int) -> tuple:
     """(D, table) for the rational form a lam + b mu, D the least common
     denominator of a and b: table[k], k = 0..n, lists the nonzero terms of
-    (D a lam + D b mu)^k as ((i (n + 1) + k - i) << bits, comb(k, i) (Da)^i (Db)^(k-i)).
+    (D a lam + D b mu)^k as ((i << 8 | k - i) << bits, comb(k, i) (Da)^i (Db)^(k-i)).
     An entry that is not an int or a Fraction raises TypeError."""
     D, nums = clear_denominators({0: a, 1: b})
     A, B = nums.values()
     table = []
     for k in range(n + 1):
-        terms = [((i * (n + 1) + k - i) << bits, comb(k, i) * A ** i * B ** (k - i)) for i in range(k + 1)]
+        terms = [((i << _L_BITS | k - i) << bits, comb(k, i) * A ** i * B ** (k - i)) for i in range(k + 1)]
         table.append([(key, s) for key, s in terms if s])
     return D, table
 
@@ -535,8 +675,11 @@ def standard_series(name: str, N: int):
 
 
 def exp_linear(a, b, order: int) -> BiSeries:
-    """e^{a lam + b mu} as a BiSeries over QQ."""
-    return BiSeries(QQ, {(1, 0): rational(a), (0, 1): rational(b)}, order).exp()
+    """e^{a lam + b mu} as a BiSeries over QQ, in closed form: a^k b^l / (k! l!) at (k, l)."""
+    a, b = rational(a), rational(b)
+    fact = [factorial(j) for j in range(order + 1)]
+    terms = {(k, l): a**k * b**l / (fact[k] * fact[l]) for k in range(order + 1) for l in range(order + 1 - k)}
+    return BiSeries(QQ, terms, order)
 
 
 def _c_generating_closed(N: int) -> BiSeries:

@@ -9,8 +9,13 @@ A ``ThetaPoly`` keeps {packed monomial key: nonzero Fraction}: each exponent
 sits in a 16-bit slot whose top bit guards against overflow, so a product of
 monomials is one integer addition (layout in its docstring).  Coefficients
 become Fractions once, through ``exact.rational`` where values enter the ring.
-The ring operations trust them and serve scalar work, sums and ``compose``;
-series products and substitutions read ``terms`` in ``cassoc.series``' kernels.
+The ring operations trust them and serve work on single coefficients: the
+printed identities and the linear solves of ``decompose_symmetric_series``.
+Series arithmetic (sums, scalars, products, substitutions, ``compose``, the
+exact divisions) reads ``terms`` once into the integer form of
+``cassoc.series``, checks every key it makes against ``ThetaRing.guard``, and
+builds ThetaPolys again, by ``ThetaRing.from_terms``, only when a caller reads
+a series' ``coeffs``.
 """
 
 from __future__ import annotations
@@ -49,9 +54,14 @@ _SLOT_MASK = (1 << _SLOT) - 1
 _ZERO = Fraction(0)
 
 
+def _guard(n: int) -> int:
+    """The guard bits of the keys of n packed exponents."""
+    return (1 << (_SLOT * n)) // _SLOT_MASK * _GUARD_BIT
+
+
 def _checked(gens: tuple, terms: dict) -> "ThetaPoly":
     """ThetaPoly(gens, terms), or OverflowError if a key sets a guard bit."""
-    guard = (1 << (_SLOT * len(gens))) // _SLOT_MASK * _GUARD_BIT
+    guard = _guard(len(gens))
     if any(e & guard for e in terms):
         raise OverflowError(f"exponent above {_MAX_EXPONENT} in a product")
     return ThetaPoly(gens, terms)
@@ -239,6 +249,7 @@ class ThetaRing:
         self.zero = ThetaPoly(self.gens)
         self.one = ThetaPoly.const(self.gens, 1)
         self.key_bits = _SLOT * len(self.gens)
+        self.guard = _guard(len(self.gens))  # the series kernel checks every key it makes against it
 
     def from_rational(self, q) -> ThetaPoly:
         return ThetaPoly.const(self.gens, q)
@@ -250,7 +261,9 @@ class ThetaRing:
         return isinstance(c, ThetaPoly) and c.gens == self.gens
 
     def from_terms(self, terms: dict) -> ThetaPoly:
-        return _checked(self.gens, terms)
+        """The element with these {monomial key: nonzero Fraction} terms, the
+        keys already checked against ``guard``."""
+        return ThetaPoly(self.gens, terms)
 
     @staticmethod
     def is_zero(c: ThetaPoly) -> bool:

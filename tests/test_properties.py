@@ -1,7 +1,7 @@
 """Property tests; skipped when ``hypothesis`` is not installed."""
 
 from fractions import Fraction as F
-from math import comb
+from math import comb, factorial
 from operator import le
 
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from test_linalg import assert_matches_rref  # noqa: E402
 
+from cassoc.exact import clear_denominators  # noqa: E402
 from cassoc.pentagon import L4_MODEL, l4_reducer  # noqa: E402
 from cassoc.series import QQ, BiSeries  # noqa: E402
 from cassoc.zeta import ThetaPoly, ThetaRing  # noqa: E402
@@ -136,6 +137,17 @@ def test_reduce_commutes_with_scaling_and_returns_exact_coordinates(x_spec, q):
     assert rqx == {d: {key: q * c for key, c in coords.items()} for d, coords in rx.items()}
     for reduced in (rx, rqx):
         assert all(type(c) is F for coords in reduced.values() for c in coords.values())
+
+
+@settings(max_examples=30, deadline=None)
+@given(terms)
+def test_reduce_of_an_int_element_keeps_fraction_coordinates(x_spec):
+    # the checks pass all-int elements, which skip clearing denominators
+    red = l4_reducer()
+    _, ints = clear_denominators(_element(x_spec)[1])
+    got = red.reduce(({}, ints))
+    assert got == red.reduce(({}, {key: F(v) for key, v in ints.items()}))
+    assert all(type(c) is F for coords in got.values() for c in coords.values())
 
 
 @settings(max_examples=30, deadline=None)
@@ -486,6 +498,141 @@ def test_theta_series_product_overflow_raises_and_never_carries(slot, a, over, k
         assert _terms(want[(k + l, k + l)])[tuple(x + y for x, y in zip(e1, e2))] == F(-2, 15)
         _check_ring_output(f * g, 12, want)
         _check_ring_output(g * f, 12, want)
+
+
+def _nonzero(coeffs):
+    return {kl: c for kl, c in coeffs.items() if c != 0}
+
+
+def _naive_sum(f, g, sign):
+    """{(k, l): coefficient} of f + sign g to the lower order, one
+    coefficient sum per term, over f's ring."""
+    n = min(f.order, g.order)
+    out = {}
+    for x, s in ((f, 1), (g, sign)):
+        for kl, c in x.coeffs.items():
+            if sum(kl) <= n:
+                out[kl] = out[kl] + c * s if kl in out else c * s
+    return _nonzero(out)
+
+
+def _naive_dict_product(a, b, n):
+    """{(k, l): coefficient} of the product of two coefficient dicts to order
+    n, one coefficient product and sum per pair of terms."""
+    out = {}
+    for (k1, l1), c1 in a.items():
+        for (k2, l2), c2 in b.items():
+            if k1 + l1 + k2 + l2 <= n:
+                key = (k1 + k2, l1 + l2)
+                out[key] = out[key] + c1 * c2 if key in out else c1 * c2
+    return _nonzero(out)
+
+
+def _naive_compose(f, cs):
+    """{(k, l): coefficient} of sum_j cs[j] f^j, the powers one after another."""
+    out = {(0, 0): f.ring.one * cs[0]}
+    power = {(0, 0): f.ring.one}
+    for c in cs[1:]:
+        power = _naive_dict_product(power, f.coeffs, f.order)
+        for kl, x in power.items():
+            out[kl] = out[kl] + x * c if kl in out else x * c
+    return _nonzero(out)
+
+
+def _check_output(got, order, want):
+    (_check_kernel_output if got.ring is QQ else _check_ring_output)(got, order, want)
+
+
+@pytest.mark.parametrize("ring", [QQ, THETA], ids=["QQ", "theta"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_sums_scalars_and_parts_match_term_by_term_arithmetic(ring, data):
+    f, g = data.draw(series(ring=ring, max_order=8)), data.draw(series(ring=ring, max_order=8))
+    q = data.draw(st.one_of(st.integers(-5, 5), rationals, wide_scales))
+    cut = data.draw(st.integers(0, 8))
+    wide = g * data.draw(wide_scales)
+    for x, y in ((f, g), (f, g.truncate(cut)), (wide, f), (f, f)):
+        _check_output(x + y, min(x.order, y.order), _naive_sum(x, y, 1))
+        _check_output(x - y, min(x.order, y.order), _naive_sum(x, y, -1))
+    if ring is THETA:
+        # a series over QQ joins by a shift of its keys
+        r = data.draw(series(max_order=8))
+        _check_output(r + f, min(r.order, f.order), _naive_sum(_lift(r), f, 1))
+        _check_output(f - r, min(r.order, f.order), _naive_sum(f, _lift(r), -1))
+    for x in (f, wide):
+        _check_output(x * q, x.order, _nonzero({kl: c * q for kl, c in x.coeffs.items()}))
+        _check_output(q * x, x.order, _nonzero({kl: c * q for kl, c in x.coeffs.items()}))
+        _check_output(-x, x.order, {kl: -c for kl, c in x.coeffs.items()})
+        low = {kl: c for kl, c in x.coeffs.items() if sum(kl) <= cut}
+        _check_output(x.truncate(cut), min(cut, x.order), low)
+        _check_output(x.truncate(cut).pad(cut + 3), cut + 3, low)
+        _check_output(x.even_part(), x.order, {kl: c for kl, c in x.coeffs.items() if sum(kl) % 2 == 0})
+        _check_output(x.odd_part(), x.order, {kl: c for kl, c in x.coeffs.items() if sum(kl) % 2 == 1})
+
+
+@pytest.mark.parametrize("ring", [QQ, THETA], ids=["QQ", "theta"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_compose_matches_term_by_term_powers(ring, data):
+    u = data.draw(series(constant=False, ring=ring, max_order=6))
+    c = data.draw(rationals.filter(bool))
+    n = u.order
+    _check_output(u.exp(), n, _naive_compose(u, [F(1, factorial(j)) for j in range(n + 1)]))
+    half = [F(1)]  # C(1/2, j)
+    for j in range(1, n + 1):
+        half.append(half[-1] * F(3 - 2 * j, 2 * j))
+    _check_output((BiSeries.constant(ring, ring.one, n) + u).sqrt(), n, _naive_compose(u, half))
+    # 1 / (c + u) = sum_j (-1)^j u^j / c^(j + 1)
+    unit = BiSeries.constant(ring, ring.from_rational(c), n) + u
+    _check_output(unit.inverse(), n, _naive_compose(u, [(-1) ** j / c ** (j + 1) for j in range(n + 1)]))
+    cs = data.draw(st.lists(st.one_of(st.integers(-5, 5), rationals), min_size=1, max_size=n + 2))
+    _check_output(u.compose(cs), n, _naive_compose(u, cs))
+
+
+@pytest.mark.parametrize("ring", [QQ, THETA], ids=["QQ", "theta"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_writes_through_coeffs_reach_later_kernel_operations(ring, data):
+    values = st.one_of(st.integers(-5, 5), rationals) if ring is QQ else theta_polys
+    t, u = data.draw(series(ring=ring, max_order=6)), data.draw(series(ring=ring, max_order=6))
+    got = t * u  # a kernel result, held in integer form
+    # the second write comes after kernel operations have cleared the first one again
+    for _ in range(2):
+        k = data.draw(st.integers(0, got.order))
+        got.coeffs[(k, data.draw(st.integers(0, got.order - k)))] = data.draw(values)
+        fresh = BiSeries(ring, dict(got.coeffs), got.order)
+        assert (got * u).coeffs == (fresh * u).coeffs and (got + t).coeffs == (fresh + t).coeffs
+        assert got.substitute_linear(((1, 1), (0, -1))) == fresh.substitute_linear(((1, 1), (0, -1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, len(THETA.gens) - 1),
+    st.integers(MAX_EXPONENT // 2 - 2, MAX_EXPONENT // 2 + 2),
+    st.integers(0, 3),
+    st.integers(0, 3),
+)
+def test_theta_compose_overflow_raises_and_never_carries(slot, a, k, l):
+    # f^2 has exponent 2a in the slot, so a > MAX_EXPONENT // 2 overflows;
+    # f^3 lies beyond the order, so only the square can
+    d = k + l
+    assume(d > 0)
+    e = tuple(a if i == slot else 1 for i in range(len(THETA.gens)))
+    big = BiSeries(THETA, {(k, l): _poly({e: F(1, 3)})}, 2 * d)
+    f = big + BiSeries(THETA, {(0, d): THETA.generator(3)}, 2 * d)
+    # big^4 alone would carry past the slot's guard bit into the next slot,
+    # so the check falls on each power, before it is multiplied again
+    with pytest.raises(OverflowError):
+        big.pad(4 * d).compose([0, 0, 0, 0, 1])
+    if 2 * a > MAX_EXPONENT:
+        with pytest.raises(OverflowError):
+            f.exp()
+        with pytest.raises(OverflowError):
+            f.compose([0, 0, 1])
+    else:
+        want = _naive_compose(f, [F(1, factorial(j)) for j in range(2 * d + 1)])
+        assert _terms(want[(2 * k, 2 * l)])[tuple(2 * x for x in e)] == F(1, 18)
+        _check_ring_output(f.exp(), 2 * d, want)
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from cassoc.exact import ext_bernoulli_recursive
-from cassoc.series import QQ, BiSeries, UniSeries, standard_series
+from cassoc.series import QQ, BiSeries, UniSeries, exp_linear, standard_series
 
 LAM = BiSeries.monomial(QQ, 1, 0, F(1), 12)
 MU = BiSeries.monomial(QQ, 0, 1, F(1), 12)
@@ -136,6 +136,8 @@ def test_divide_exact():
         (LAM + ONE).divide_monomial(1, 0)
     with pytest.raises(ArithmeticError, match="not divisible"):
         (LAM + MU * MU).divide_lam_plus_mu()
+    with pytest.raises(ArithmeticError, match="not divisible"):
+        (ONE + LAM + MU).divide_lam_plus_mu()
     assert (LAM + MU).divide_lam_plus_mu() == BiSeries.constant(QQ, F(1), 11)
 
 
@@ -215,3 +217,20 @@ def test_uniseries_as_biseries_direction():
     b = u.as_biseries((1, 1), 2)
     assert b.coeff(1, 0) == 1 and b.coeff(0, 1) == 1
     assert b.coeff(2, 0) == 2 and b.coeff(1, 1) == 4 and b.coeff(0, 2) == 2
+
+
+@pytest.mark.parametrize("a, b", [(0, 0), (1, 1), (0, 1), (-1, 0), (3, -2), (F(1, 2), F(-2, 3)), (F(-5, 4), 7)])
+@pytest.mark.parametrize("order", [0, 1, 7, 16])
+def test_exp_linear_closed_form_matches_exp(a, b, order):
+    got = exp_linear(a, b, order)
+    want = BiSeries(QQ, {(1, 0): a, (0, 1): b}, order).exp()
+    assert got.order == order and got == want and got.coeffs == want.coeffs
+
+
+def test_orders_beyond_the_packed_key_raise():
+    # l sits in 8 bits of a packed key, so an order above 255 cannot be held
+    assert BiSeries(QQ, {(0, 255): F(1)}, 255).coeff(0, 255) == 1
+    with pytest.raises(ValueError, match="above 255"):
+        BiSeries(QQ, {}, 256)
+    with pytest.raises(ValueError, match="above 255"):
+        ONE.pad(256)

@@ -1,12 +1,20 @@
-"""Time the rational series kernels and the hexagon-solve stages, each repeat in a fresh interpreter.
+"""Time the series kernels and the hexagon-solve stages, each repeat in a fresh interpreter.
 
     python3 tools/bench_series.py --parent ../parent/src --change src --out BENCH.json
 
-Kernel stages, on order-16 series over QQ built before the clock starts,
-each the time of 20 calls, the fastest of 5 such batches, since one call
-takes only 1-3 ms and a cold one is noisy: the product
-``c_generating_closed(16) * family_I(16)``,
-``family_I(16).substitute_linear(_SUB_MU_RHO)`` and ``exp_linear(1, 1, 16)``.
+Kernel stages, each the time of 20 calls, the fastest of 5 such batches,
+since one call takes only 1-3 ms and a cold one is noisy: over QQ at order
+16, the product ``c_generating_closed(16) * family_I(16)``, the sum
+``c_generating_closed(16) + family_I(16)``,
+``family_I(16).substitute_linear(_SUB_MU_RHO)``, ``exp_linear(1, 1, 16)``
+and ``compose`` as the ``sqrt`` of sinhc(lam+mu) sinhc(lam) sinhc(mu); over
+the theta ring, the sum ``drinfeld_s(18) + drinfeld_s(18).exp()`` and
+``compose`` as ``exp`` of ``drinfeld_s(18)``.  A series keeps the integer
+form that its first operation cleared, so each call takes fresh operands,
+rebuilt by the constructor from their coefficients outside the clock (the
+records reader caps the order at 16): an operand reused across calls would
+skip, from the second call on, the clearing of denominators that every
+operand built from its coefficients pays.
 Then the stages of the ``hexagon-solve`` workload at degree 16:
 ``solve_degreewise(16)``; for families I, II, III and a fixed-seed rational
 ParamSet, ``residual_15b``, ``residual_39``, ``split_residuals`` and
@@ -30,10 +38,10 @@ KERNEL_BATCHES = 5
 SOLVER_DEGREES = "20,24"
 
 CHILD = """
-import hashlib, json, random, sys, time, timeit
+import hashlib, json, random, sys, time
 from fractions import Fraction
 sys.path.insert(0, sys.argv[1])
-from cassoc import hexagon, series
+from cassoc import hexagon, series, zeta
 N, calls, batches = int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
 times = {}
 outputs = []
@@ -45,9 +53,20 @@ def timed(name, fn):
     outputs.append((name, out))
     return out
 
-def timed_kernel(name, fn):
-    times[name] = min(timeit.repeat(fn, number=calls, repeat=batches))
-    outputs.append((name, fn()))
+def fresh(x):
+    return series.BiSeries(x.ring, dict(x.coeffs), x.order)
+
+def timed_kernel(name, op, *operands):
+    def batch():
+        total = 0.0
+        for _ in range(calls):
+            args = [fresh(x) for x in operands]
+            t0 = time.perf_counter()
+            op(*args)
+            total += time.perf_counter() - t0
+        return total
+    times[name] = min(batch() for _ in range(batches))
+    outputs.append((name, op(*[fresh(x) for x in operands])))
 
 def text(x):
     if isinstance(x, series.BiSeries):
@@ -63,9 +82,16 @@ params = hexagon.ParamSet(
 )
 c = series.standard_series("c_generating_closed", N)
 f1 = hexagon.family_I(N)
-timed_kernel("mul", lambda: c * f1)
-timed_kernel("substitute_linear", lambda: f1.substitute_linear(hexagon._SUB_MU_RHO))
+sinhc = series.standard_series("sinhc", N)
+sinhc3 = sinhc.as_biseries((1, 1), N) * sinhc.as_biseries((1, 0), N) * sinhc.as_biseries((0, 1), N)
+s18 = zeta.drinfeld_s(N + 2)
+timed_kernel("mul", lambda x, y: x * y, c, f1)
+timed_kernel("add", lambda x, y: x + y, c, f1)
+timed_kernel("substitute_linear", lambda x: x.substitute_linear(hexagon._SUB_MU_RHO), f1)
 timed_kernel("exp_linear", lambda: series.exp_linear(1, 1, N))
+timed_kernel("compose.sqrt", lambda x: x.sqrt(), sinhc3)
+timed_kernel("add.theta", lambda x, y: x + y, s18, s18.exp())
+timed_kernel("compose.exp.theta", lambda x: x.exp(), s18)
 timed("solve_degreewise", lambda: hexagon.solve_degreewise(N))
 families = [f1, hexagon.family_II(N), hexagon.family_III(N), timed("build_f", lambda: hexagon.build_f(params, N))]
 for f in families:
