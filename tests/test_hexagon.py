@@ -277,6 +277,11 @@ def test_family_II_from_params():
     assert build_f(ps, 12) == family_II(12)
 
 
+def test_family_II_params_digest():
+    digest = "2e3ea114439de5aeeb5d36ca4dffc8fb831de8455917456cf4299b3f0ea0a62a"
+    assert hashlib.sha256(family_II_params(16).to_json().encode()).hexdigest() == digest
+
+
 def test_family_III_structure():
     f = family_III(12)
     assert f.odd_part().is_zero()

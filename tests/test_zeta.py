@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -136,6 +137,15 @@ def test_solve_betas_round_trip():
     for N in (8, 9, 10):
         params = solve_betas_in_theta(N)
         assert build_f(params, N) == drinfeld_f(N, params.ring)
+
+
+@pytest.mark.parametrize("N, digest", [
+    (20, "66dd2b260986bfa91f4eb269a0abaad3cab128fe706b678f3d1426810fcc032c"),
+    (24, "50fb3812bc175f0613f58129de8fab6ec068c68059ebf37bc44a5f65882c1bdd"),
+])
+def test_solve_betas_digest(N, digest):
+    # every beta and beta~ through weight N as an odd-zeta polynomial
+    assert hashlib.sha256(solve_betas_in_theta(N).to_json().encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("factor, perturbation", [
