@@ -2,7 +2,8 @@
 
 Exit codes: 0 = success / all checks pass, 1 = a verification failed,
 2 = usage error: argparse's own message, or one JSON line {"error": ...} on
-stderr for out-of-range values and unreadable or malformed input files.
+stderr for out-of-range values, unreadable or malformed input files and an
+``--output`` that cannot be written.
 Output is deterministic: identical invocations produce byte-identical bytes.
 """
 
@@ -39,8 +40,11 @@ def _emit(text: str, path: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(target, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(target, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            _usage_error(f"{target}: {exc}")
 
 
 def _usage_error(message: str):

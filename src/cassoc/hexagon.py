@@ -295,22 +295,24 @@ def is_associator_polynomial(p: BiSeries) -> bool:
 def decompose_symmetric_series(h: BiSeries) -> dict:
     """Write each homogeneous part of h in the associator-polynomial basis.
 
+    The degree-d basis is unit triangular: the lowest lam-degree term of
+    (lam mu (lam+mu))^j w^(d-3j) is lam^j mu^(d-j), with coefficient 1.  So
+    the coordinates are peeled off by ascending j: c_j is the coefficient of
+    lam^j mu^(d-j) in what is left, and c_j times that element is subtracted.
     Returns {degree: [coefficients]}; raises ArithmeticError("residual outside
     span") when some part is not an associator polynomial.
     """
     ring = h.ring
     out = {}
-    for d in range(0, h.order + 1):
-        part = h.homogeneous_part(d)
-        basis = _associator_basis(d)
-        monoms = [(i, d - i) for i in range(d + 1)]
-        matrix = [[b.coeffs.get(mo, Fraction(0)) for b in basis] for mo in monoms]
-        rhs = [part.get(mo, ring.zero) for mo in monoms]
-        coeffs, kernel = linalg.solve_exact(matrix, rhs)
-        if coeffs is None:
+    for d in range(h.order + 1):
+        rest = BiSeries(ring, h.homogeneous_part(d), d)
+        coeffs = []
+        for j, element in zip(range(d % 2, d // 3 + 1, 2), _associator_basis(d)):
+            c = rest.coeff(j, d - j)
+            coeffs.append(c)
+            rest = rest - BiSeries.constant(ring, c, d) * element
+        if not rest.is_zero():
             raise ArithmeticError("residual outside span")
-        if kernel:
-            raise ArithmeticError("decomposition basis is degenerate")
         out[d] = coeffs
     return out
 

@@ -44,7 +44,7 @@ from operator import add
 
 from .exact import clear_denominators, rational
 from .groebner import NormalForm, groebner_basis, hilbert_numerator, standard_count
-from .linalg import solve_exact
+from .linalg import rref
 
 __all__ = [
     "LETTERS",
@@ -714,15 +714,16 @@ def claim_53_span_checks() -> bool:
         for t in others
     ]
 
-    def in_span(target, gens) -> bool:
-        rows = [red.reduce(g).get(3, {}) for g in gens]
-        tgt = red.reduce(target).get(3, {})
-        keys = sorted({k for r in rows for k in r} | set(tgt))
-        matrix = [[r.get(k, Fraction(0)) for r in rows] for k in keys]
-        rhs = [tgt.get(k, Fraction(0)) for k in keys]
-        particular, _ = solve_exact(matrix, rhs) if keys else ([], [])
-        return particular is not None
-
-    return all(in_span(t, simple_gens) for t in simple_all) and all(
-        in_span(t, nonsimple_gens) for t in nonsimple_all
+    return all(_in_span(red, t, simple_gens) for t in simple_all) and all(
+        _in_span(red, t, nonsimple_gens) for t in nonsimple_all
     )
+
+
+def _in_span(reducer, target, gens: list) -> bool:
+    """Whether target reduces, in degree 3, into the span of the gens: one
+    ``rref`` over the columns gens + [target], whose last column is a pivot
+    exactly when the target lies outside the span."""
+    cols = [reducer.reduce(g).get(3, {}) for g in gens + [target]]
+    keys = sorted({k for col in cols for k in col})
+    _, pivots = rref([[col.get(k, 0) for col in cols] for k in keys])
+    return len(gens) not in pivots

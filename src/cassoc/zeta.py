@@ -10,9 +10,9 @@ sits in a 16-bit slot whose top bit guards against overflow, so a product of
 monomials is one integer addition (layout in its docstring).  Coefficients
 become Fractions once, through ``exact.rational`` where values enter the ring.
 The ring operations trust them and serve work on single coefficients: the
-printed identities and the linear solves of ``decompose_symmetric_series``.
-Series arithmetic (sums, scalars, products, substitutions, ``compose``, the
-exact divisions) reads ``terms`` once into the integer form of
+printed identities.  Series arithmetic (sums, scalars, products,
+substitutions, ``compose``, the exact divisions, and with them the peel of
+``decompose_symmetric_series``) reads ``terms`` once into the integer form of
 ``cassoc.series``, checks every key it makes against ``ThetaRing.guard``, and
 builds ThetaPolys again, by ``ThetaRing.from_terms``, only when a caller reads
 a series' ``coeffs``.

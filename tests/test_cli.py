@@ -193,6 +193,17 @@ def run_usage_error(capsys, *argv) -> dict:
     return json.loads(err)
 
 
+@pytest.mark.parametrize("target", ["missing-dir/out.txt", "."])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, target):
+    # a missing directory, or a directory as the target: exit 2, never a traceback
+    table = tmp_path / "alpha.json"
+    run_cli(capsys, "hexagon", "solve", "--family", "I", "--degree", "4", "--output", str(table))
+    out = tmp_path / target
+    for argv in (("bernoulli", "--max", "3"), ("hexagon", "residual", "--input", str(table))):
+        err = run_usage_error(capsys, *argv, "--output", str(out))
+        assert err["error"].startswith(f"{out}: ")
+
+
 def test_missing_input_file(tmp_path, capsys):
     err = run_usage_error(capsys, "hexagon", "residual", "--input", str(tmp_path / "nope.json"))
     assert "nope.json" in err["error"]

@@ -32,7 +32,7 @@ from cassoc.hexagon import (
     solve_degreewise,
     split_residuals,
 )
-from cassoc.hexagon import _operator_slice
+from cassoc.hexagon import _associator_basis, _operator_slice
 from cassoc.series import QQ, BiSeries, exp_linear, standard_series
 
 F_B3 = BiSeries(QQ, dict(EXAMPLE_37_ALPHA), 3)
@@ -252,6 +252,52 @@ def test_decompose_round_trip():
                 assert back[d] == params
     with pytest.raises(ArithmeticError, match="residual outside span"):
         decompose_symmetric_series(BiSeries(QQ, {(2, 0): F(1)}, 2))
+
+
+def test_associator_basis_is_unit_triangular():
+    # the peel in decompose_symmetric_series rests on this: the element with
+    # exponent j has lam^j mu^(d-j), coefficient 1, as its lowest lam term
+    for d in range(31):
+        basis = _associator_basis(d)
+        js = range(d % 2, d // 3 + 1, 2)
+        assert len(basis) == len(js)
+        for j, element in zip(js, basis):
+            assert min(k for k, _ in element.coeffs) == j
+            assert element.coeff(j, d - j) == 1
+
+
+def test_decompose_round_trip_over_theta_ring():
+    from cassoc.zeta import ring_for_degree
+
+    ring = ring_for_degree(9)
+    t3, t5, t7 = (ring.generator(n) for n in (3, 5, 7))
+    monomials = [ring.one, t3, t5, t7, t3 * t3, t3 * t5]
+    rng = random.Random(24)
+    N = 10
+    h = BiSeries(ring, {}, N)
+    parts = {}
+    for d in range(N + 1):
+        params = []
+        for _ in _associator_basis(d):
+            c = ring.zero
+            for mono in rng.sample(monomials, rng.randint(0, 3)):
+                c = c + mono * F(rng.randint(-9, 9), rng.randint(1, 7))
+            params.append(c)
+        parts[d] = params
+        h = h + associator_polynomial(d, params, ring).pad(N)
+    assert decompose_symmetric_series(h) == parts
+
+
+def test_decompose_rejects_symmetric_non_associator_polynomials():
+    from cassoc.zeta import ring_for_degree
+
+    ring = ring_for_degree(3)
+    t3 = ring.generator(3)
+    # lam^2 + mu^2 is swap-symmetric but not symmetric under lam -> -lam - mu
+    for h in (BiSeries(QQ, {(2, 0): F(1), (0, 2): F(1)}, 2), BiSeries(ring, {(2, 0): t3, (0, 2): t3}, 2)):
+        assert h == h.swap() and not is_associator_polynomial(h)
+        with pytest.raises(ArithmeticError, match="residual outside span"):
+            decompose_symmetric_series(h)
 
 
 def test_family_I_printed():

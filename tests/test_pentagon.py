@@ -11,9 +11,10 @@ from cassoc import groebner, linalg, pentagon, verify
 from cassoc.cbh import ModelElement
 from cassoc.exact import clear_denominators
 from cassoc.hexagon import AlphaTable, family_I, family_II, family_III
-from cassoc.linalg import rref, solve_exact
+from cassoc.linalg import rref
 from cassoc.pentagon import (
     _PENTAGON,
+    _in_span,
     L3_MODEL,
     L4_MODEL,
     QuotientReducer,
@@ -155,6 +156,30 @@ def test_identity_suite_small(red):
 
 def test_claim_53_spans():
     assert claim_53_span_checks()
+
+
+def test_claim_53_span_test_can_fail(red):
+    # [d, x] is not simple: outside the span of the eight simple generators,
+    # inside that of [d, x], [e, x]; the ranks are 8, 9 and 10 = dimension(3)
+    m = L4_MODEL
+    a, b, c, d, e, _ = (m.letter(i) for i in range(6))
+    x, y, z, u = pentagon._xyzu()
+    simple = [
+        m.bracket(a, x), m.bracket(b, x), m.bracket(a, y), m.bracket(d, y),
+        m.bracket(b, z), m.bracket(e, z), m.bracket(c, u), m.bracket(e, u),
+    ]
+    dx, ex = m.bracket(d, x), m.bracket(e, x)
+    assert not _in_span(red, dx, simple)
+    assert _in_span(red, dx, [dx, ex]) and _in_span(red, ex, [dx, ex])
+    assert _in_span(red, simple[3], simple)
+
+    def rank(elems):
+        cols = [red.reduce(g).get(3, {}) for g in elems]
+        keys = sorted({k for col in cols for k in col})
+        return len(rref([[col.get(k, 0) for col in cols] for k in keys])[1])
+
+    assert [rank(simple), rank(simple + [dx]), rank(simple + [dx, ex])] == [8, 9, 10]
+    assert red.dimension(3) == 10
 
 
 def test_phi_bar_eval_degenerate():
@@ -597,9 +622,6 @@ def test_rref_of_int_matrix_gives_fractions():
     rows, pivots = rref([[2, 1], [4, 3]])
     assert rows == [[1, 0], [0, 1]] and pivots == [0, 1]
     assert all(type(x) is F for row in rows for x in row)
-    particular, kernel = solve_exact([[2, 1], [1, 3]], [1, 2])
-    assert particular == [F(1, 5), F(3, 5)] and kernel == []
-    assert all(type(x) is F for x in particular)
     rows, pivots = rref([[3, 6, 1], [1, 2, 5]])
     assert pivots == [0, 2] and all(type(x) is F for row in rows for x in row)
 

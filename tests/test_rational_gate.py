@@ -72,7 +72,9 @@ def test_gate_values():
     assert ThetaPoly.const(RING.gens, F(1, 2)) == F(1, 2)
 
 
-def test_rref_carried_columns_may_hold_ring_elements():
-    rows, pivots = linalg.rref([[2, 0, T3], [0, 1, RING.one]], 2)
-    assert pivots == [0, 1]
-    assert rows[0][2] == T3 / 2 and rows[1][2] == RING.one
+@pytest.mark.parametrize("col", range(3))
+def test_rref_refuses_ring_elements_in_every_column(col):
+    matrix = [[2, 0, 1], [0, 1, 3]]
+    matrix[1][col] = T3
+    with pytest.raises(TypeError):
+        linalg.rref(matrix)

@@ -7,7 +7,6 @@ from cassoc import zeta
 from cassoc.hexagon import AlphaTable, ParamSet, build_f, residual_15b, split_residuals
 from cassoc.series import QQ, BiSeries, UniSeries
 from cassoc.zeta import (
-    ThetaPoly,
     ThetaRing,
     drinfeld_f,
     drinfeld_s,
@@ -267,17 +266,3 @@ def test_compositions_over_theta_ring():
     assert u.log().exp() == u
     assert u.sqrt() * u.sqrt() == u
     assert u * u.inverse() == one
-
-
-def test_solve_exact_with_theta_rhs():
-    from cassoc.linalg import solve_exact
-
-    ring = ring_for_degree(9)
-    t3, t5 = ring.generator(3), ring.generator(5)
-    matrix = [[F(1), F(1), F(0)], [F(0), F(0), F(1)], [F(1), F(1), F(1)]]
-    particular, kernel = solve_exact(matrix, [t3, t5, t3 + t5])
-    assert particular == [t3, ring.zero, t5]
-    assert all(isinstance(x, ThetaPoly) for x in particular)
-    assert kernel == [[F(-1), F(1), F(0)]]
-    particular, kernel = solve_exact(matrix, [t3, t5, t3])
-    assert particular is None and kernel == [[F(-1), F(1), F(0)]]

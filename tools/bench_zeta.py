@@ -9,7 +9,8 @@ the ``build_f`` rebuild from those parameters; a stage is named
 ``<stage>.<N>``.  ``bench_harness`` runs the two checkouts' repeats
 alternately, each in a new interpreter, and writes each one's stage medians
 into its column of ``--out``; the digests it compares and records are the
-sha256 of the drinfeld and rebuilt series at each degree.
+sha256 of the drinfeld and rebuilt series and of the parameters'
+``to_json()`` at each degree.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ for N in map(int, sys.argv[2].split(",")):
     params = timed(f"solve_betas_in_theta.{N}", lambda: zeta.solve_betas_in_theta(N))
     built = timed(f"build_f.{N}", lambda: hexagon.build_f(params, N))
     digests[f"drinfeld.{N}"], digests[f"build_f.{N}"] = digest(fd), digest(built)
+    digests[f"solve_betas_in_theta.{N}"] = hashlib.sha256(params.to_json().encode()).hexdigest()
 print(json.dumps({"times": times, "sha256": digests}))
 """
 
