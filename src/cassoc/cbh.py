@@ -22,12 +22,19 @@ Three independent computations of the Hausdorff series live here:
 
 plus the Hausdorff product ``hausdorff_in_l3`` of any two model elements,
 used by the hexagon checks.
+
+The oracle's word algebra is its own and uses no series arithmetic: words in
+P and Q are strings, and an element truncated at length N is a list by word
+length of {word: int}.  It holds U = N! (exp P exp Q - 1), whose
+coefficients N!/(i! j!) are ints, multiplies only the length pairs a + b <= N,
+and sums log(1 + U/N!) over the one denominator lcm(1..N) N!^N.  Fractions
+appear only at the end, one per bracket coefficient of the projection.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .exact import bernoulli, ext_bernoulli_recursive, rational
 from .series import QQ, BiSeries
@@ -152,64 +159,79 @@ def classical_cbh_in_model(N: int) -> ModelElement:
 
 # -- free associative oracle ----------------------------------------------------------
 
-P_LETTER, Q_LETTER = 0, 1
+
+def _scaled_exp_product(N: int) -> list:
+    """U = N! (exp P exp Q - 1) truncated at length N, by word length: U[a]
+    maps the word P^i Q^(a-i) to N!/(i! (a-i)!), an int since a <= N, and
+    U[0] is empty."""
+    fact = [factorial(j) for j in range(N + 1)]
+    return [{}] + [
+        {"P" * i + "Q" * (a - i): fact[N] // (fact[i] * fact[a - i]) for i in range(a + 1)}
+        for a in range(1, N + 1)
+    ]
 
 
-def _nc_mul(f: dict, g: dict, N: int) -> dict:
-    out: dict = {}
-    for w1, c1 in f.items():
-        for w2, c2 in g.items():
-            if len(w1) + len(w2) <= N:
-                w = w1 + w2
-                out[w] = out.get(w, Fraction(0)) + c1 * c2
-    return {w: c for w, c in out.items() if c}
-
-
-def _nc_exp_letter(letter: int, N: int) -> dict:
-    out = {}
-    for i in range(N + 1):
-        out[(letter,) * i] = Fraction(1, factorial(i))
+def _graded_product(f: list, g: list, N: int) -> list:
+    """f g truncated at length N, each a list by word length of {word: int}:
+    only the length pairs a + b <= N meet."""
+    out = [{} for _ in range(N + 1)]
+    for a, fa in enumerate(f):
+        for b in range(N - a + 1):
+            gb = g[b]
+            if not (fa and gb):
+                continue
+            acc = out[a + b]
+            get = acc.get
+            for w1, c1 in fa.items():
+                for w2, c2 in gb.items():
+                    w = w1 + w2
+                    acc[w] = get(w, 0) + c1 * c2
     return out
 
 
-def _nc_log(f: dict, N: int) -> dict:
-    u = dict(f)
-    u[()] = u.get((), Fraction(0)) - 1
-    u = {w: c for w, c in u.items() if c}
-    out: dict = {}
-    power = {(): Fraction(1)}
+def _scaled_log(u: list, N: int) -> tuple:
+    """(L, {word: int}) with log(1 + u / N!) = {word: v / L} to length N, for
+    u without constant term: the sum over j of (-1)^(j+1)/j u^j / N!^j, held
+    over the one denominator L = lcm(1..N) N!^N."""
+    M = lcm(*range(1, N + 1))
+    fN = factorial(N)
+    acc: dict = {}
+    get = acc.get
+    power = [{"": 1}] + [{} for _ in range(N)]
     for j in range(1, N + 1):
-        power = _nc_mul(power, u, N)
-        if not power:
-            break
-        sign = Fraction((-1) ** (j + 1), j)
-        for w, c in power.items():
-            out[w] = out.get(w, Fraction(0)) + sign * c
-    return {w: c for w, c in out.items() if c}
+        power = _graded_product(power, u, N)
+        c = (-1) ** (j + 1) * (M // j) * fN ** (N - j)
+        for part in power:
+            for w, v in part.items():
+                acc[w] = get(w, 0) + c * v
+    return M * fN**N, acc
 
 
 def associative_log_oracle(N: int) -> ModelElement:
     """log(exp P * exp Q) in the truncated free algebra, converted to the model
     through the Dynkin projection: a word w of length n >= 2 goes to its
     right-nested commutator over n, which ``word_to_canonical`` reads off the
-    letter counts."""
+    letter counts.  The words carry int numerators over L (see
+    ``_scaled_log``), and a commutator's sum over lcm(1..N) L, so the only
+    division is the last one, per coefficient."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    h = _nc_log(_nc_mul(_nc_exp_letter(P_LETTER, N), _nc_exp_letter(Q_LETTER, N), N), N)
-    lin = [Fraction(0), Fraction(0)]  # indexed by P_LETTER, Q_LETTER
+    L, h = _scaled_log(_scaled_exp_product(N), N)
+    M = lcm(*range(1, N + 1))
+    lin = {"P": 0, "Q": 0}
     comm: dict = {}
-    for w, c in h.items():
+    for w, v in h.items():
         n = len(w)
-        if n == 0:
-            raise ArithmeticError("log has a constant term")
         if n == 1:
-            lin[w[0]] += c
+            lin[w] += v
             continue
-        mapped = word_to_canonical("".join("PQ"[s] for s in w))
+        mapped = word_to_canonical(w)
         if mapped is not None:
             key, sign = mapped
-            comm[key] = comm.get(key, 0) + sign * c / n
-    return ModelElement(lin[Q_LETTER], lin[P_LETTER], 0, BiSeries(QQ, comm, N - 2))
+            comm[key] = comm.get(key, 0) + sign * v * (M // n)
+    den = L * M
+    comm = {key: Fraction(v, den) for key, v in comm.items()}
+    return ModelElement(Fraction(lin["Q"], L), Fraction(lin["P"], L), 0, BiSeries(QQ, comm, N - 2))
 
 
 def word_to_canonical(word: str) -> tuple | None:

@@ -21,6 +21,7 @@ from .series import MAX_DEGREE
 MAX_PENTAGON = 10
 MIN_PENTAGON_CHECK = 2  # the pentagon residual starts at letter degree 2
 MAX_ORACLE = 8
+MAX_BERNOULLI = 256  # bernoulli(n) costs about n^3: 0.2 s at 400, 1.75 s at 800
 MIN_VERIFY = 3  # the first asymmetric direction, alpha[0, 1] - alpha[1, 0], enters the pentagon at degree 3
 
 
@@ -70,6 +71,8 @@ def _load(path: str, parse):
 def cmd_bernoulli(args) -> int:
     if args.max < 0:
         _usage_error(f"bernoulli --max {args.max} is negative")
+    if args.max > MAX_BERNOULLI:
+        _usage_error(f"bernoulli --max {args.max} above {MAX_BERNOULLI}")
     rows = [(n, bernoulli(n)) for n in range(args.max + 1)]
     if args.format == "json":
         _emit(json.dumps({str(n): format_rational(v) for n, v in rows}, indent=2), args.output)

@@ -58,7 +58,7 @@ chain of products never carries one exponent into the next slot.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import factorial, gcd, lcm
 from typing import Iterable
 
 from .exact import bernoulli, clear_denominators, format_rational, gamma_coefficients, is_rational, parse_rational
@@ -228,19 +228,20 @@ class BiSeries:
             nums = {key << shift: v for key, v in nums.items()}
         return den, nums
 
-    def _constant(self):
-        """The (0, 0) coefficient."""
-        den, nums = self._ints()
-        size = 1 << self.ring.key_bits
-        constant = _coefficients(self.ring, den, {key: v for key, v in nums.items() if key < size})
-        return constant.get((0, 0), self.ring.zero)
-
     # -- basic queries ---------------------------------------------------------
 
     def coeff(self, k: int, l: int):
+        """The (k, l) coefficient, read off the integer form, which stays."""
         if k + l > self.order:
             raise IndexError(f"degree {k + l} beyond truncation order {self.order}")
-        return self.coeffs.get((k, l), self.ring.zero)
+        den, nums = self._ints()
+        ring = self.ring
+        if ring is QQ:
+            return Fraction(nums.get(k << _L_BITS | l, 0), den)
+        low = (k << _L_BITS | l) << ring.key_bits
+        high = low + (1 << ring.key_bits)
+        terms = {key: v for key, v in nums.items() if low <= key < high}
+        return _coefficients(ring, den, terms).get((k, l), ring.zero)
 
     def homogeneous_part(self, d: int) -> dict:
         return {kl: c for kl, c in self.coeffs.items() if kl[0] + kl[1] == d}
@@ -440,7 +441,7 @@ class BiSeries:
         return self._minus_one().compose(coeffs)
 
     def inverse(self) -> "BiSeries":
-        inv0 = self.ring.inverse_of(self._constant())
+        inv0 = self.ring.inverse_of(self.coeff(0, 0))
         u = BiSeries.constant(self.ring, self.ring.one, self.order) - self * inv0
         return u.compose([Fraction(1)] * (self.order + 1)) * inv0
 
@@ -622,14 +623,16 @@ def _coefficients(ring, den: int, nums: dict) -> dict:
 def _linear_power_table(a, b, n: int, bits: int) -> tuple:
     """(D, table) for the rational form a lam + b mu, D the least common
     denominator of a and b: table[k], k = 0..n, lists the nonzero terms of
-    (D a lam + D b mu)^k as ((i << 8 | k - i) << bits, comb(k, i) (Da)^i (Db)^(k-i)).
+    (A lam + B mu)^k, A = D a and B = D b, as ((i << 8 | k - i) << bits,
+    comb(k, i) A^i B^(k-i)), row k built from row k - 1 by Pascal's rule.
     An entry that is not an int or a Fraction raises TypeError."""
     D, nums = clear_denominators({0: a, 1: b})
     A, B = nums.values()
-    table = []
-    for k in range(n + 1):
-        terms = [((i << _L_BITS | k - i) << bits, comb(k, i) * A ** i * B ** (k - i)) for i in range(k + 1)]
-        table.append([(key, s) for key, s in terms if s])
+    row = [1]  # row[i]: the coefficient of lam^i mu^(k-i)
+    table = [[(0, 1)]]
+    for k in range(1, n + 1):
+        row = [B * row[0]] + [A * row[i - 1] + B * row[i] for i in range(1, k)] + [A * row[k - 1]]
+        table.append([((i << _L_BITS | k - i) << bits, s) for i, s in enumerate(row) if s])
     return D, table
 
 
@@ -675,11 +678,24 @@ def standard_series(name: str, N: int):
 
 
 def exp_linear(a, b, order: int) -> BiSeries:
-    """e^{a lam + b mu} as a BiSeries over QQ, in closed form: a^k b^l / (k! l!) at (k, l)."""
-    a, b = rational(a), rational(b)
+    """e^{a lam + b mu} as a BiSeries over QQ, in closed form: a^k b^l / (k! l!)
+    at (k, l).  With a = A/D and b = B/D that is the int A^k B^l D^(n-k-l)
+    n!/(k! l!) over n! D^n, n the order."""
+    _check_order(order)
+    D, nums = clear_denominators({0: rational(a), 1: rational(b)})
+    A, B = nums.values()
     fact = [factorial(j) for j in range(order + 1)]
-    terms = {(k, l): a**k * b**l / (fact[k] * fact[l]) for k in range(order + 1) for l in range(order + 1 - k)}
-    return BiSeries(QQ, terms, order)
+    n_fact = fact[order]
+    d_pows = [D**j for j in range(order + 1)]
+    terms = {}
+    a_pow = 1  # A^k
+    for k in range(order + 1):
+        t = a_pow * n_fact // fact[k]  # A^k B^l n!/k!
+        for l in range(order + 1 - k):
+            terms[k << _L_BITS | l] = t * d_pows[order - k - l] // fact[l]
+            t *= B
+        a_pow *= A
+    return _series(QQ, order, n_fact * d_pows[order], terms)
 
 
 def _c_generating_closed(N: int) -> BiSeries:

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from cassoc import cbh
 from cassoc.cbh import (
     ModelElement,
     associative_log_oracle,
@@ -55,6 +56,25 @@ def test_classical_recursion_pieces():
 def test_three_paths_agree():
     assert classical_cbh_in_model(10) == compressed_cbh(10)
     assert associative_log_oracle(8) == compressed_cbh(8)
+
+
+@pytest.mark.parametrize("N", range(1, 11))
+def test_oracle_agrees_with_both_model_paths(N):
+    assert associative_log_oracle(N) == compressed_cbh(N) == classical_cbh_in_model(N)
+
+
+def test_oracle_sees_one_wrong_exponential_coefficient(monkeypatch):
+    # P^2 / 2! of exp P, scaled by 6!, made 1/720 too large
+    scaled = cbh._scaled_exp_product
+
+    def perturbed(N):
+        u = scaled(N)
+        u[2]["PP"] += 1
+        return u
+
+    monkeypatch.setattr(cbh, "_scaled_exp_product", perturbed)
+    h = associative_log_oracle(6)
+    assert (h.x, h.y) == (1, 1) and h != compressed_cbh(6)
 
 
 def test_associative_oracle_low_degrees():

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 import cassoc
-from cassoc.cli import main
+from cassoc.cli import MAX_BERNOULLI, main
 
 
 def run_cli(capsys, *argv):
@@ -252,6 +252,13 @@ def test_param_index_out_of_range(tmp_path, capsys):
 
 def test_bernoulli_negative_max(capsys):
     run_usage_error(capsys, "bernoulli", "--max", "-3")
+
+
+def test_bernoulli_max_above_cap(capsys):
+    err = run_usage_error(capsys, "bernoulli", "--max", "100000")
+    assert err["error"] == f"bernoulli --max 100000 above {MAX_BERNOULLI}"
+    code, out = run_cli(capsys, "bernoulli", "--max", str(MAX_BERNOULLI), "--format", "csv")
+    assert code == 0 and out.count("\n") == MAX_BERNOULLI + 2
 
 
 @pytest.mark.parametrize("degree", ["0", "2"])

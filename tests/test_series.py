@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction as F
+from math import comb, factorial, lcm
 
 import pytest
 
 from cassoc.exact import ext_bernoulli_recursive
-from cassoc.series import QQ, BiSeries, UniSeries, exp_linear, standard_series
+from cassoc.series import QQ, BiSeries, UniSeries, _linear_power_table, exp_linear, standard_series
+from cassoc.zeta import ring_for_degree, theta_series
 
 LAM = BiSeries.monomial(QQ, 1, 0, F(1), 12)
 MU = BiSeries.monomial(QQ, 0, 1, F(1), 12)
@@ -225,6 +227,49 @@ def test_exp_linear_closed_form_matches_exp(a, b, order):
     got = exp_linear(a, b, order)
     want = BiSeries(QQ, {(1, 0): a, (0, 1): b}, order).exp()
     assert got.order == order and got == want and got.coeffs == want.coeffs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exp_linear_matches_termwise_closed_form(seed):
+    rng = random.Random(seed)
+    a, b = (F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 9)) for _ in range(2))
+    for a, b in ((a, b), (0, b), (a, 0), (0, 0)):
+        for order in (0, 3, 16):
+            want = {
+                (k, l): F(a) ** k * F(b) ** l / (factorial(k) * factorial(l))
+                for k in range(order + 1)
+                for l in range(order + 1 - k)
+            }
+            got = exp_linear(a, b, order)
+            assert got.order == order and got.coeffs == {kl: c for kl, c in want.items() if c}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_linear_power_table_is_the_binomial_expansion(seed):
+    rng = random.Random(seed)
+    a, b = (F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(2))
+    for a, b in ((a, b), (0, b), (a, 0)):
+        for bits in (0, 3):
+            D, table = _linear_power_table(a, b, 12, bits)
+            assert D == lcm(F(a).denominator, F(b).denominator)
+            A, B = a * D, b * D
+            assert len(table) == 13
+            for k, row in enumerate(table):
+                want = [((i << 8 | k - i) << bits, comb(k, i) * A**i * B ** (k - i)) for i in range(k + 1)]
+                assert row == [(key, s) for key, s in want if s]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_coeff_reads_the_integer_form_and_keeps_it(seed):
+    rng = random.Random(seed)
+    ring = ring_for_degree(9)
+    theta = theta_series(9, ring)
+    for s in (rand_series(rng, 9) * rand_series(rng, 9), rand_series(rng, 9) * theta + theta):
+        view = (s * 1).coeffs  # the same values through a copy
+        for k in range(s.order + 1):
+            for l in range(s.order + 1 - k):
+                assert s.coeff(k, l) == view.get((k, l), s.ring.zero)
+        assert s._dict is None and s._nums is not None
 
 
 def test_orders_beyond_the_packed_key_raise():

@@ -19,7 +19,10 @@ Then the stages of the ``hexagon-solve`` workload at degree 16:
 ``solve_degreewise(16)``; for families I, II, III and a fixed-seed rational
 ParamSet, ``residual_15b``, ``residual_39``, ``split_residuals`` and
 ``model_hexagon_check`` (each stage summed over the four); and ``build_f`` of
-that ParamSet.  Last, ``solve_degreewise`` at degrees 20 and 24.
+that ParamSet.  Then ``solve_degreewise`` at degrees 20 and 24.  Last, the
+three CBH paths as kernel stages: ``associative_log_oracle(8)``,
+``compressed_cbh(16)`` and ``classical_cbh_in_model(16)``, warm from the
+second call on, since the Bernoulli tables are cached per process.
 ``bench_harness`` runs the two checkouts' repeats alternately, each in a new
 interpreter, and writes each one's stage medians into its column of
 ``--out``; the digests it compares and records are the sha256 of every
@@ -41,7 +44,7 @@ CHILD = """
 import hashlib, json, random, sys, time
 from fractions import Fraction
 sys.path.insert(0, sys.argv[1])
-from cassoc import hexagon, series, zeta
+from cassoc import cbh, hexagon, series, zeta
 N, calls, batches = int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
 times = {}
 outputs = []
@@ -71,6 +74,8 @@ def timed_kernel(name, op, *operands):
 def text(x):
     if isinstance(x, series.BiSeries):
         return json.dumps(x.to_records())
+    if isinstance(x, cbh.ModelElement):
+        return repr((x.x, x.y, x.s, x.records()))
     if isinstance(x, tuple):
         return "(" + ",".join(text(v) for v in x) + ")"
     return repr(x)
@@ -101,6 +106,9 @@ for f in families:
     timed("model_hexagon_check", lambda: hexagon.model_hexagon_check(hexagon.AlphaTable.from_series(f), N + 2))
 for n in map(int, sys.argv[5].split(",")):
     timed(f"solve_degreewise.{n}", lambda: hexagon.solve_degreewise(n))
+timed_kernel("cbh.oracle.8", lambda: cbh.associative_log_oracle(8))
+timed_kernel("cbh.compressed", lambda: cbh.compressed_cbh(N))
+timed_kernel("cbh.classical", lambda: cbh.classical_cbh_in_model(N))
 digests = {}
 for name, out in outputs:
     digests.setdefault(name, hashlib.sha256()).update(text(out).encode())
