@@ -103,23 +103,23 @@ def compressed_cbh(N: int) -> ModelElement:
     """P + Q + sum C[m,n]/(m! n!) [Q^{n-1} P^{m-1} Q P], truncated at word degree N."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    comm = BiSeries(QQ, {}, N - 2)
+    comm = {}
     for m in range(1, N):
         for n in range(1, N - m + 1):
             c = ext_bernoulli_recursive(m, n)
             if c:
-                comm.coeffs[(n - 1, m - 1)] = Fraction(c, factorial(m) * factorial(n))
-    return ModelElement(1, 1, 0, comm)
+                comm[n - 1, m - 1] = Fraction(c, factorial(m) * factorial(n))
+    return ModelElement(1, 1, 0, BiSeries(QQ, comm, N - 2))
 
 
 def _h1(N: int) -> ModelElement:
     """H_1 = P + sum_{k>=1} B_k/k! [Q^k P]."""
-    comm = BiSeries(QQ, {}, N - 2)
+    comm = {}
     for k in range(1, N):
         b = bernoulli(k)
         if b:
-            comm.coeffs[(k - 1, 0)] = Fraction(b, factorial(k))
-    return ModelElement(0, 1, 0, comm)
+            comm[k - 1, 0] = Fraction(b, factorial(k))
+    return ModelElement(0, 1, 0, BiSeries(QQ, comm, N - 2))
 
 
 def _derive(elem: ModelElement, h1: ModelElement) -> ModelElement:
@@ -128,17 +128,18 @@ def _derive(elem: ModelElement, h1: ModelElement) -> ModelElement:
     D [Q^{n-1} P^{m-1} Q P] = (n-1) [Q^{n-2} P^m Q P] - sum_k B_k/k! [Q^{k+n-2} P^m Q P].
     """
     out = h1.scale(elem.x)
-    comm = BiSeries(QQ, {}, elem.comm.order)
+    order = elem.comm.order
+    comm: dict = {}
     for (i, j), c in elem.comm.coeffs.items():
         # key (i, j) is [Q^i P^j Q P]; n - 1 = i, m - 1 = j
-        if i >= 1 and (i - 1) + (j + 1) <= comm.order:
-            comm._acc((i - 1, j + 1), c * i)
-        for k in range(1, comm.order - i - j + 2):
+        if i >= 1:
+            comm[i - 1, j + 1] = comm.get((i - 1, j + 1), 0) + c * i
+        for k in range(1, order - i - j + 1):
             b = bernoulli(k)
-            if b and (i + k - 1) + (j + 1) <= comm.order:
-                comm._acc((i + k - 1, j + 1), c * Fraction(-b, factorial(k)))
-    comm._clean()
-    return out + ModelElement(0, 0, 0, comm)
+            if b:
+                key = (i + k - 1, j + 1)
+                comm[key] = comm.get(key, 0) + c * Fraction(-b, factorial(k))
+    return out + ModelElement(0, 0, 0, BiSeries(QQ, comm, order))
 
 
 def classical_cbh_in_model(N: int) -> ModelElement:

@@ -53,19 +53,25 @@ __all__ = [
 
 
 class AlphaTable:
-    """Symmetric coefficient family alpha[k,l] of a compressed associator."""
+    """Symmetric coefficient family alpha[k,l] of a compressed associator,
+    valid for k + l <= order: the series sum alpha[k,l] lam^k mu^l it is
+    built from, and that series' read-only view as ``alpha``."""
 
     def __init__(self, alpha: dict, order: int, ring=QQ):
-        self.ring = ring
-        self.order = order  # valid for k + l <= order
-        self.alpha = BiSeries(ring, alpha, order).coeffs  # over QQ, exact rationals only
+        self._series = BiSeries(ring, alpha, order)  # every value gated into ring
 
     @classmethod
     def from_series(cls, f: BiSeries) -> "AlphaTable":
-        return cls(dict(f.coeffs), f.order, f.ring)
+        table = cls.__new__(cls)
+        table._series = f
+        return table
+
+    ring = property(lambda self: self._series.ring)
+    order = property(lambda self: self._series.order)
+    alpha = property(lambda self: self._series.coeffs)
 
     def to_series(self) -> BiSeries:
-        return BiSeries(self.ring, dict(self.alpha), self.order)
+        return self._series
 
     def coeff(self, k: int, l: int):
         return self.alpha.get((k, l), self.ring.zero)
@@ -371,14 +377,13 @@ def family_II(N: int) -> BiSeries:
 def family_III(N: int) -> BiSeries:
     """1 + lam mu f = exp(sum 2^{2n} B_{2n}/(4n (2n)!) ((lam+mu)^{2n} - lam^{2n} - mu^{2n}))."""
     M = N + 2
-    arg = BiSeries(QQ, {}, M)
+    arg = {}
     for n in range(1, M // 2 + 1):
         coef = Fraction(2 ** (2 * n)) * bernoulli(2 * n) / Fraction(4 * n * factorial(2 * n))
         # (lam+mu)^{2n} - lam^{2n} - mu^{2n}: the two extreme monomials drop out
         for i in range(1, 2 * n):
-            arg._acc((i, 2 * n - i), comb(2 * n, i) * coef)
-    arg._clean()
-    tilde = arg.exp()
+            arg[i, 2 * n - i] = comb(2 * n, i) * coef
+    tilde = BiSeries(QQ, arg, M).exp()
     one = BiSeries.constant(QQ, Fraction(1), M)
     return (tilde - one).divide_monomial(1, 1).truncate(N)
 
@@ -389,13 +394,9 @@ def family_II_params(N: int) -> ParamSet:
     gam = gamma_coefficients(N + 2)
     beta = {}
     for n in range(3, (N + 2) // 2 + 1):
-        poly = BiSeries(QQ, {}, 2 * n)
-        for i in range(2 * n + 1):
-            c = Fraction(comb(2 * n, i), 2)
-            poly._acc((i, 2 * n - i), c)
-        poly._acc((2 * n, 0), Fraction(1, 2))
-        poly._acc((0, 2 * n), Fraction(1, 2))
-        coeffs = decompose_symmetric_series(poly)[2 * n]
+        poly = {(i, 2 * n - i): Fraction(comb(2 * n, i), 2) for i in range(2 * n + 1)}
+        poly[2 * n, 0] = poly[0, 2 * n] = Fraction(1)  # comb(2n, 0)/2 + 1/2
+        coeffs = decompose_symmetric_series(BiSeries(QQ, poly, 2 * n))[2 * n]
         for k in range(1, n // 3 + 1):
             v = coeffs[k] * gam[n]
             if v:

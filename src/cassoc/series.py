@@ -31,23 +31,18 @@ q m lam^k mu^l, m a monomial of the ring with key e (0 over QQ), is an int
 numerator over one positive denominator shared by the whole series, at key
 ((k << 8 | l) << ring.key_bits) | e.  The layout does not depend on the
 order (an order is at most 255, so l fits its 8 bits), and within the order
-a sum of keys is the key of the product.  Sums, negation, the rational
-scalar product, products, ``substitute_linear``, ``compose`` (and so
-``exp``, ``log``, ``sqrt``, ``inverse``), ``truncate``, ``pad``, ``swap``,
-the parity parts and the exact divisions by lam^k mu^l and by lam + mu read
-and write that form: a sum brings two numerators over the lcm of the
+a sum of keys is the key of the product.  Every arithmetic operation reads
+and writes that form: a sum brings two numerators over the lcm of the
 denominators, a QQ operand joins another ring by a shift of its keys, a
 product or a substitution is one integer loop, and each result is reduced
-once by the gcd of its denominator and numerators (a negation, a swap, a
-padding or a division by lam^k mu^l keeps its operand's gcd): exactly the
-value of term-by-term arithmetic.
+once by the gcd of its denominator and numerators: exactly the value of
+term-by-term arithmetic.
 
-``coeffs`` is a view built on demand: {(k, l): coefficient}, a Fraction over
-QQ and ``ring.from_terms`` of the monomial terms elsewhere.  Reading it hands
-the dict to the caller and drops the integer form, so a write through it can
-never leave a stale one; the next integer operation clears the dict's
-denominators again (every value through ``ring.contains`` or
-``exact.rational``) and drops the dict.  A series holds one form at a time.
+A series is an immutable value.  The constructor gates every value once and
+clears the denominators, and keeps no reference to the dict it was given.
+``coeffs`` is a read-only view, {(k, l): coefficient}, a Fraction over QQ
+and ``ring.from_terms`` of the monomial terms elsewhere, built on the first
+read and kept with the series.
 
 A ring whose monomial keys pack exponents into slots names their top bits in
 ``ring.guard``; every integer result, and every power inside ``compose``,
@@ -59,6 +54,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from types import MappingProxyType
 from typing import Iterable
 
 from .exact import bernoulli, clear_denominators, format_rational, gamma_coefficients, is_rational, parse_rational
@@ -144,25 +140,28 @@ class UniSeries:
 
 
 class BiSeries:
-    """Series sum_{k+l <= order} c_{kl} lam^k mu^l over an exact ring.
+    """Series sum_{k+l <= order} c_{kl} lam^k mu^l over an exact ring: an
+    immutable value held in its integer form (``_den``, ``_nums``), with
+    ``coeffs`` a read-only view of it; see the module docstring."""
 
-    The series is held either as its integer form (``_den``, ``_nums``) or as
-    the coefficient dict ``_dict`` that ``coeffs`` hands out, never both; see
-    the module docstring."""
-
-    __slots__ = ("ring", "order", "_dict", "_den", "_nums")
+    __slots__ = ("ring", "order", "_den", "_nums", "_view")
 
     def __init__(self, ring, coeffs: dict | None = None, order: int = 0):
         _check_order(order)
-        self.ring = ring
-        self.order = order
-        self._den = self._nums = None
-        self._dict = {}
-        if coeffs:
-            _members(ring, coeffs.values())
-            for (k, l), c in coeffs.items():
-                if k + l <= order and not ring.is_zero(c):
-                    self._dict[(k, l)] = c
+        coeffs = coeffs or {}
+        _members(ring, coeffs.values())
+        if ring is QQ:
+            flat = {k << _L_BITS | l: c for (k, l), c in coeffs.items() if c and k + l <= order}
+        else:  # a ThetaPoly keeps no zero terms
+            bits = ring.key_bits
+            flat = {
+                (k << _L_BITS | l) << bits | e: q
+                for (k, l), c in coeffs.items()
+                if k + l <= order
+                for e, q in c.terms.items()
+            }
+        self.ring, self.order, self._view = ring, order, None
+        self._den, self._nums = clear_denominators(flat)
 
     # -- construction helpers -------------------------------------------------
 
@@ -174,52 +173,18 @@ class BiSeries:
     def monomial(cls, ring, k: int, l: int, value, order: int) -> "BiSeries":
         return cls(ring, {(k, l): value}, order)
 
-    def _acc(self, key, val) -> None:
-        coeffs = self.coeffs
-        cur = coeffs.get(key)
-        coeffs[key] = val if cur is None else cur + val
-
-    def _clean(self) -> None:
-        coeffs = self.coeffs
-        dead = [k for k, v in coeffs.items() if self.ring.is_zero(v)]
-        for k in dead:
-            del coeffs[k]
-
-    # -- the two forms ---------------------------------------------------------
-
     @property
-    def coeffs(self) -> dict:
-        """{(k, l): coefficient} of the nonzero terms, built on the first read
-        after an integer operation; writes through it change the series."""
-        if self._dict is None:
-            self._dict = _coefficients(self.ring, self._den, self._nums)
-            self._den = self._nums = None
-        return self._dict
-
-    def _ints(self) -> tuple:
-        """(den, {packed key: int}), cleared from the coefficient dict if a
-        reader holds that, each value checked to lie in the ring."""
-        if self._nums is None:
-            ring, n, coeffs = self.ring, self.order, self._dict
-            _members(ring, coeffs.values())
-            if ring is QQ:
-                flat = {k << _L_BITS | l: c for (k, l), c in coeffs.items() if c and k + l <= n}
-            else:  # a ThetaPoly keeps no zero terms
-                bits = ring.key_bits
-                flat = {
-                    (k << _L_BITS | l) << bits | e: q
-                    for (k, l), c in coeffs.items()
-                    if k + l <= n
-                    for e, q in c.terms.items()
-                }
-            self._den, self._nums = clear_denominators(flat)
-            self._dict = None
-        return self._den, self._nums
+    def coeffs(self) -> MappingProxyType:
+        """Read-only {(k, l): coefficient} of the nonzero terms, built from the
+        integer form on the first read and kept."""
+        if self._view is None:
+            self._view = MappingProxyType(_coefficients(self.ring, self._den, self._nums))
+        return self._view
 
     def _terms(self, ring, n: int) -> tuple:
         """(den, nums) of the terms of degree <= n, keyed for ``ring``: a
         series over QQ joins another ring by a shift of its keys."""
-        den, nums = self._ints()
+        den, nums = self._den, self._nums
         bits = self.ring.key_bits
         shift = ring.key_bits - bits
         if n < self.order:
@@ -231,10 +196,10 @@ class BiSeries:
     # -- basic queries ---------------------------------------------------------
 
     def coeff(self, k: int, l: int):
-        """The (k, l) coefficient, read off the integer form, which stays."""
+        """The (k, l) coefficient, read off the integer form."""
         if k + l > self.order:
             raise IndexError(f"degree {k + l} beyond truncation order {self.order}")
-        den, nums = self._ints()
+        den, nums = self._den, self._nums
         ring = self.ring
         if ring is QQ:
             return Fraction(nums.get(k << _L_BITS | l, 0), den)
@@ -247,10 +212,10 @@ class BiSeries:
         return {kl: c for kl, c in self.coeffs.items() if kl[0] + kl[1] == d}
 
     def is_zero(self) -> bool:
-        return not self._ints()[1]
+        return not self._nums
 
     def is_symmetric(self) -> bool:
-        nums = self._ints()[1]
+        nums = self._nums
         bits = self.ring.key_bits
         return all(nums.get(_swapped(key, bits)) == v for key, v in nums.items())
 
@@ -265,7 +230,7 @@ class BiSeries:
         if order <= self.order:
             return self
         _check_order(order)
-        return _wrap(self.ring, order, *self._ints())
+        return _wrap(self.ring, order, self._den, self._nums)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiSeries):
@@ -300,7 +265,7 @@ class BiSeries:
         return self + (-other)
 
     def __neg__(self) -> "BiSeries":
-        den, nums = self._ints()
+        den, nums = self._den, self._nums
         return _wrap(self.ring, self.order, den, {key: -v for key, v in nums.items()})
 
     def __mul__(self, other):
@@ -311,7 +276,7 @@ class BiSeries:
             return _series(ring, n, d1 * d2, _product(left, _by_degree(right, ring.key_bits), n, ring.key_bits))
         if is_rational(other):
             q = rational(other)
-            den, nums = self._ints()
+            den, nums = self._den, self._nums
             p = q.numerator
             return _series(self.ring, self.order, den * q.denominator, {key: v * p for key, v in nums.items()})
         if self.ring.contains(other):
@@ -334,7 +299,7 @@ class BiSeries:
         d1, pow1 = _linear_power_table(a, b, n, bits)
         d2, pow2 = _linear_power_table(c, d, n, bits)
         # the (k, l) term over the common denominator den d1^n d2^n
-        den, nums = self._ints()
+        den, nums = self._den, self._nums
         acc: dict = {}
         get = acc.get
         for key, v in nums.items():
@@ -351,7 +316,7 @@ class BiSeries:
         return _series(self.ring, n, den * d1 ** n * d2 ** n, acc)
 
     def swap(self) -> "BiSeries":
-        den, nums = self._ints()
+        den, nums = self._den, self._nums
         bits = self.ring.key_bits
         return _wrap(self.ring, self.order, den, {_swapped(key, bits): v for key, v in nums.items()})
 
@@ -363,7 +328,7 @@ class BiSeries:
         return self._parity_part(1)
 
     def _parity_part(self, parity: int) -> "BiSeries":
-        den, nums = self._ints()
+        den, nums = self._den, self._nums
         bits = self.ring.key_bits
         part = {key: v for key, v in nums.items() if _degree(key >> bits) % 2 == parity}
         return _series(self.ring, self.order, den, part)
@@ -395,7 +360,7 @@ class BiSeries:
         q den^top and step j adds cs[j] den^(top - j) nums^j."""
         ring, n = self.ring, self.order
         bits = ring.key_bits
-        den, nums = self._ints()
+        den, nums = self._den, self._nums
         low = min((_degree(key >> bits) for key in nums), default=n + 1)
         if low == 0:
             raise ValueError("compose needs a series without constant term")
@@ -417,7 +382,7 @@ class BiSeries:
         return _series(ring, n, q * den**top, acc)
 
     def _minus_one(self) -> "BiSeries":
-        den, nums = self._ints()
+        den, nums = self._den, self._nums
         size = 1 << self.ring.key_bits
         if [(key, v) for key, v in nums.items() if key < size] != [(0, den)]:
             raise ValueError("non-unit constant term")
@@ -425,7 +390,7 @@ class BiSeries:
 
     def exp(self) -> "BiSeries":
         size = 1 << self.ring.key_bits
-        if any(key < size for key in self._ints()[1]):
+        if any(key < size for key in self._nums):
             raise ValueError("non-unit constant term")
         return self.compose([Fraction(1, factorial(j)) for j in range(self.order + 1)])
 
@@ -452,7 +417,7 @@ class BiSeries:
 
     def divide_monomial(self, k: int, l: int) -> "BiSeries":
         """Exact division by lam^k mu^l; raises if any required coefficient survives."""
-        den, nums = self._ints()
+        den, nums = self._den, self._nums
         bits = self.ring.key_bits
         if any((key >> bits >> _L_BITS) < k or (key >> bits & _L_MASK) < l for key in nums):
             raise ArithmeticError("not divisible")
@@ -465,7 +430,7 @@ class BiSeries:
         lam^i mu^(d-1-i) is the slice's of lam^(i+1) mu^(d-1-i) less the
         quotient's of lam^(i+1) mu^(d-2-i), and what is left at mu^d (the
         constant term, when d = 0) must be 0."""
-        den, nums = self._ints()
+        den, nums = self._den, self._nums
         bits = self.ring.key_bits
         slices: dict = {}
         for key in nums:
@@ -501,8 +466,7 @@ class BiSeries:
             raise ValueError(f"truncation order must be an int in 0..{MAX_DEGREE}, got {order!r}")
         if not isinstance(records, list):
             raise ValueError("records must be a list")
-        out = cls(ring, {}, order)
-        coeffs = out.coeffs
+        coeffs = {}
         for rec in records:
             if not isinstance(rec, dict) or not {"k", "l", "coeff"} <= rec.keys():
                 raise ValueError(f"record needs k, l and coeff: {rec!r}")
@@ -512,8 +476,7 @@ class BiSeries:
             if (k, l) in coeffs:
                 raise ValueError(f"exponents ({k}, {l}) appear twice")
             coeffs[k, l] = ring.parse(rec["coeff"])
-        out._clean()
-        return out
+        return cls(ring, coeffs, order)
 
 
 def _is_index(x) -> bool:
@@ -562,7 +525,7 @@ def _wrap(ring, order: int, den: int, nums: dict) -> BiSeries:
     """The series over ring of that order whose integer form is (den, nums),
     taken as it is: nonzero ints over den, keys within the order and the guard."""
     out = BiSeries.__new__(BiSeries)
-    out.ring, out.order, out._dict, out._den, out._nums = ring, order, None, den, nums
+    out.ring, out.order, out._view, out._den, out._nums = ring, order, None, den, nums
     return out
 
 

@@ -12,10 +12,10 @@ become Fractions once, through ``exact.rational`` where values enter the ring.
 The ring operations trust them and serve work on single coefficients: the
 printed identities.  Series arithmetic (sums, scalars, products,
 substitutions, ``compose``, the exact divisions, and with them the peel of
-``decompose_symmetric_series``) reads ``terms`` once into the integer form of
-``cassoc.series``, checks every key it makes against ``ThetaRing.guard``, and
-builds ThetaPolys again, by ``ThetaRing.from_terms``, only when a caller reads
-a series' ``coeffs``.
+``decompose_symmetric_series``) runs on the integer form of ``cassoc.series``:
+a series' constructor reads ``terms`` once, every key the kernel makes is
+checked against ``ThetaRing.guard``, and a series builds ThetaPolys again, by
+``ThetaRing.from_terms``, once, for its read-only view ``coeffs``.
 """
 
 from __future__ import annotations
@@ -369,15 +369,14 @@ def verify_even_S_identity(N: int) -> bool:
 def theta_series(N: int, ring: ThetaRing | None = None) -> BiSeries:
     """theta(lam,mu) = -sum theta_{2n+1} ((lam+mu)^{2n+1} - lam^{2n+1} - mu^{2n+1})."""
     ring = ring or ring_for_degree(N)
-    out = BiSeries(ring, {}, N)
+    out = {}
     for g in ring.gens:
         if g > N:
             continue
         t = ring.generator(g)
         for i in range(1, g):
-            out._acc((i, g - i), t * Fraction(-comb(g, i)))
-    out._clean()
-    return out
+            out[i, g - i] = t * Fraction(-comb(g, i))
+    return BiSeries(ring, out, N)
 
 
 def _sqrt_sinhc_product(N: int) -> BiSeries:

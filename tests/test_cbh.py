@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from cassoc import cbh
+from cassoc import cbh, golden, verify
 from cassoc.cbh import (
     ModelElement,
     associative_log_oracle,
@@ -88,14 +88,12 @@ def test_mirrored_expansion_rebuild():
     # basis word [P^{n-1}Q^{m-1}PQ] equals -[Q^{m-1}P^{n-1}QP], key (m-1, n-1)
     N = 9
     h = compressed_cbh(N)
-    rebuilt = BiSeries(QQ, {}, N - 2)
+    rebuilt = {}
     for m in range(1, N):
         for n in range(1, N + 1 - m):
             if (n - 1) + (m - 1) <= N - 2:
-                c = ext_bernoulli_prime(m, n)
-                if c:
-                    rebuilt._acc((m - 1, n - 1), F(-c, factorial(m) * factorial(n)))
-    assert rebuilt == h.comm
+                rebuilt[m - 1, n - 1] = F(-ext_bernoulli_prime(m, n), factorial(m) * factorial(n))
+    assert BiSeries(QQ, rebuilt, N - 2) == h.comm
 
 
 def test_antisymmetry():
@@ -206,3 +204,15 @@ def test_model_element_rejects_non_rational_coefficients():
                 ModelElement(*args, empty(6))
     x = ModelElement(F(1, 3), 2, 0, empty(6))
     assert (x.x, x.y, x.s) == (F(1, 3), F(2), F(0))
+
+
+def test_check_cbh_holds_the_printed_table_to_its_own_top_degree(monkeypatch):
+    # the printed table stops at word degree 10, the path agreement goes on
+    assert verify.check_cbh(degree=16, oracle_degree=8)[0]
+    printed = golden.CBH_PRINTED
+    word, c = printed[-1]
+    key = word_to_canonical(word)[0]
+    monkeypatch.setattr(golden, "CBH_PRINTED", printed[:-1] + [(word, c + 1)])
+    assert verify.check_cbh(degree=16, oracle_degree=8) == (False, f"printed CBH term at {key} mismatch")
+    monkeypatch.setattr(golden, "CBH_PRINTED", printed[:-1])
+    assert verify.check_cbh(degree=16, oracle_degree=8) == (False, f"engine CBH term at {key} not printed")
