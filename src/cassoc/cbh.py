@@ -93,10 +93,9 @@ class ModelElement:
         return [(k + 1, l + 1, self.comm.coeffs[(k, l)]) for k, l in keys]
 
 
-def _pq_letters(N: int) -> tuple:
-    """P = Y and Q = X of the Hausdorff model, truncated at word degree N."""
-    empty = BiSeries(QQ, {}, N - 2)
-    return ModelElement(0, 1, 0, empty), ModelElement(1, 0, 0, empty)
+def _q_letter(N: int) -> ModelElement:
+    """Q = X of the Hausdorff model, truncated at word degree N."""
+    return ModelElement(1, 0, 0, BiSeries(QQ, {}, N - 2))
 
 
 def compressed_cbh(N: int) -> ModelElement:
@@ -146,7 +145,7 @@ def classical_cbh_in_model(N: int) -> ModelElement:
     """Sum of the recursion H_0 = Q, H_1, H_m = (1/m) D(H_{m-1}), inside the model."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    total = _pq_letters(N)[1]
+    total = _q_letter(N)
     h1 = _h1(N)
     h = h1
     total = total + h

@@ -16,7 +16,7 @@ import sys
 
 from . import cbh, hexagon, pentagon, verify, zeta
 from .exact import bernoulli, ext_bernoulli_recursive, format_rational
-from .series import MAX_DEGREE
+from .series import MAX_DEGREE, _term_sort_key
 
 MAX_PENTAGON = 10
 MIN_PENTAGON_CHECK = 2  # the pentagon residual starts at letter degree 2
@@ -137,7 +137,7 @@ def cmd_hexagon_solve(args) -> int:
 
 def cmd_hexagon_residual(args) -> int:
     table = _load(args.input, hexagon.AlphaTable.from_json)
-    res = hexagon.residual_15b(table.to_series())
+    res = hexagon.residual_15b(table)
     ok = res.is_zero()
     payload = {
         "pass": ok,
@@ -174,7 +174,7 @@ def cmd_pentagon_dims(args) -> int:
 def cmd_zeta_drinfeld(args) -> int:
     n = _check_degree(args.degree, MAX_DEGREE, "zeta", 2)
     f = zeta.drinfeld_f(n)
-    items = sorted(f.coeffs.items(), key=lambda t: (t[0][0] + t[0][1], t[0]))
+    items = sorted(f.coeffs.items(), key=_term_sort_key)
     if args.format == "latex":
         terms = []
         for (k, l), c in items:
@@ -186,8 +186,7 @@ def cmd_zeta_drinfeld(args) -> int:
             terms.append(rf"\left({c.format_latex()}\right){mono}")
         _emit(" + ".join(terms), args.output)
     elif args.format == "json":
-        recs = [{"k": k, "l": l, "coeff": c.to_json_obj()} for (k, l), c in items]
-        _emit(json.dumps({"degree": n, "terms": recs}, indent=2), args.output)
+        _emit(json.dumps({"degree": n, "terms": f.to_records()}, indent=2), args.output)
     else:
         _emit("\n".join(f"({k},{l}): {c.format()}" for (k, l), c in items), args.output)
     return 0

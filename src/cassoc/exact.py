@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial, lcm
 
 __all__ = [
     "bernoulli",
@@ -131,6 +131,13 @@ def gamma_coefficients(N: int) -> list[Fraction]:
             s += Fraction(out[n - k], odd_fact[k])
         out.append(-s)
     return out
+
+
+def theta_even(n: int) -> Fraction:
+    """theta_{2n} = -2^{2n} B_{2n} / (4n (2n)!), an exact rational."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return Fraction(-(2 ** (2 * n))) * bernoulli(2 * n) / Fraction(4 * n * factorial(2 * n))
 
 
 _RATIONAL = frozenset((int, Fraction))  # exact types: a bool or a float is not one

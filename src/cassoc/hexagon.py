@@ -1,9 +1,10 @@
 """The hexagon equation for compressed associators, in all its reduced forms.
 
-The unknown is the symmetric table alpha[k,l] (equivalently its generating
-function f(lam, mu)); the residual builders below all vanish exactly on
-solutions and are related by invertible series manipulations, so they give
-independent cross-checks of one another:
+The unknown is the symmetric table alpha[k,l], which is its generating
+function f(lam, mu): an ``AlphaTable`` is a ``BiSeries`` that adds only the
+table's file formats, and every check here takes any series.  The residual
+builders below all vanish exactly on solutions and are related by invertible
+series manipulations, so they give independent cross-checks of one another:
 
 * ``residual_39``  -- G + C*T = 0 form (one Hausdorff application)
 * ``residual_15b`` -- the exponential-substitution form
@@ -25,8 +26,8 @@ from math import comb, factorial, gcd, lcm
 
 from . import linalg
 from .cbh import ModelElement, hausdorff_in_l3
-from .exact import bernoulli, clear_denominators, gamma_coefficients
-from .series import QQ, BiSeries, UniSeries, exp_linear, standard_series
+from .exact import bernoulli, clear_denominators, gamma_coefficients, theta_even
+from .series import QQ, BiSeries, UniSeries, _term_sort_key, exp_linear, standard_series
 
 __all__ = [
     "AlphaTable",
@@ -52,36 +53,26 @@ __all__ = [
 ]
 
 
-class AlphaTable:
+class AlphaTable(BiSeries):
     """Symmetric coefficient family alpha[k,l] of a compressed associator,
-    valid for k + l <= order: the series sum alpha[k,l] lam^k mu^l it is
-    built from, and that series' read-only view as ``alpha``."""
+    valid for k + l <= order: the series sum alpha[k,l] lam^k mu^l itself,
+    with the file formats of a table."""
+
+    __slots__ = ()
 
     def __init__(self, alpha: dict, order: int, ring=QQ):
-        self._series = BiSeries(ring, alpha, order)  # every value gated into ring
+        super().__init__(ring, alpha, order)
 
     @classmethod
     def from_series(cls, f: BiSeries) -> "AlphaTable":
+        """The table of f, sharing its integer form: no copy, no re-gating."""
         table = cls.__new__(cls)
-        table._series = f
+        for slot in BiSeries.__slots__:
+            setattr(table, slot, getattr(f, slot))
         return table
 
-    ring = property(lambda self: self._series.ring)
-    order = property(lambda self: self._series.order)
-    alpha = property(lambda self: self._series.coeffs)
-
-    def to_series(self) -> BiSeries:
-        return self._series
-
-    def coeff(self, k: int, l: int):
-        return self.alpha.get((k, l), self.ring.zero)
-
-    def is_symmetric(self) -> bool:
-        return all(self.alpha.get((l, k), self.ring.zero) == c for (k, l), c in self.alpha.items())
-
     def to_json(self) -> str:
-        recs = self.to_series().to_records()
-        return json.dumps({"truncation_order": self.order, "alpha": recs}, indent=2)
+        return json.dumps({"truncation_order": self.order, "alpha": self.to_records()}, indent=2)
 
     @classmethod
     def from_json(cls, text: str, ring=QQ) -> "AlphaTable":
@@ -92,7 +83,7 @@ class AlphaTable:
 
     def to_csv(self) -> str:
         lines = ["k,l,alpha"]
-        for (k, l), c in sorted(self.alpha.items(), key=lambda t: (t[0][0] + t[0][1], t[0])):
+        for (k, l), c in sorted(self.coeffs.items(), key=_term_sort_key):
             lines.append(f"{k},{l},{self.ring.format(c)}")
         return "\n".join(lines) + "\n"
 
@@ -375,11 +366,12 @@ def family_II(N: int) -> BiSeries:
 
 
 def family_III(N: int) -> BiSeries:
-    """1 + lam mu f = exp(sum 2^{2n} B_{2n}/(4n (2n)!) ((lam+mu)^{2n} - lam^{2n} - mu^{2n}))."""
+    """1 + lam mu f = exp(-sum theta_{2n} ((lam+mu)^{2n} - lam^{2n} - mu^{2n})),
+    theta_{2n} = -2^{2n} B_{2n}/(4n (2n)!)."""
     M = N + 2
     arg = {}
     for n in range(1, M // 2 + 1):
-        coef = Fraction(2 ** (2 * n)) * bernoulli(2 * n) / Fraction(4 * n * factorial(2 * n))
+        coef = -theta_even(n)
         # (lam+mu)^{2n} - lam^{2n} - mu^{2n}: the two extreme monomials drop out
         for i in range(1, 2 * n):
             arg[i, 2 * n - i] = comb(2 * n, i) * coef
@@ -554,7 +546,7 @@ def solve_degreewise(N: int) -> dict:
 # -- independent hexagon verification in the three-letter model ------------------------------
 
 
-def model_hexagon_check(alpha: AlphaTable, N: int) -> bool:
+def model_hexagon_check(alpha: BiSeries, N: int) -> bool:
     """Verify exp(a+b+c) = exp(psi(c,a)) exp(psi(b,c)) exp(psi(a,b)) in the model.
 
     psi(u, w) = u + g(...)[a, b] per the g-series of the table; the two
@@ -564,7 +556,7 @@ def model_hexagon_check(alpha: AlphaTable, N: int) -> bool:
     """
     if alpha.order < N - 2:
         raise ValueError(f"alpha table order {alpha.order} too small for letter degree {N}")
-    f = alpha.to_series().truncate(N - 2)
+    f = alpha.truncate(N - 2)
     g = g_from_f(f)
     # a = X, b = Y and c = S - a - b
     psi_ab = ModelElement(1, 0, 0, g)

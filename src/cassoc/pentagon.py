@@ -45,6 +45,7 @@ from operator import add
 from .exact import clear_denominators, rational
 from .groebner import NormalForm, groebner_basis, hilbert_numerator, standard_count
 from .linalg import rref
+from .series import _numerators
 
 __all__ = [
     "LETTERS",
@@ -503,14 +504,14 @@ def pentagon_check(alpha, N: int) -> dict:
     """Reduce the pentagon residual; returns per-degree counts of nonzero
     canonical coordinates (all zeros means the pentagon holds to degree N).
     The residual lives at letter degree >= 2, so N must be at least 2, and
-    the table must reach order N - 2, the last one the residual reads.
-    alpha's denominators are cleared, so the element is built over ints."""
+    the table, any series over QQ, must reach order N - 2, the last one the
+    residual reads.  The element is built over the int numerators of
+    alpha's integer form through order N - 2."""
     if N < 2:
         raise ValueError(f"pentagon letter degree {N} is below 2, where the residual starts")
     if alpha.order < N - 2:
         raise ValueError(f"alpha table order {alpha.order} too small for letter degree {N}")
-    _, q = clear_denominators({kl: c for kl, c in alpha.alpha.items() if sum(kl) <= N - 2})
-    reduced = l4_reducer().reduce(_pentagon_elements([q])[0])
+    reduced = l4_reducer().reduce(_pentagon_elements([_numerators(alpha.truncate(N - 2))])[0])
     return {d: len(reduced.get(d, {})) for d in range(2, N + 1)}
 
 
@@ -721,8 +722,9 @@ def claim_53_span_checks() -> bool:
 
 def _in_span(reducer, target, gens: list) -> bool:
     """Whether target reduces, in degree 3, into the span of the gens: one
-    ``rref`` over the columns gens + [target], whose last column is a pivot
-    exactly when the target lies outside the span."""
+    ``rref``, so one ``rref_int`` elimination, over the columns gens +
+    [target], whose last column is a pivot exactly when the target lies
+    outside the span."""
     cols = [reducer.reduce(g).get(3, {}) for g in gens + [target]]
     keys = sorted({k for col in cols for k in col})
     _, pivots = rref([[col.get(k, 0) for col in cols] for k in keys])

@@ -165,13 +165,13 @@ class BiSeries:
 
     # -- construction helpers -------------------------------------------------
 
-    @classmethod
-    def constant(cls, ring, value, order: int) -> "BiSeries":
-        return cls(ring, {(0, 0): value}, order)
+    @staticmethod
+    def constant(ring, value, order: int) -> "BiSeries":
+        return BiSeries(ring, {(0, 0): value}, order)
 
-    @classmethod
-    def monomial(cls, ring, k: int, l: int, value, order: int) -> "BiSeries":
-        return cls(ring, {(k, l): value}, order)
+    @staticmethod
+    def monomial(ring, k: int, l: int, value, order: int) -> "BiSeries":
+        return BiSeries(ring, {(k, l): value}, order)
 
     @property
     def coeffs(self) -> MappingProxyType:
@@ -458,8 +458,8 @@ class BiSeries:
             for (k, l), c in sorted(self.coeffs.items(), key=_term_sort_key)
         ]
 
-    @classmethod
-    def from_records(cls, ring, records, order: int) -> "BiSeries":
+    @staticmethod
+    def from_records(ring, records, order: int) -> "BiSeries":
         """Inverse of ``to_records``; malformed input, a repeated (k, l)
         included, raises ValueError."""
         if not _is_index(order) or order > MAX_DEGREE:
@@ -476,7 +476,15 @@ class BiSeries:
             if (k, l) in coeffs:
                 raise ValueError(f"exponents ({k}, {l}) appear twice")
             coeffs[k, l] = ring.parse(rec["coeff"])
-        return cls(ring, coeffs, order)
+        return BiSeries(ring, coeffs, order)
+
+
+def _numerators(f: BiSeries) -> dict:
+    """{(k, l): int} of a series over QQ: the numerators of its integer form,
+    over the one denominator the series shares.  Another ring is a TypeError."""
+    if f.ring is not QQ:
+        raise TypeError("only a series over QQ has int numerators")
+    return {(key >> _L_BITS, key & _L_MASK): v for key, v in f._nums.items()}
 
 
 def _is_index(x) -> bool:

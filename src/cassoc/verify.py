@@ -174,8 +174,7 @@ def check_pentagon(degree: int = 8) -> tuple:
     c_{d-2-k} = -c_k for every k and the floor((d-1)/2) columns c_k with
     k < d-2-k are independent.
     """
-    alpha = hexagon.AlphaTable.from_series(hexagon.family_I(degree - 2))
-    if any(pentagon.pentagon_check(alpha, degree).values()):
+    if any(pentagon.pentagon_check(hexagon.family_I(degree - 2), degree).values()):
         return False, "pentagon residual nonzero for the first family"
     ranks = []
     for d, cols in pentagon.pentagon_columns(degree).items():

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .exact import bernoulli, format_rational, gamma_coefficients, is_rational, parse_rational, rational
+from .exact import format_rational, gamma_coefficients, is_rational, parse_rational, rational, theta_even
 from .hexagon import ParamSet, decompose_symmetric_series
 from .series import QQ, BiSeries, UniSeries, standard_series
 
@@ -308,13 +308,6 @@ class ThetaRing:
                 raise ValueError(f"monomial {exponents!r} appears twice")
             terms[key] = parse_rational(text)
         return ThetaPoly(self.gens, {e: c for e, c in terms.items() if c})
-
-
-def theta_even(n: int) -> Fraction:
-    """theta_{2n} = -2^{2n} B_{2n} / (4n (2n)!), an exact rational."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return Fraction(-(2 ** (2 * n))) * bernoulli(2 * n) / Fraction(4 * n * factorial(2 * n))
 
 
 def _S_coeff(ring: ThetaRing, n: int) -> ThetaPoly:

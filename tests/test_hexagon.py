@@ -468,10 +468,26 @@ def test_extract_h_properties():
 def test_alpha_table_serialization():
     f = family_I(6)
     tab = AlphaTable.from_series(f)
-    assert AlphaTable.from_json(tab.to_json()).to_series() == f
+    assert AlphaTable.from_json(tab.to_json()) == f
     csv = tab.to_csv()
     assert csv.splitlines()[0] == "k,l,alpha"
     assert tab.is_symmetric()
+
+
+def test_an_alpha_table_is_a_series():
+    f = family_I(6)
+    table = AlphaTable.from_series(f)
+    assert isinstance(table, BiSeries) and table == f and table.is_symmetric()
+    assert table._nums is f._nums  # shared, not copied
+    assert AlphaTable({(1, 0): F(1, 2), (0, 1): F(1, 2)}, 3) == BiSeries(QQ, {(1, 0): F(1, 2), (0, 1): F(1, 2)}, 3)
+    # the series' constructors build a series, not a table
+    assert type(AlphaTable.constant(QQ, F(1), 3)) is BiSeries
+    assert type(AlphaTable.monomial(QQ, 1, 0, F(1), 3)) is BiSeries
+    assert type(AlphaTable.from_records(QQ, f.to_records(), 6)) is BiSeries
+    assert type(AlphaTable.from_json(table.to_json())) is AlphaTable
+    with pytest.raises(IndexError):
+        table.coeff(7, 0)  # beyond the order, as on any series
+    assert table.coeff(6, 0) == f.coeff(6, 0) and table.coeff(5, 0) == 0
 
 
 def test_repeated_records_are_rejected():
@@ -488,7 +504,7 @@ def test_repeated_records_are_rejected():
                 ParamSet.from_json(json.dumps({name: [[3, 1, "1/3"], [3, 1, "2/3"]]}), ring)
     table = AlphaTable.from_json(json.dumps({"truncation_order": 2, "alpha": [
         {"k": 0, "l": 0, "coeff": "1/3"}, {"k": 1, "l": 0, "coeff": "0"}, {"k": 0, "l": 1, "coeff": "1/3"}]}))
-    assert table.alpha == {(0, 0): F(1, 3), (0, 1): F(1, 3)}
+    assert table.coeffs == {(0, 0): F(1, 3), (0, 1): F(1, 3)}
 
 
 def test_paramset_validation():

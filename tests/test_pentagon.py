@@ -504,7 +504,7 @@ def test_reduce_agrees_with_the_echelon_through_a_change_of_basis():
 def _checked_element(alpha, N):
     """(den, the element ``pentagon_check`` reduces): ``_pentagon_elements`` of
     alpha's coefficients, their denominators cleared."""
-    den, q = clear_denominators({kl: c for kl, c in alpha.alpha.items() if sum(kl) <= N - 2})
+    den, q = clear_denominators({kl: c for kl, c in alpha.coeffs.items() if sum(kl) <= N - 2})
     return den, pentagon._pentagon_elements([q])[0]
 
 
@@ -556,6 +556,15 @@ def test_pentagon_columns_give_every_residual(red):
             for key, c in col.items():
                 want[key] = want.get(key, 0) + alpha.coeff(k, d - 2 - k) * c
         assert {key: c for key, c in want.items() if c} == reduced.get(d, {}), d
+
+
+def test_pentagon_check_takes_the_table_as_the_series_it_is(red):
+    rng = random.Random(27)
+    for table in (AlphaTable.from_series(family_II(6)), _random_asymmetric_table(rng, 7)):
+        plain = BiSeries(QQ, dict(table.coeffs), table.order)
+        assert type(plain) is BiSeries
+        assert pentagon_check(table, 8) == pentagon_check(plain, 8)
+    assert any(pentagon_check(plain, 8).values())
 
 
 def test_pentagon_check_rejects_short_table():

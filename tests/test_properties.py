@@ -9,7 +9,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from test_linalg import assert_matches_rref  # noqa: E402
+from test_linalg import assert_matches_rref, assert_rref_is_the_oracle  # noqa: E402
 
 from cassoc.exact import clear_denominators  # noqa: E402
 from cassoc.pentagon import L4_MODEL, l4_reducer  # noqa: E402
@@ -65,6 +65,18 @@ def int_matrices(draw):
     if draw(st.booleans()):
         matrix.append([0] * n_cols)
     return draw(st.permutations(matrix))
+
+
+@st.composite
+def zero_padded_fraction_matrices(draw):
+    """``int_matrices`` with each entry over a denominator of its own, and one
+    zero column and one zero row put in where drawn."""
+    matrix = [[F(x, draw(st.integers(1, 6))) for x in row] for row in draw(int_matrices())]
+    n_cols = len(matrix[0]) if matrix else draw(st.integers(0, 6))
+    c = draw(st.integers(0, n_cols))
+    matrix = [row[:c] + [F(0)] + row[c:] for row in matrix]
+    matrix.insert(draw(st.integers(0, len(matrix))), [F(0)] * (n_cols + 1))
+    return matrix
 
 
 @st.composite
@@ -642,3 +654,9 @@ def test_theta_compose_overflow_raises_and_never_carries(slot, a, k, l):
 @given(int_matrices())
 def test_rref_int_matches_rref_oracle(matrix):
     assert_matches_rref(matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(zero_padded_fraction_matrices())
+def test_rref_of_fraction_matrices_with_zero_rows_and_columns_is_the_oracle(matrix):
+    assert_rref_is_the_oracle(matrix)

@@ -27,7 +27,7 @@ ENTRIES = {
     "clear_denominators": lambda v: exact.clear_denominators({0: F(1, 2), 1: v}),
     "BiSeries": lambda v: BiSeries(QQ, {(0, 0): F(1, 3), (1, 0): v}, 2),
     "UniSeries": lambda v: UniSeries(QQ, [F(1), v], 2).coeffs,
-    "AlphaTable": lambda v: AlphaTable({(1, 0): v, (0, 1): v}, 2).alpha,
+    "AlphaTable": lambda v: AlphaTable({(1, 0): v, (0, 1): v}, 2),
     "BiSeries.constant": lambda v: BiSeries.constant(QQ, v, 2),
     "QQ scalar *": lambda v: LAM * v,
     "compose": lambda v: LAM.compose([F(1), v, F(1, 2)]),

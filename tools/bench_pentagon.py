@@ -21,8 +21,7 @@ reducer of its own: its build to degree 8 (``build_d8``), of degrees 9 and
 10 (``build_d9_d10``), and of degrees 11 and 12, whose non-pivot column
 counts must equal ``dimension(d)``, else the run fails (``oracle_d11_d12``).
 The echelon is ``EchelonReducer`` from ``tests/echelon_oracle.py`` beside
-the checkout's ``src/``; in a checkout without that file it is
-``QuotientReducer``'s own ``_build``.  ``bench_harness`` runs the two
+the checkout's ``src/``.  ``bench_harness`` runs the two
 checkouts' repeats alternately, each in a new interpreter that pays every
 cold build, and writes each one's stage medians into its column of
 ``--out``.  The digest it compares and records covers only outputs that no
@@ -52,12 +51,8 @@ sys.path.insert(0, src)
 from cassoc import hexagon, linalg, pentagon
 N, NC, seed = (int(a) for a in sys.argv[2:5])
 high = [int(a) for a in sys.argv[5].split(",")]
-tests = os.path.join(os.path.dirname(src), "tests")
-if os.path.exists(os.path.join(tests, "echelon_oracle.py")):
-    sys.path.insert(0, tests)
-    from echelon_oracle import EchelonReducer as Echelon
-else:
-    Echelon = pentagon.QuotientReducer
+sys.path.insert(0, os.path.join(os.path.dirname(src), "tests"))
+from echelon_oracle import EchelonReducer as Echelon
 times = {}
 
 def timed(name, fn):
