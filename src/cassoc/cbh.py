@@ -34,6 +34,7 @@ appear only at the end, one per bracket coefficient of the projection.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, lcm
 
 from .exact import bernoulli, ext_bernoulli_recursive, rational
@@ -251,6 +252,13 @@ def word_to_canonical(word: str) -> tuple | None:
     return (prefix.count("Q"), prefix.count("P")), sign
 
 
+@lru_cache(maxsize=8)
+def _cbh_comm(N: int) -> BiSeries:
+    """The commutator part of ``compressed_cbh(N)``, one immutable series per
+    order shared by every product at that order."""
+    return compressed_cbh(N).comm
+
+
 def hausdorff_in_l3(x: ModelElement, y: ModelElement, N: int) -> ModelElement:
     """log(exp(x) * exp(y)) for any two model elements.
 
@@ -262,6 +270,6 @@ def hausdorff_in_l3(x: ModelElement, y: ModelElement, N: int) -> ModelElement:
     """
     n = min(x.comm.order, y.comm.order, N - 2)
     base = y.bracket(x).comm.truncate(n)
-    mult = compressed_cbh(n + 2).comm.substitute_linear(((y.x, y.y), (x.x, x.y)))
+    mult = _cbh_comm(n + 2).substitute_linear(((y.x, y.y), (x.x, x.y)))
     comm = x.comm.truncate(n) + y.comm.truncate(n) + mult * base
     return ModelElement(x.x + y.x, x.y + y.y, x.s + y.s, comm)

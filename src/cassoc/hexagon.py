@@ -27,7 +27,7 @@ from math import comb, factorial, gcd, lcm
 from . import linalg
 from .cbh import ModelElement, hausdorff_in_l3
 from .exact import bernoulli, clear_denominators, gamma_coefficients, theta_even
-from .series import QQ, BiSeries, UniSeries, _term_sort_key, exp_linear, standard_series
+from .series import QQ, BiSeries, _term_sort_key, exp_linear, standard_series
 
 __all__ = [
     "AlphaTable",
@@ -147,7 +147,7 @@ class ParamSet:
 
 def g_from_f(f: BiSeries) -> BiSeries:
     """g(lam, mu) = lam * f(lam, mu) / (e^lam - 1)."""
-    return standard_series("x_over_expm1", f.order).as_biseries((1, 0), f.order) * f
+    return standard_series("x_over_expm1", f.order) * f
 
 
 _SUB_MU_RHO = ((0, 1), (-1, -1))  # (lam, mu) -> (mu, -lam-mu)
@@ -234,11 +234,11 @@ def extreme_coefficients(N: int) -> list:
     return out
 
 
-def diagonal_series(N: int) -> UniSeries:
-    """f(lam, -lam) = 1/lam^2 - 2/(lam (e^lam - e^{-lam})) as an exact series."""
-    two = standard_series("two_x_over_sinh2x", N + 2)
-    # (1 - two) / lam^2, where two = 1 + O(lam^2)
-    return UniSeries(QQ, [-c for c in two.coeffs[2:]], N)
+def diagonal_series(N: int) -> BiSeries:
+    """f(lam, -lam) = 1/lam^2 - 2/(lam (e^lam - e^{-lam})) as an exact series
+    in lam: (1 - two)/lam^2, where two = 2 lam/(e^lam - e^{-lam}) = 1 + O(lam^2)."""
+    one = BiSeries.constant(QQ, Fraction(1), N + 2)
+    return (one - standard_series("two_x_over_sinh2x", N + 2)).divide_monomial(2, 0)
 
 
 # -- associator polynomials -------------------------------------------------------------
@@ -359,8 +359,8 @@ def family_II(N: int) -> BiSeries:
     M = N + 2
     two = standard_series("two_x_over_sinh2x", M)
     sinhc = standard_series("sinh_factor_bivariate", M)
-    inner = two.as_biseries((1, 0), M) + two.as_biseries((0, 1), M) - BiSeries.constant(QQ, Fraction(1), M)
     one = BiSeries.constant(QQ, Fraction(1), M)
+    inner = two + two.as_biseries((0, 1), M) - one
     out = (sinhc * inner - one).divide_monomial(1, 1) * Fraction(1, 2)
     return out.truncate(N)
 
@@ -579,13 +579,13 @@ def extract_h(f: BiSeries) -> BiSeries:
     lam_mu = BiSeries.monomial(QQ, 1, 1, Fraction(1), n + 2)
     lhs = one + lam_mu * f.pad(n + 2).even_part()
     sinhc = standard_series("sinh_factor_bivariate", n + 2)
-    return lhs.divide_unit(sinhc)
+    return lhs * sinhc.inverse()
 
 
 def extract_h_tilde(f: BiSeries) -> BiSeries:
     """h-tilde with Odd(f) = (e^{lam+mu} - e^{-lam-mu})/2 * h-tilde."""
     sinhc = standard_series("sinh_factor_bivariate", f.order - 1)
-    return f.odd_part().divide_lam_plus_mu().divide_unit(sinhc)
+    return f.odd_part().divide_lam_plus_mu() * sinhc.inverse()
 
 
 def hexagon_symmetry_suite(h: BiSeries) -> bool:

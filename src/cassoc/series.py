@@ -1,4 +1,9 @@
-"""Truncated exact power series in one or two variables over a pluggable ring.
+"""Truncated exact power series in lam and mu over a pluggable ring.
+
+A series in one variable is a series in lam alone: ``UniSeries`` builds one
+from its list of coefficients, ``as_biseries`` substitutes a linear form for
+lam, and the restrictions ``set_mu_zero`` and ``diagonal`` are the linear
+substitutions mu -> 0 and mu -> -lam.
 
 A series only guarantees its coefficients up to ``order`` (total degree);
 binary operations propagate the minimum of the operands' orders, and
@@ -53,6 +58,7 @@ chain of products never carries one exponent into the next slot.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, gcd, lcm
 from types import MappingProxyType
 from typing import Iterable
@@ -101,42 +107,6 @@ class RationalRing:
 
 
 QQ = RationalRing()
-
-
-class UniSeries:
-    """Series sum_n c_n x^n known through degree ``order``."""
-
-    __slots__ = ("ring", "coeffs", "order")
-
-    def __init__(self, ring, coeffs: Iterable, order: int):
-        cs = _members(ring, list(coeffs)[: order + 1])
-        cs += [ring.zero] * (order + 1 - len(cs))
-        self.ring = ring
-        self.coeffs = cs
-        self.order = order
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UniSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
-
-    def __repr__(self) -> str:
-        return f"UniSeries({self.coeffs[: self.order + 1]!r}, order={self.order})"
-
-    def coeff(self, n: int):
-        if n > self.order:
-            raise IndexError(f"degree {n} beyond truncation order {self.order}")
-        return self.coeffs[n]
-
-    def is_zero(self) -> bool:
-        return all(self.ring.is_zero(c) for c in self.coeffs)
-
-    def as_biseries(self, direction: tuple, order: int | None = None) -> "BiSeries":
-        """Substitute the linear form a*lam + b*mu for x."""
-        n = min(order if order is not None else self.order, self.order)
-        in_lam = BiSeries(self.ring, {(d, 0): c for d, c in enumerate(self.coeffs[: n + 1])}, n)
-        return in_lam.substitute_linear((direction, (0, 0)))
 
 
 class BiSeries:
@@ -333,20 +303,13 @@ class BiSeries:
         part = {key: v for key, v in nums.items() if _degree(key >> bits) % 2 == parity}
         return _series(self.ring, self.order, den, part)
 
-    def set_mu_zero(self) -> UniSeries:
-        """Restrict to mu = 0, producing a series in lam."""
-        cs = [self.ring.zero] * (self.order + 1)
-        for (k, l), c in self.coeffs.items():
-            if l == 0:
-                cs[k] = c
-        return UniSeries(self.ring, cs, self.order)
+    def set_mu_zero(self) -> "BiSeries":
+        """Restrict to mu = 0: s(lam, 0), a series in lam alone."""
+        return self.substitute_linear(((1, 0), (0, 0)))
 
-    def diagonal(self) -> UniSeries:
-        """Restrict to mu = -lam, producing a series in lam."""
-        cs = [self.ring.zero] * (self.order + 1)
-        for (k, l), c in self.coeffs.items():
-            cs[k + l] += -c if l % 2 else c
-        return UniSeries(self.ring, cs, self.order)
+    def diagonal(self) -> "BiSeries":
+        """Restrict to mu = -lam: s(lam, -lam), a series in lam alone."""
+        return self.substitute_linear(((1, 0), (-1, 0)))
 
     # -- analytic constructors ------------------------------------------------------
 
@@ -412,9 +375,6 @@ class BiSeries:
 
     # -- exact division ---------------------------------------------------------------
 
-    def divide_unit(self, d: "BiSeries") -> "BiSeries":
-        return self * d.inverse()
-
     def divide_monomial(self, k: int, l: int) -> "BiSeries":
         """Exact division by lam^k mu^l; raises if any required coefficient survives."""
         den, nums = self._den, self._nums
@@ -477,6 +437,23 @@ class BiSeries:
                 raise ValueError(f"exponents ({k}, {l}) appear twice")
             coeffs[k, l] = ring.parse(rec["coeff"])
         return BiSeries(ring, coeffs, order)
+
+
+class UniSeries(BiSeries):
+    """A series sum_n c_n lam^n in lam alone, built from the list c_0, c_1, ...
+    known through degree ``order``: entry n lands at (n, 0), and entries past
+    the order are dropped unread."""
+
+    __slots__ = ()
+
+    def __init__(self, ring, coeffs: Iterable, order: int):
+        super().__init__(ring, {(n, 0): c for n, c in zip(range(order + 1), coeffs)}, order)
+
+    def as_biseries(self, direction: tuple, order: int | None = None) -> BiSeries:
+        """Substitute the linear form a*lam + b*mu for lam, through ``order``
+        where that is below the series' own."""
+        lam = self if order is None else self.truncate(order)
+        return lam.substitute_linear((direction, (0, 0)))
 
 
 def _numerators(f: BiSeries) -> dict:
@@ -591,27 +568,30 @@ def _coefficients(ring, den: int, nums: dict) -> dict:
     return {(kl >> _L_BITS, kl & _L_MASK): ring.from_terms(terms) for kl, terms in groups.items()}
 
 
+@lru_cache(maxsize=64, typed=True)
 def _linear_power_table(a, b, n: int, bits: int) -> tuple:
     """(D, table) for the rational form a lam + b mu, D the least common
-    denominator of a and b: table[k], k = 0..n, lists the nonzero terms of
-    (A lam + B mu)^k, A = D a and B = D b, as ((i << 8 | k - i) << bits,
+    denominator of a and b: table[k], k = 0..n, is the tuple of the nonzero
+    terms of (A lam + B mu)^k, A = D a and B = D b, as ((i << 8 | k - i) << bits,
     comb(k, i) A^i B^(k-i)), row k built from row k - 1 by Pascal's rule.
-    An entry that is not an int or a Fraction raises TypeError."""
+    An entry that is not an int or a Fraction raises TypeError.  The last 64
+    tables are shared, keyed with the types of a and b so that a bool never
+    reads an int's table, and a shared table is tuples, so it cannot be written."""
     D, nums = clear_denominators({0: a, 1: b})
     A, B = nums.values()
     row = [1]  # row[i]: the coefficient of lam^i mu^(k-i)
-    table = [[(0, 1)]]
+    table = [((0, 1),)]
     for k in range(1, n + 1):
         row = [B * row[0]] + [A * row[i - 1] + B * row[i] for i in range(1, k)] + [A * row[k - 1]]
-        table.append([((i << _L_BITS | k - i) << bits, s) for i, s in enumerate(row) if s])
-    return D, table
+        table.append(tuple(((i << _L_BITS | k - i) << bits, s) for i, s in enumerate(row) if s))
+    return D, tuple(table)
 
 
 def standard_series(name: str, N: int):
     """The named classical series to order N with exact rational coefficients.
 
-    Univariate names return a UniSeries in x; bivariate ones a BiSeries; both
-    are over QQ.
+    Univariate names return a series in lam alone, bivariate ones a series
+    in lam and mu; all are over QQ.
     """
     if name == "x_over_expm1":
         fact = 1

@@ -326,11 +326,7 @@ def drinfeld_s(N: int, ring: ThetaRing | None = None) -> BiSeries:
         raise ValueError("odd-symbol bound too small for this order")
     cs = [ring.zero, ring.zero] + [_S_coeff(ring, n) for n in range(2, N + 1)]
     S = UniSeries(ring, cs, N)
-    return (
-        S.as_biseries((1, 0), N)
-        + S.as_biseries((0, 1), N)
-        - S.as_biseries((1, 1), N)
-    )
+    return S + S.as_biseries((0, 1), N) - S.as_biseries((1, 1), N)
 
 
 def drinfeld_f(N: int, ring: ThetaRing | None = None) -> BiSeries:
@@ -355,8 +351,8 @@ def verify_even_S_identity(N: int) -> bool:
     cs = [Fraction(0)] * (N + 1)
     for n in range(1, N // 2 + 1):
         cs[2 * n] = -2 * theta_even(n)
-    arg = UniSeries(QQ, cs, N).as_biseries((1, 0), N)  # series in rho alone
-    return arg.exp() == standard_series("sinhc", N).as_biseries((1, 0), N)
+    arg = UniSeries(QQ, cs, N)  # series in rho alone
+    return arg.exp() == standard_series("sinhc", N)
 
 
 def theta_series(N: int, ring: ThetaRing | None = None) -> BiSeries:
@@ -375,7 +371,7 @@ def theta_series(N: int, ring: ThetaRing | None = None) -> BiSeries:
 def _sqrt_sinhc_product(N: int) -> BiSeries:
     """sqrt(sinhc(lam+mu) sinhc(lam) sinhc(mu)) -- a rational unit series."""
     sinhc = standard_series("sinhc", N)
-    prod = sinhc.as_biseries((1, 1), N) * sinhc.as_biseries((1, 0), N) * sinhc.as_biseries((0, 1), N)
+    prod = sinhc.as_biseries((1, 1), N) * sinhc * sinhc.as_biseries((0, 1), N)
     return prod.sqrt()
 
 

@@ -140,6 +140,16 @@ def test_hausdorff_l3_with_comm_parts():
     assert h.comm.coeff(0, 0) == F(1, 6) + F(1, 6) + F(1, 2)
 
 
+def test_hausdorff_l3_shares_one_bounded_closed_form_per_order():
+    a, b, _ = letters(8)
+    first = hausdorff_in_l3(b, a, 8)
+    comm = cbh._cbh_comm(8)
+    assert cbh._cbh_comm.cache_info().maxsize == 8
+    assert cbh._cbh_comm(8) is comm and comm == compressed_cbh(8).comm
+    # the shared table is the one the product reads, and reading it again changes nothing
+    assert hausdorff_in_l3(b, a, 8) == first and first.comm == comm
+
+
 def test_records_dump():
     h = compressed_cbh(4)
     recs = h.records()

@@ -188,10 +188,10 @@ def test_extreme_coefficients():
 
 def test_diagonal_series():
     d = diagonal_series(6)
-    assert d.coeff(0) == F(1, 6)
-    assert d.coeff(2) == F(-7, 360)
-    assert d.coeff(4) == F(31, 15120)
-    assert d.coeff(6) == F(-127, 604800)
+    assert d.coeff(0, 0) == F(1, 6)
+    assert d.coeff(2, 0) == F(-7, 360)
+    assert d.coeff(4, 0) == F(31, 15120)
+    assert d.coeff(6, 0) == F(-127, 604800)
     f = family_I(10)
     assert f.diagonal() == diagonal_series(10)
 

@@ -269,7 +269,7 @@ def test_divisions_undo_multiplication(ring, data):
     u = data.draw(series(constant=False, ring=ring, max_order=5))
     c = data.draw(rationals.filter(bool))
     d = BiSeries.constant(ring, ring.from_rational(c), u.order) + u
-    got = (f * d).divide_unit(d)
+    got = f * d * d.inverse()
     assert got.order == min(n, d.order) and got == f
 
 

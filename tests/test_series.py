@@ -143,26 +143,26 @@ def test_divide_unit_inverse():
     rng = random.Random(31)
     t = rand_series(rng, order=10)
     u = ONE.truncate(10) + t - BiSeries.constant(QQ, t.coeff(0, 0), 10)
-    assert u.divide_unit(u) == ONE.truncate(10)
-    assert (u * u.inverse()) == ONE.truncate(10)
+    assert u * u.inverse() == ONE.truncate(10)
+    assert t * u * u.inverse() == t
 
 
 def test_standard_series_x_over_expm1():
     s = standard_series("x_over_expm1", 6)
-    assert s.coeff(0) == 1
-    assert s.coeff(1) == F(-1, 2)
-    assert s.coeff(2) == F(1, 12)
-    assert s.coeff(3) == 0
-    assert s.coeff(4) == F(-1, 720)
+    assert s.coeff(0, 0) == 1
+    assert s.coeff(1, 0) == F(-1, 2)
+    assert s.coeff(2, 0) == F(1, 12)
+    assert s.coeff(3, 0) == 0
+    assert s.coeff(4, 0) == F(-1, 720)
 
 
 def test_standard_series_two_x_over_sinh2x():
     s = standard_series("two_x_over_sinh2x", 8)
-    assert s.coeff(0) == 1
-    assert s.coeff(2) == F(-1, 6)
-    assert s.coeff(4) == F(7, 360)
-    assert s.coeff(6) == F(-31, 3 * 5040)
-    assert s.coeff(8) == F(127, 15 * 40320)
+    assert s.coeff(0, 0) == 1
+    assert s.coeff(2, 0) == F(-1, 6)
+    assert s.coeff(4, 0) == F(7, 360)
+    assert s.coeff(6, 0) == F(-31, 3 * 5040)
+    assert s.coeff(8, 0) == F(127, 15 * 40320)
 
 
 def test_standard_series_sinh_factor():
@@ -217,6 +217,77 @@ def test_uniseries_as_biseries_direction():
     assert b.coeff(2, 0) == 2 and b.coeff(1, 1) == 4 and b.coeff(0, 2) == 2
 
 
+def test_a_uniseries_is_a_series_in_lam():
+    u = UniSeries(QQ, [F(1), F(-1, 2), F(1, 12), 0.5], 2)  # the float past the order is dropped unread
+    assert isinstance(u, BiSeries) and type(u).__slots__ == ()
+    assert u.order == 2 and u.coeffs == {(0, 0): 1, (1, 0): F(-1, 2), (2, 0): F(1, 12)}
+    assert u == BiSeries(QQ, {(0, 0): F(1), (1, 0): F(-1, 2), (2, 0): F(1, 12)}, 2)
+    assert UniSeries(QQ, [F(1)], 3) == ONE.truncate(3)  # a short list is zero above it
+    with pytest.raises(TypeError):
+        u.coeffs[(3, 0)] = F(1)
+    with pytest.raises(IndexError):
+        u.coeff(3, 0)
+    # as_biseries substitutes through the lower of the two orders
+    assert u.as_biseries((1, 0), 5) == u and u.as_biseries((1, 0), 5).order == 2
+    assert u.as_biseries((0, 1)).order == 2 and u.as_biseries((0, 1), 1) == BiSeries(QQ, {(0, 0): 1, (0, 1): F(-1, 2)}, 1)
+    assert u.as_biseries((0, 1), 1).order == 1
+
+
+def _termwise_mu_zero(s):
+    """[c_0, ..., c_order] of s(lam, 0), read term by term off ``coeffs``."""
+    cs = [s.ring.zero] * (s.order + 1)
+    for (k, l), c in s.coeffs.items():
+        if l == 0:
+            cs[k] = c
+    return cs
+
+
+def _termwise_diagonal(s):
+    """[c_0, ..., c_order] of s(lam, -lam), summed term by term over ``coeffs``."""
+    cs = [s.ring.zero] * (s.order + 1)
+    for (k, l), c in s.coeffs.items():
+        cs[k + l] += -c if l % 2 else c
+    return cs
+
+
+def _rand_theta_series(rng, ring, order, terms=6):
+    coeffs = {}
+    for _ in range(terms):
+        k = rng.randint(0, order)
+        l = rng.randint(0, order - k)
+        t = ring.generator(rng.choice(ring.gens)) * F(rng.randint(-9, 9), rng.randint(1, 9))
+        coeffs[(k, l)] = t + ring.from_rational(F(rng.randint(-9, 9), rng.randint(1, 9)))
+    return BiSeries(ring, coeffs, order)
+
+
+@pytest.mark.parametrize("theta", [False, True], ids=["QQ", "theta"])
+@pytest.mark.parametrize("order", range(17))
+def test_restrictions_match_the_termwise_sums(order, theta):
+    rng = random.Random(100 + order)
+    ring = ring_for_degree(9) if theta else QQ
+    for _ in range(3):
+        s = _rand_theta_series(rng, ring, order) if theta else rand_series(rng, order, terms=8)
+        s = s + BiSeries.monomial(QQ, order, 0, F(rng.randint(1, 9)), order)
+        assert order == 0 or not s.is_symmetric()
+        for got, want in ((s.set_mu_zero(), _termwise_mu_zero(s)), (s.diagonal(), _termwise_diagonal(s))):
+            assert got.order == order and all(l == 0 for _, l in got.coeffs)
+            assert [got.coeff(n, 0) for n in range(order + 1)] == want
+            assert got == UniSeries(ring, want, order)
+
+
+def test_the_linear_power_table_is_bounded_and_shared():
+    _linear_power_table(F(1, 2), -1, 9, 3)
+    info = _linear_power_table.cache_info()
+    assert info.maxsize == 64 and info.currsize <= 64
+    for args in ((F(1, 2), -1, 9, 3), (1, 0, 16, 0), (0, 0, 4, 0)):
+        D, table = _linear_power_table(*args)
+        assert (D, table) == _linear_power_table.__wrapped__(*args)
+        assert _linear_power_table(*args)[1] is table and all(type(row) is tuple for row in table)
+    # a bool is not the int it equals: it still meets the gate once 1 is cached
+    with pytest.raises(TypeError):
+        _linear_power_table(True, 0, 16, 0)
+
+
 @pytest.mark.parametrize("a, b", [(0, 0), (1, 1), (0, 1), (-1, 0), (3, -2), (F(1, 2), F(-2, 3)), (F(-5, 4), 7)])
 @pytest.mark.parametrize("order", [0, 1, 7, 16])
 def test_exp_linear_closed_form_matches_exp(a, b, order):
@@ -252,7 +323,7 @@ def test_linear_power_table_is_the_binomial_expansion(seed):
             assert len(table) == 13
             for k, row in enumerate(table):
                 want = [((i << 8 | k - i) << bits, comb(k, i) * A**i * B ** (k - i)) for i in range(k + 1)]
-                assert row == [(key, s) for key, s in want if s]
+                assert row == tuple((key, s) for key, s in want if s)
 
 
 @pytest.mark.parametrize("seed", range(4))

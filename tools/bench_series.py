@@ -9,7 +9,10 @@ since one call takes only 1-3 ms and a cold one is noisy: over QQ at order
 ``family_I(16).substitute_linear(_SUB_MU_RHO)``, ``exp_linear(1, 1, 16)``
 and ``compose`` as the ``sqrt`` of sinhc(lam+mu) sinhc(lam) sinhc(mu); over
 the theta ring, the sum ``drinfeld_s(18) + drinfeld_s(18).exp()`` and
-``compose`` as ``exp`` of ``drinfeld_s(18)``.  Building a series from its
+``compose`` as ``exp`` of ``drinfeld_s(18)``; and the series in lam alone:
+``as_biseries`` of ``x_over_expm1(16)`` at lam + mu (built from its list of
+coefficients), and the ``diagonal`` f(lam, -lam) of ``family_I(16)`` and of
+``drinfeld_f(16)``.  Building a series from its
 coefficients gates every value and clears the denominators, a cost that
 every operand pays, so each call builds its operands by the constructor
 inside the clock, from coefficient dicts copied once outside it.
@@ -20,7 +23,9 @@ ParamSet, ``residual_15b``, ``residual_39``, ``split_residuals`` and
 that ParamSet.  Then ``solve_degreewise`` at degrees 20 and 24.  Last, the
 three CBH paths as kernel stages: ``associative_log_oracle(8)``,
 ``compressed_cbh(16)`` and ``classical_cbh_in_model(16)``, warm from the
-second call on, since the Bernoulli tables are cached per process.
+second call on, since the Bernoulli tables are cached per process.  A
+result in lam alone is digested as the records of its ``as_biseries((1, 0))``,
+so a checkout whose restrictions return another type digests it alike.
 ``bench_harness`` runs the two checkouts' repeats alternately, each in a new
 interpreter, and writes each one's stage medians into its column of
 ``--out``; the digests it compares and records are the sha256 of every
@@ -41,8 +46,9 @@ SOLVER_DEGREES = "20,24"
 CHILD = """
 import hashlib, json, random, sys, time
 from fractions import Fraction
+from math import factorial
 sys.path.insert(0, sys.argv[1])
-from cassoc import cbh, hexagon, series, zeta
+from cassoc import cbh, exact, hexagon, series, zeta
 N, calls, batches = int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
 times = {}
 outputs = []
@@ -67,6 +73,8 @@ def timed_kernel(name, op, *operands):
     outputs.append((name, call()))
 
 def text(x):
+    if isinstance(x, series.UniSeries):
+        x = x.as_biseries((1, 0))
     if isinstance(x, series.BiSeries):
         return json.dumps(x.to_records())
     if isinstance(x, cbh.ModelElement):
@@ -92,6 +100,10 @@ timed_kernel("exp_linear", lambda: series.exp_linear(1, 1, N))
 timed_kernel("compose.sqrt", lambda x: x.sqrt(), sinhc3)
 timed_kernel("add.theta", lambda x, y: x + y, s18, s18.exp())
 timed_kernel("compose.exp.theta", lambda x: x.exp(), s18)
+x_over = [Fraction(exact.bernoulli(n), factorial(n)) for n in range(N + 1)]
+timed_kernel("as_biseries", lambda: series.UniSeries(series.QQ, x_over, N).as_biseries((1, 1), N))
+timed_kernel("diagonal", lambda x: x.diagonal(), f1)
+timed_kernel("diagonal.theta", lambda x: x.diagonal(), zeta.drinfeld_f(N))
 timed("solve_degreewise", lambda: hexagon.solve_degreewise(N))
 families = [f1, hexagon.family_II(N), hexagon.family_III(N), timed("build_f", lambda: hexagon.build_f(params, N))]
 for f in families:
