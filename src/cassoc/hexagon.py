@@ -589,9 +589,6 @@ def extract_h_tilde(f: BiSeries) -> BiSeries:
 
 
 def hexagon_symmetry_suite(h: BiSeries) -> bool:
-    """h(lam,mu) = h(mu,lam) = h(-lam,-mu) = h(lam,-lam-mu), exactly."""
-    return (
-        h == h.swap()
-        and h == h.substitute_linear(_SUB_NEG)
-        and h == h.substitute_linear(_SUB_LAM_RHO)
-    )
+    """h(lam,mu) = h(mu,lam) = h(-lam,-mu) = h(lam,-lam-mu), exactly: an
+    associator polynomial that is even."""
+    return is_associator_polynomial(h) and h == h.substitute_linear(_SUB_NEG)

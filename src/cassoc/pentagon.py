@@ -2,13 +2,15 @@
 
 Elements are modeled in the free metabelian Lie algebra on the six letters
 a, b, c, d, e, v (letters 0..5): a linear part plus a commutator part that is
-a module over commuting letter variables.  Normal form for the commutator
-part: prefix-monomial m times a core bracket [x_i, x_j] with i > j and
-min(letters of m) >= j; the single Jacobi straightening step
+a module over commuting letter variables (Lemma 5.4a).  A commutator term is
+a monomial m times a core bracket [x_i, x_j] with i > j, for any m, and
+``MetabelianModel.bracket`` leaves it as it stands.  The one rule among
+these terms is the Jacobi step
 
-    x_k [x_i, x_j] = -x_i [x_j, x_k] + x_j [x_i, x_k]      (k < j < i)
+    x_k [x_i, x_j] = -x_i [x_j, x_k] + x_j [x_i, x_k]      (k < j < i),
 
-moves the smallest letter into the core.
+and it lives only in the Groebner basis (``_jacobi_vectors``): the canonical
+form of an element, in the free algebra as in a quotient, is a reducer's.
 
 The defining relations of the quotient ([a,e] = [b,v] = [c,d] = 0 and the
 x, y, z, u identifications) generate, as monomial multiples, a linear
@@ -28,10 +30,9 @@ substitutions (sign, u, w) of phi.  The letters act on commutators as
 commuting variables, so each term sum alpha[k, l] [u^k w^l u w] is
 alpha(u, w) [u, w], the polynomial alpha in the two linear forms times the
 core.  ``pentagon_check`` and ``pentagon_columns`` expand alpha(u, w) from
-power tables of u and w, over ints, and reduce the result with its keys
-left unstraightened: the Groebner basis holds the Jacobi step.
-``pentagon_residual``, the signed sum of ``phi_bar_eval`` in model normal
-form, brackets every [u^k w^l u w] afresh; it is the tests' reference.
+power tables of u and w, over ints, and reduce the result.
+``pentagon_residual``, the signed sum of ``phi_bar_eval``, brackets every
+[u^k w^l u w] afresh; it is the tests' reference.
 ``MetabelianModel.ad`` is the one repeated-bracket primitive behind the
 section-5 identity suite.
 """
@@ -70,11 +71,13 @@ LETTERS = "abcdev"  # a=t12 b=t23 c=t13 d=t24 e=t34 v=t14
 class MetabelianModel:
     """Free metabelian Lie algebra on ``n_letters`` with exact coefficients.
 
-    An element is (lin, comm): lin maps letter -> coefficient, comm maps
-    normal-form keys (i, j, mono) -> coefficient with i > j, mono an exponent
-    tuple whose smallest used letter is >= j.  Coefficients are ints where
-    they are integral (letters, brackets of letters, the relations) and
-    Fractions otherwise; both are exact.
+    An element is (lin, comm): lin maps letter -> coefficient, comm maps keys
+    (i, j, mono) -> coefficient, i > j and mono any exponent tuple, the term
+    mono * [x_i, x_j].  Terms are never straightened, so two elements may be
+    equal in the algebra and differ here; ``QuotientReducer(model, [])``
+    gives the canonical form.  Coefficients are ints where they are integral
+    (letters, brackets of letters, the relations) and Fractions otherwise;
+    both are exact.
     """
 
     def __init__(self, n_letters: int):
@@ -130,60 +133,33 @@ class MetabelianModel:
         self.add_into(out, y, -1)
         return out
 
-    def is_zero(self, x) -> bool:
-        return not x[0] and not x[1]
-
-    # -- normal form --------------------------------------------------------------
-
-    def _norm_core(self, i: int, j: int, mono: tuple, coeff, out: dict):
-        """Accumulate coeff * mono * [x_i, x_j] (i > j) in normal form into out."""
-        small = None
-        for t in range(self.n):
-            if mono[t]:
-                small = t
-                break
-        if small is None or small >= j:
-            key = (i, j, mono)
-            v = out.get(key, 0) + coeff
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-            return
-        # x_small [x_i, x_j] = -x_i [x_j, x_small] + x_j [x_i, x_small]
-        k = small
-        m = list(mono)
-        m[k] -= 1
-        m_i = tuple(m[t] + (1 if t == i else 0) for t in range(self.n))
-        m_j = tuple(m[t] + (1 if t == j else 0) for t in range(self.n))
-        self._norm_core(j, k, m_i, -coeff, out)
-        self._norm_core(i, k, m_j, coeff, out)
+    # -- brackets ----------------------------------------------------------------
 
     def bracket(self, x, y):
-        """[x, y]; the result is purely a commutator part."""
+        """[x, y]; the result is purely a commutator part.  A bracket of two
+        letters is a core term at the zero monomial, and bracketing a letter
+        into a term adds 1 to that letter's exponent in its monomial."""
         out: dict = {}
+
+        def accumulate(key, c):
+            v = out.get(key, 0) + c
+            if v:
+                out[key] = v
+            else:
+                out.pop(key, None)
+
         zero_mono = (0,) * self.n
         for i, ci in x[0].items():
             for j, cj in y[0].items():
-                if i == j:
-                    continue
-                c = ci * cj
                 if i > j:
-                    self._norm_core(i, j, zero_mono, c, out)
-                else:
-                    self._norm_core(j, i, zero_mono, -c, out)
-        if y[1] and x[0]:
-            self._mult_into(x[0], y[1], 1, out)
-        if x[1] and y[0]:
-            self._mult_into(y[0], x[1], -1, out)
+                    accumulate((i, j, zero_mono), ci * cj)
+                elif i < j:
+                    accumulate((j, i, zero_mono), -ci * cj)
+        for lin, comm, sign in ((x[0], y[1], 1), (y[0], x[1], -1)):
+            for (i, j, mono), c in comm.items():
+                for s, cs in lin.items():
+                    accumulate((i, j, mono[:s] + (mono[s] + 1,) + mono[s + 1:]), sign * c * cs)
         return ({}, out)
-
-    def _mult_into(self, lin: dict, comm: dict, sign: int, out: dict):
-        for (i, j, mono), c in comm.items():
-            for s, cs in lin.items():
-                m = list(mono)
-                m[s] += 1
-                self._norm_core(i, j, tuple(m), sign * c * cs, out)
 
     def long_commutator(self, word: list):
         """Right-nested [w_1, [w_2, [..., w_k]]] of elements or letters."""
@@ -193,8 +169,6 @@ class MetabelianModel:
         acc = elems[-1]
         for e in reversed(elems[:-1]):
             acc = self.bracket(e, acc)
-            if self.is_zero(acc):
-                return acc
         return acc
 
     def ad(self, x, k: int, elem):
@@ -210,8 +184,9 @@ class MetabelianModel:
         return elem
 
     def basis_keys(self, degree: int) -> list:
-        """All normal-form keys of the given total degree, in deterministic
-        (core pair, monomial) lexicographic order."""
+        """The straightened keys of the given total degree, (i, j, mono) with
+        every letter of mono >= j, in (core pair, monomial) lexicographic
+        order: the standard monomials of the Jacobi vectors alone."""
         if degree < 2:
             return []
         keys = []
@@ -283,9 +258,9 @@ def _pair_positions(n: int) -> dict:
 
 
 def _jacobi_vectors(n: int) -> list:
-    """x_k e_ij + x_i e_jk - x_j e_ik for k < j < i, the Jacobi step of
-    ``_norm_core``; each leads with x_k e_ij, so the standard monomials of
-    these vectors alone are the normal-form keys."""
+    """x_k e_ij + x_i e_jk - x_j e_ik for k < j < i, the Jacobi step; each
+    leads with x_k e_ij, so the standard monomials of these vectors alone
+    are the keys of ``MetabelianModel.basis_keys``."""
     pos = _pair_positions(n)
 
     def x(s):
@@ -336,9 +311,9 @@ class QuotientReducer:
 
     def reduce(self, elem) -> dict:
         """Reduce every degree part of an element; returns {degree: coords}.
-        A commutator key may be any (i, j, mono) with i > j, in model normal
-        form or not: it is read as the term mono * e_ij.  Only commutators
-        have coordinates here, so a nonzero linear part is a ValueError."""
+        A commutator key (i, j, mono), i > j, is read as the term mono * e_ij.
+        Only commutators have coordinates here, so a nonzero linear part is a
+        ValueError."""
         if elem[0]:
             raise ValueError("reduce takes a commutator element; this one has a linear part")
         normal_form = self._built()[2]
@@ -448,14 +423,15 @@ def _combination(terms):
 
 def phi_bar_eval(alpha, u: dict, w: dict, N: int):
     """sum_{k+l <= N-2} alpha[k,l] [u^k w^l u w] for letter combinations u, w,
-    in model normal form, over a ladder built afresh."""
+    over a ladder built afresh.  Each bracket is mono * [u, w] expanded,
+    unstraightened, so this is alpha(u, w) [u, w] term by term."""
     return _combination((alpha.coeff(k, l), br) for (k, l), br in _ladder(u, w, N).items())
 
 
 def pentagon_residual(alpha, N: int):
-    """LHS - RHS of the substituted pentagon in model normal form: the signed
-    sum of ``phi_bar_eval`` over the five terms of ``_PENTAGON``.  The
-    reference that the tests hold ``pentagon_check``'s element to."""
+    """LHS - RHS of the substituted pentagon: the signed sum of
+    ``phi_bar_eval`` over the five terms of ``_PENTAGON``, unstraightened.
+    The reference that the tests hold ``pentagon_check``'s element to."""
     return _combination((sign, phi_bar_eval(alpha, u, w, N)) for sign, u, w in _PENTAGON)
 
 
@@ -476,9 +452,9 @@ def _powers(form: dict, top: int) -> list:
 def _pentagon_elements(tables: list) -> list:
     """Per q in ``tables``, the residual sum sign * alpha(u, w) [u, w] over
     ``_PENTAGON``, alpha(u, w) = sum q[k, l] u^k w^l, over one set of power
-    tables of u and w.  A key (i, j, mono) is the term mono * e_ij, left
-    unstraightened: the Groebner basis holds the Jacobi step, so ``reduce``
-    gives the coordinates of ``pentagon_residual``.  Int q, int element."""
+    tables of u and w.  A key (i, j, mono) is the term mono * e_ij, so
+    ``reduce`` gives the coordinates of ``pentagon_residual``.  Int q, int
+    element."""
     m = L4_MODEL
     k_top = max((k for q in tables for k, _ in q), default=0)
     l_top = max((l for q in tables for _, l in q), default=0)

@@ -121,7 +121,11 @@ def check_hexagon_families(degree: int = 12, theta_degree: int = 9) -> tuple:
 
 
 def check_extreme_diagonal() -> tuple:
-    """Edge coefficients and the diagonal restriction match the closed forms."""
+    """Edge coefficients and the diagonal restriction match the closed forms.
+
+    The diagonal has two paths: the closed form ``diagonal_series`` against
+    its printed coefficients, and the restriction f(lam, -lam) of each of
+    families I, II and III against that closed form, to degree 12."""
     want_extreme = [Fraction(1, 6), Fraction(-1, 90), Fraction(1, 945), Fraction(-1, 9450)]
     if hexagon.extreme_coefficients(6) != want_extreme:
         return False, "extreme coefficients mismatch"
@@ -132,6 +136,10 @@ def check_extreme_diagonal() -> tuple:
             return False, f"diagonal coefficient {n} mismatch"
     if any(diag.coeff(n, 0) for n in (1, 3, 5)):
         return False, "diagonal has odd terms"
+    closed = hexagon.diagonal_series(12)
+    for name, family in (("I", hexagon.family_I), ("II", hexagon.family_II), ("III", hexagon.family_III)):
+        if family(12).diagonal() != closed:
+            return False, f"family {name} diagonal mismatch"
     f = hexagon.family_I(12)
     for k in range(0, 4):
         if f.coeff(2 * k, 0) != want_extreme[k]:

@@ -21,7 +21,7 @@ checked against ``ThetaRing.guard``, and a series builds ThetaPolys again, by
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .exact import format_rational, gamma_coefficients, is_rational, parse_rational, rational, theta_even
 from .hexagon import ParamSet, decompose_symmetric_series
@@ -356,16 +356,10 @@ def verify_even_S_identity(N: int) -> bool:
 
 
 def theta_series(N: int, ring: ThetaRing | None = None) -> BiSeries:
-    """theta(lam,mu) = -sum theta_{2n+1} ((lam+mu)^{2n+1} - lam^{2n+1} - mu^{2n+1})."""
-    ring = ring or ring_for_degree(N)
-    out = {}
-    for g in ring.gens:
-        if g > N:
-            continue
-        t = ring.generator(g)
-        for i in range(1, g):
-            out[i, g - i] = t * Fraction(-comb(g, i))
-    return BiSeries(ring, out, N)
+    """theta(lam,mu) = -sum theta_{2n+1} ((lam+mu)^{2n+1} - lam^{2n+1} - mu^{2n+1}),
+    the odd part of ``drinfeld_s``; a ring without every odd symbol up to
+    theta_N is ``drinfeld_s``'s ValueError."""
+    return drinfeld_s(N, ring).odd_part()
 
 
 def _sqrt_sinhc_product(N: int) -> BiSeries:

@@ -2,12 +2,15 @@
 ``QuotientReducer``.
 
 ``QuotientReducer.reduce`` gives coordinates on the standard monomials of a
-Groebner basis of the relation module.  This module is an independent path
-to the same quotient.  The defining relations generate, as monomial multiples, a
-linear subspace per degree; ``EchelonReducer`` row-reduces that subspace
-once and then reduces arbitrary elements to canonical coordinates on the
-complement, the non-pivot columns.  Each relation row goes straight into
-normal form, one ``_norm_core`` call per core term of the relation, and is
+Groebner basis of the relation module, whose Jacobi vectors straighten the
+model's terms.  This module is an independent path to the same quotient and
+shares no normal-form code with ``cassoc``.  ``straighten`` writes a
+commutator part on the straightened keys (``MetabelianModel.basis_keys``)
+by the Jacobi step, applied once per term.  The defining relations
+generate, as monomial multiples, a linear subspace per degree;
+``EchelonReducer`` row-reduces that subspace once and then reduces
+arbitrary elements, straightened first, to canonical coordinates on the
+complement, the non-pivot columns.  Each relation row is straightened and
 reduced fully by the rows stored before it, by the same loop that reduces
 any element, before it is stored.  The elimination runs over Python ints:
 the L4bar and L3bar relations have coefficients +-1 and all their pivots are
@@ -30,6 +33,38 @@ from cassoc.exact import clear_denominators
 from cassoc.pentagon import L3_MODEL, L4_MODEL, QuotientReducer, _l3_relations, _l4_relations, _monomials
 
 
+def straighten(comm: dict) -> dict:
+    """A commutator part {(i, j, mono): c} on the straightened keys, those
+    whose monomial uses no letter below j.  A term whose smallest letter k
+    is below j takes one Jacobi step,
+
+        x_k [x_i, x_j] = -x_i [x_j, x_k] + x_j [x_i, x_k]      (k < j < i),
+
+    after which every letter of the monomial is >= k, the new core's
+    smaller letter; coefficients that cancel are dropped."""
+    out: dict = {}
+
+    def accumulate(key, c):
+        v = out.get(key, 0) + c
+        if v:
+            out[key] = v
+        else:
+            out.pop(key, None)
+
+    def times(mono, s):
+        return mono[:s] + (mono[s] + 1,) + mono[s + 1:]
+
+    for (i, j, mono), c in comm.items():
+        k = next((t for t, e in enumerate(mono) if e), j)
+        if k >= j:
+            accumulate((i, j, mono), c)
+            continue
+        rest = mono[:k] + (mono[k] - 1,) + mono[k + 1:]
+        accumulate((j, k, times(rest, i)), -c)
+        accumulate((i, k, times(rest, j)), c)
+    return out
+
+
 class EchelonReducer(QuotientReducer):
     """Per-degree row echelon form of the relation module, built on demand.
 
@@ -38,10 +73,9 @@ class EchelonReducer(QuotientReducer):
     in the metabelian quotient, so monomial multiples generate everything).
     The letters act on the commutator part as commuting variables, so the row
     of monomial * r is the sum of c * monomial * [x_i, x_j] over the terms of
-    r, each put in normal form by ``MetabelianModel._norm_core``.  Each row is
-    reduced fully by the pivot rows stored before it (``_reduce_vector``, the
-    loop ``reduce`` uses) and what is left is stored, made monic, at its
-    smallest column.  A unit pivot (+-1) is its own inverse, so integral
+    r, straightened (``straighten``).  Each row is reduced fully by the pivot
+    rows stored before it (``_reduce_vector``, the loop ``reduce`` uses) and
+    what is left is stored, made monic, at its smallest column.  A unit pivot (+-1) is its own inverse, so integral
     relations give integral pivot rows; any other pivot is inverted as a
     Fraction, which keeps the elimination exact for any relation set.  The
     pivot columns are the leading columns of the relation space, and a
@@ -64,15 +98,11 @@ class EchelonReducer(QuotientReducer):
         self._rows: dict = {}  # degree -> {pivot column: sparse row dict}
 
     def _relation_rows(self, degree: int):
-        """Yield mono * r in normal form, {key: coeff}, for every monomial of
+        """Yield mono * r straightened, {key: coeff}, for every monomial of
         degree - 2 and, within it, every relation r in order."""
-        norm = self.model._norm_core
         for mono in _monomials(self.model.n, degree - 2):
             for core in self._cores:
-                elem: dict = {}
-                for i, j, c in core:
-                    norm(i, j, mono, c, elem)
-                yield elem
+                yield straighten({(i, j, mono): c for i, j, c in core})
 
     def _build(self, degree: int) -> None:
         if degree in self._rows or degree < 2:
@@ -137,13 +167,13 @@ class EchelonReducer(QuotientReducer):
         return {keys[c]: Fraction(v, den) for c, v in red.items()}
 
     def reduce(self, elem) -> dict:
-        """Reduce every degree part of an element; returns {degree: coords}.
-        Only commutators have coordinates here, so a nonzero linear part is a
-        ValueError."""
+        """Reduce every degree part of an element, straightened first;
+        returns {degree: coords}.  Only commutators have coordinates here, so
+        a nonzero linear part is a ValueError."""
         if elem[0]:
             raise ValueError("reduce takes a commutator element; this one has a linear part")
-        parts: dict = {}  # the commutator part by letter degree
-        for (i, j, mono), c in elem[1].items():
+        parts: dict = {}  # the straightened commutator part by letter degree
+        for (i, j, mono), c in straighten(elem[1]).items():
             parts.setdefault(sum(mono) + 2, {})[i, j, mono] = c
         out = {}
         for d, part in parts.items():

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from cassoc import hexagon
+from cassoc import hexagon, verify
 from cassoc.golden import EXAMPLE_37_ALPHA, FAMILY_I_PRINTED, FAMILY_II_PRINTED, G_B_PARTS, T_B_PARTS
 from cassoc.hexagon import (
     AlphaTable,
@@ -194,6 +194,16 @@ def test_diagonal_series():
     assert d.coeff(6, 0) == F(-127, 604800)
     f = family_I(10)
     assert f.diagonal() == diagonal_series(10)
+
+
+@pytest.mark.parametrize("name", ["I", "II", "III"])
+def test_extreme_diagonal_check_sees_one_perturbed_diagonal_coefficient(monkeypatch, name):
+    # lam^5 mu^3 adds -1 to f(lam, -lam) at lam^8, past the printed diagonal terms
+    assert verify.check_extreme_diagonal() == (True, "extreme coefficients and diagonal series exact")
+    family = getattr(hexagon, f"family_{name}")
+    monkeypatch.setattr(hexagon, f"family_{name}", lambda n: family(n) + BiSeries.monomial(QQ, 5, 3, F(1), n))
+    assert getattr(hexagon, f"family_{name}")(12).diagonal().coeff(8, 0) == diagonal_series(12).coeff(8, 0) - 1
+    assert verify.check_extreme_diagonal() == (False, f"family {name} diagonal mismatch")
 
 
 def test_associator_polynomials():
@@ -463,6 +473,15 @@ def test_extract_h_properties():
     assert h.set_mu_zero() == standard_series("two_x_over_sinh2x", h.order)
     ht = extract_h_tilde(build_f(random_paramset(4), 10))
     assert hexagon_symmetry_suite(ht)
+
+
+def test_hexagon_symmetry_suite_needs_each_symmetry():
+    # an odd associator polynomial fails h(-lam, -mu) = h(lam, mu) only; lam^2 + mu^2 fails h(lam, -lam-mu) only
+    cube = BiSeries(QQ, {(2, 1): F(1), (1, 2): F(1)}, 4)
+    assert is_associator_polynomial(cube) and not hexagon_symmetry_suite(cube)
+    even = BiSeries(QQ, {(2, 0): F(1), (0, 2): F(1)}, 4)
+    assert even == even.swap() and not hexagon_symmetry_suite(even)
+    assert hexagon_symmetry_suite(cube * cube) and not hexagon_symmetry_suite(cube * cube + BiSeries.monomial(QQ, 4, 0, F(1), 4))
 
 
 def test_alpha_table_serialization():

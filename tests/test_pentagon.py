@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from echelon_oracle import EchelonReducer, l3_oracle, l4_oracle
+from echelon_oracle import EchelonReducer, l3_oracle, l4_oracle, straighten
 
 from cassoc import groebner, linalg, pentagon, verify
 from cassoc.cbh import ModelElement
@@ -65,11 +65,13 @@ def test_long_commutator_examples(red):
 
 
 def test_jacobi_in_free_model():
+    # X, Y, Z each a linear form plus commutators, so the sum is nonzero term by
+    # term and vanishes only once straightened
     m = L4_MODEL
     rng = random.Random(7)
 
     def rand_elem(deg):
-        el = m.zero()
+        el = m.combo({s: rng.randint(-3, 3) for s in range(6)})
         for _ in range(3):
             w = [rng.randrange(6) for _ in range(deg)]
             el = m.add(el, m.scale(m.long_commutator(w), F(rng.randint(-5, 5), rng.randint(1, 4))))
@@ -81,7 +83,43 @@ def test_jacobi_in_free_model():
             m.add(m.bracket(X, m.bracket(Y, Z)), m.bracket(Y, m.bracket(Z, X))),
             m.bracket(Z, m.bracket(X, Y)),
         )
-        assert m.is_zero(jac)
+        assert not jac[0] and jac[1] and straighten(jac[1]) == {}
+        assert QuotientReducer(m, []).reduce(jac) == {}
+
+
+def _free_elements(m, rng):
+    """Seeded right- and left-nested long commutators of letter degree 2..9,
+    and the ladder brackets [u^k w^l u w] of letter degree up to 9: the
+    substituted pentagon's in L4, random linear forms in L3."""
+    elems = [_random_element(rng, degree, m=m) for degree in range(2, 10)]
+    for degree in range(2, 10):
+        word = [rng.randrange(m.n) for _ in range(degree)]
+        left = m.letter(word[0])
+        for s in word[1:]:
+            left = m.bracket(left, m.letter(s))
+        elems.append(left)
+    if m is L4_MODEL:
+        elems += [br for _, u, w in _PENTAGON for br in pentagon._ladder(u, w, 9).values()]
+    else:
+        u, w = (m.combo({s: rng.randint(-3, 3) for s in range(m.n)}) for _ in range(2))
+        elems += [m.ad(w, l, m.ad(u, k, m.bracket(u, w))) for k in range(8) for l in range(8 - k)]
+    return elems
+
+
+def test_free_reducer_is_the_straightening():
+    # the Jacobi vectors alone reduce any element to its straightened keys
+    m = L3_MODEL
+    a, b, c = (m.letter(i) for i in range(3))
+    assert m.bracket(a, m.bracket(c, b)) == ({}, {(2, 1, (1, 0, 0)): 1})
+    assert straighten({(2, 1, (1, 0, 0)): 1}) == {(1, 0, (0, 0, 1)): -1, (2, 0, (0, 1, 0)): 1}
+    rng = random.Random(29)
+    for m in (L3_MODEL, L4_MODEL):
+        free = QuotientReducer(m, [])
+        for elem in _free_elements(m, rng):
+            want: dict = {}
+            for key, c in straighten(elem[1]).items():
+                want.setdefault(sum(key[2]) + 2, {})[key] = c
+            assert free.reduce(elem) == want
 
 
 def test_reduce_is_linear_and_idempotent(red):
@@ -185,7 +223,7 @@ def test_claim_53_span_test_can_fail(red):
 def test_phi_bar_eval_degenerate():
     m = L4_MODEL
     tab = AlphaTable({(0, 0): F(1)}, 4)
-    assert m.is_zero(phi_bar_eval(tab, {"a": F(1)}, {}, 6))
+    assert phi_bar_eval(tab, {"a": F(1)}, {}, 6) == m.zero()
     got = phi_bar_eval(tab, {"a": F(1)}, {"b": F(1)}, 6)
     assert got[1] == m.bracket(m.letter("a"), m.letter("b"))[1]
 
@@ -204,7 +242,7 @@ def test_pentagon_asymmetric_detected(red):
     norms = pentagon_check(bad, 6)
     assert any(norms.values())
     residual = pentagon_residual(bad, 6)
-    assert not L4_MODEL.is_zero(residual)
+    assert straighten(residual[1]) and l4_oracle().reduce(residual)
 
 
 def test_every_single_pair_asymmetry_is_detected(red):
@@ -236,7 +274,7 @@ def test_relation_rows_match_bracket_chains():
     for degree in range(2, 8):
         rows = list(l4_oracle()._relation_rows(degree))
         expected = [
-            L4_MODEL.mono_mult(rel, {s: e for s, e in enumerate(mono) if e})[1]
+            straighten(L4_MODEL.mono_mult(rel, {s: e for s, e in enumerate(mono) if e})[1])
             for mono in _monomials(6, degree - 2)
             for rel in rels
         ]
@@ -264,7 +302,7 @@ def test_reducer_with_non_unit_pivots():
             for mono in _monomials(3, d - 2)
             for rel in rels
         ]
-        _, pivots = rref([[elem[1].get(k, F(0)) for k in keys] for elem in multiples])
+        _, pivots = rref([[straighten(elem[1]).get(k, F(0)) for k in keys] for elem in multiples])
         assert red.dimension(d) == len(keys) - len(pivots) == oracle.echelon_dimension(d) == d - 1
         for elem in multiples:
             assert red.is_zero(elem) and oracle.is_zero(elem)
@@ -517,7 +555,7 @@ def _random_symmetric_table(rng, order):
 
 
 def test_checked_element_has_the_residuals_coordinates(red):
-    # alpha(u, w) [u, w] left unstraightened reduces to the model normal form's coordinates, times den
+    # alpha(u, w) [u, w] is the reference residual term for term, times den, and so has its coordinates
     rng = random.Random(22)
     for N in range(2, 13):
         order = N - 2
@@ -526,7 +564,9 @@ def test_checked_element_has_the_residuals_coordinates(red):
         tables.append(AlphaTable({(rng.randint(0, order), 0): F(rng.randint(1, 9), rng.randint(1, 5))}, order))
         for alpha in tables:
             den, element = _checked_element(alpha, N)
-            want = red.reduce(pentagon_residual(alpha, N))
+            residual = pentagon_residual(alpha, N)
+            assert element == ({}, {key: c * den for key, c in residual[1].items()}), N
+            want = red.reduce(residual)
             assert red.reduce(element) == {d: {key: c * den for key, c in coords.items()} for d, coords in want.items()}, N
             assert pentagon_check(alpha, N) == {d: len(want.get(d, {})) for d in range(2, N + 1)}, N
 

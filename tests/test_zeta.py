@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -105,9 +106,24 @@ def test_theta_series():
     assert ts.coeff(1, 2) == t3 * F(-3)
     assert all((k + l) % 2 == 1 for (k, l) in ts.coeffs)
     assert ts.diagonal().is_zero()
-    # theta is the odd part of s
+    # theta is the odd part of s, term by term the closed form
     s = drinfeld_s(5, ring)
     assert s.odd_part() == ts
+    ring9 = ring_for_degree(9)
+    assert theta_series(9, ring9).coeffs == {
+        (i, g - i): ring9.generator(g) * F(-comb(g, i)) for g in (3, 5, 7, 9) for i in range(1, g)
+    }
+
+
+def test_theta_series_needs_every_odd_symbol_up_to_its_order():
+    # a ring short of theta_11 is refused, never a series with theta_11 dropped
+    with pytest.raises(ValueError, match="odd-symbol bound"):
+        theta_series(12, ThetaRing(9))
+    with pytest.raises(ValueError, match="odd-symbol bound"):
+        solve_betas_in_theta(9, ThetaRing(9))
+    # a larger ring adds no symbol above the order
+    wide, exact = (theta_series(9, ThetaRing(n)).coeffs for n in (13, 9))
+    assert {key: c.format() for key, c in wide.items()} == {key: c.format() for key, c in exact.items()}
 
 
 def test_drinfeld_hexagon_residuals():
