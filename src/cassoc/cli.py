@@ -1,9 +1,14 @@
 """Command-line front end.
 
+Each command is a function of its arguments that returns its whole output and
+its exit code; ``main`` writes that output once, at the end, to ``--output`` or
+to stdout.
+
 Exit codes: 0 = success / all checks pass, 1 = a verification failed,
 2 = usage error: argparse's own message, or one JSON line {"error": ...} on
 stderr for out-of-range values, unreadable or malformed input files and an
-``--output`` that cannot be written.
+output that cannot be written (an ``--output`` file, or stdout itself: a
+closed pipe, a full disk).
 Output is deterministic: identical invocations produce byte-identical bytes.
 """
 
@@ -34,18 +39,30 @@ def _out_path(path: str | None):
     return path
 
 
-def _emit(text: str, path: str | None) -> None:
+def _write(text: str, path: str | None) -> None:
+    """Write ``text``, newline-terminated, to ``--output`` or to stdout.
+
+    Any OSError (a closed pipe, a full disk, a missing directory) is a usage
+    error.  On a stdout failure fd 1 is first pointed at os.devnull, so the
+    interpreter's last flush of the unwritten buffer cannot raise again (the
+    pattern of the Python ``signal`` docs' "Note on SIGPIPE").
+    """
     target = _out_path(path)
-    if target is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        try:
+    if not text.endswith("\n"):
+        text += "\n"
+    try:
+        if target is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
             with open(target, "w") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-        except OSError as exc:
-            _usage_error(f"{target}: {exc}")
+                fh.write(text)
+    except OSError as exc:
+        if target is None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        _usage_error(f"{target or '<stdout>'}: {exc}")
 
 
 def _usage_error(message: str):
@@ -68,22 +85,20 @@ def _load(path: str, parse):
         _usage_error(f"{path}: {exc}")
 
 
-def cmd_bernoulli(args) -> int:
+def cmd_bernoulli(args) -> tuple:
     if args.max < 0:
         _usage_error(f"bernoulli --max {args.max} is negative")
     if args.max > MAX_BERNOULLI:
         _usage_error(f"bernoulli --max {args.max} above {MAX_BERNOULLI}")
     rows = [(n, bernoulli(n)) for n in range(args.max + 1)]
     if args.format == "json":
-        _emit(json.dumps({str(n): format_rational(v) for n, v in rows}, indent=2), args.output)
-    elif args.format == "csv":
-        _emit("n,B_n\n" + "\n".join(f"{n},{format_rational(v)}" for n, v in rows), args.output)
-    else:
-        _emit("\n".join(f"B_{n} = {format_rational(v)}" for n, v in rows), args.output)
-    return 0
+        return json.dumps({str(n): format_rational(v) for n, v in rows}, indent=2), 0
+    if args.format == "csv":
+        return "n,B_n\n" + "\n".join(f"{n},{format_rational(v)}" for n, v in rows), 0
+    return "\n".join(f"B_{n} = {format_rational(v)}" for n, v in rows), 0
 
 
-def cmd_cmn(args) -> int:
+def cmd_cmn(args) -> tuple:
     w = _check_degree(args.max_weight, MAX_DEGREE, "cmn")
     entries = [
         (m, n, ext_bernoulli_recursive(m, n))
@@ -91,29 +106,21 @@ def cmd_cmn(args) -> int:
         for n in range(1, w + 1 - m)
     ]
     if args.format == "json":
-        _emit(
-            json.dumps([[m, n, format_rational(v)] for m, n, v in entries], indent=2),
-            args.output,
-        )
-    elif args.format == "csv":
-        _emit("m,n,C_mn\n" + "\n".join(f"{m},{n},{format_rational(v)}" for m, n, v in entries), args.output)
-    else:
-        _emit("\n".join(f"C[{m},{n}] = {format_rational(v)}" for m, n, v in entries), args.output)
-    return 0
+        return json.dumps([[m, n, format_rational(v)] for m, n, v in entries], indent=2), 0
+    if args.format == "csv":
+        return "m,n,C_mn\n" + "\n".join(f"{m},{n},{format_rational(v)}" for m, n, v in entries), 0
+    return "\n".join(f"C[{m},{n}] = {format_rational(v)}" for m, n, v in entries), 0
 
 
-def cmd_cbh(args) -> int:
+def cmd_cbh(args) -> tuple:
     n = _check_degree(args.degree, MAX_DEGREE, "cbh", 1)
     series = cbh.compressed_cbh(n)
     recs = [[nn, mm, format_rational(c)] for nn, mm, c in series.records()]
     if args.format == "json":
-        _emit(json.dumps({"degree": n, "terms": recs}, indent=2), args.output)
-    elif args.format == "csv":
-        _emit("n,m,coefficient\n" + "\n".join(f"{a},{b},{c}" for a, b, c in recs), args.output)
-    else:
-        lines = [f"[Q^{a - 1} P^{b - 1} Q P]: {c}" for a, b, c in recs]
-        _emit("\n".join(lines), args.output)
-    return 0
+        return json.dumps({"degree": n, "terms": recs}, indent=2), 0
+    if args.format == "csv":
+        return "n,m,coefficient\n" + "\n".join(f"{a},{b},{c}" for a, b, c in recs), 0
+    return "\n".join(f"[Q^{a - 1} P^{b - 1} Q P]: {c}" for a, b, c in recs), 0
 
 
 def _family_series(args):
@@ -125,17 +132,12 @@ def _family_series(args):
     return {"I": hexagon.family_I, "II": hexagon.family_II, "III": hexagon.family_III}[args.family](n)
 
 
-def cmd_hexagon_solve(args) -> int:
-    f = _family_series(args)
-    table = hexagon.AlphaTable.from_series(f)
-    if args.format == "csv":
-        _emit(table.to_csv(), args.output)
-    else:
-        _emit(table.to_json(), args.output)
-    return 0
+def cmd_hexagon_solve(args) -> tuple:
+    table = hexagon.AlphaTable.from_series(_family_series(args))
+    return (table.to_csv() if args.format == "csv" else table.to_json()), 0
 
 
-def cmd_hexagon_residual(args) -> int:
+def cmd_hexagon_residual(args) -> tuple:
     table = _load(args.input, hexagon.AlphaTable.from_json)
     res = hexagon.residual_15b(table)
     ok = res.is_zero()
@@ -144,11 +146,10 @@ def cmd_hexagon_residual(args) -> int:
         "truncation_order": res.order,
         "residual": res.to_records(),
     }
-    _emit(json.dumps(payload, indent=2), args.output)
-    return 0 if ok else 1
+    return json.dumps(payload, indent=2), 0 if ok else 1
 
 
-def cmd_pentagon_check(args) -> int:
+def cmd_pentagon_check(args) -> tuple:
     n = _check_degree(args.degree, MAX_PENTAGON, "pentagon", MIN_PENTAGON_CHECK)
     table = _load(args.input, hexagon.AlphaTable.from_json)
     try:
@@ -157,21 +158,19 @@ def cmd_pentagon_check(args) -> int:
         _usage_error(str(exc))
     ok = not any(norms.values())
     payload = {"pass": ok, "degree": n, "nonzero_coordinates": {str(d): v for d, v in sorted(norms.items())}}
-    _emit(json.dumps(payload, indent=2), args.output)
-    return 0 if ok else 1
+    return json.dumps(payload, indent=2), 0 if ok else 1
 
 
-def cmd_pentagon_dims(args) -> int:
+def cmd_pentagon_dims(args) -> tuple:
     n = _check_degree(args.degree, MAX_PENTAGON, "pentagon", 1)
     report = pentagon.dimension_report(n, args.variant)
     lines = ["degree,dimension,reference"]
     for d, entry in sorted(report.items()):
         lines.append(f"{d},{entry['dimension']},{entry['reference']}")
-    _emit("\n".join(lines), args.output)
-    return 0
+    return "\n".join(lines), 0
 
 
-def cmd_zeta_drinfeld(args) -> int:
+def cmd_zeta_drinfeld(args) -> tuple:
     n = _check_degree(args.degree, MAX_DEGREE, "zeta", 2)
     f = zeta.drinfeld_f(n)
     items = sorted(f.coeffs.items(), key=_term_sort_key)
@@ -184,41 +183,36 @@ def cmd_zeta_drinfeld(args) -> int:
             if l:
                 mono += rf"\mu^{{{l}}}" if l > 1 else r"\mu"
             terms.append(rf"\left({c.format_latex()}\right){mono}")
-        _emit(" + ".join(terms), args.output)
-    elif args.format == "json":
-        _emit(json.dumps({"degree": n, "terms": f.to_records()}, indent=2), args.output)
-    else:
-        _emit("\n".join(f"({k},{l}): {c.format()}" for (k, l), c in items), args.output)
-    return 0
+        return " + ".join(terms), 0
+    if args.format == "json":
+        return json.dumps({"degree": n, "terms": f.to_records()}, indent=2), 0
+    return "\n".join(f"({k},{l}): {c.format()}" for (k, l), c in items), 0
 
 
-def cmd_zeta_solve_betas(args) -> int:
+def cmd_zeta_solve_betas(args) -> tuple:
     n = _check_degree(args.degree, MAX_DEGREE, "zeta", 6)
-    _emit(zeta.solve_betas_in_theta(n).to_json(), args.output)
-    return 0
+    return zeta.solve_betas_in_theta(n).to_json(), 0
 
 
-def cmd_verify_all(args) -> int:
+def cmd_verify_all(args) -> tuple:
     degree = _check_degree(args.degree, MAX_PENTAGON, "verify", MIN_VERIFY)
     overrides = {
         "pentagon": {"degree": degree},
         "cbh": {"oracle_degree": min(degree, MAX_ORACLE)},
     }
-    ok_all = True
+    lines = []
     failures = []
     for name, fn in verify.CHECKS:
-        kwargs = overrides.get(name, {})
         try:
-            ok, detail = fn(**kwargs)
+            ok, detail = fn(**overrides.get(name, {}))
         except Exception as exc:
             ok, detail = False, f"exception: {exc!r}"
-        ok_all = ok_all and ok
         if not ok:
             failures.append({"check": name, "detail": detail})
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    if not ok_all:
-        print(json.dumps({"failures": failures}, indent=2))
-    return 0 if ok_all else 1
+        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    if failures:
+        lines.append(json.dumps({"failures": failures}, indent=2))
+    return "\n".join(lines), 1 if failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,14 +284,16 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = sp.add_subparsers(dest="subcommand", required=True)
     ssp = vsub.add_parser("all", help="run every acceptance check")
     ssp.add_argument("--degree", type=int, default=8, help="pentagon / oracle degree cap")
-    ssp.set_defaults(fn=cmd_verify_all)
+    ssp.set_defaults(fn=cmd_verify_all, output=None)  # always stdout
 
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    text, code = args.fn(args)
+    _write(text, args.output)
+    return code
 
 
 if __name__ == "__main__":

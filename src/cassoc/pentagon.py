@@ -295,7 +295,6 @@ class QuotientReducer:
 
     def __init__(self, model: MetabelianModel, relations: list):
         self.model = model
-        self.relations = relations
         # each relation as its core vector, (i, j, c) over its keys (i, j, 0...);
         # integral coefficients become ints so the basis stays integral
         self._cores = []

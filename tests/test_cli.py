@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 import cassoc
+from cassoc import verify
 from cassoc.cli import MAX_BERNOULLI, main
 
 
@@ -283,11 +284,86 @@ def test_degree_below_computable_minimum(capsys, argv, low):
     assert err["error"] == f"{argv[0]} degree {argv[-1]} out of bounds ({low}..16)"
 
 
+VERIFY_FAILURE_REPORT = """\
+PASS table-c: 66 printed entries match (recursion and closed form)
+FAIL cbh: x
+FAIL solver: exception: RuntimeError('boom')
+{
+  "failures": [
+    {
+      "check": "cbh",
+      "detail": "x"
+    },
+    {
+      "check": "solver",
+      "detail": "exception: RuntimeError('boom')"
+    }
+  ]
+}
+"""
+
+
+def test_verify_all_failure_report(capsys, monkeypatch):
+    # one check fails, one raises: exit 1, every PASS/FAIL line, then the report
+    def boom(**_):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "CHECKS", [
+        ("table-c", verify.check_table_c),
+        ("cbh", lambda **_: (False, "x")),
+        ("solver", boom),
+    ])
+    code, out = run_cli(capsys, "verify", "all")
+    assert code == 1
+    assert out == VERIFY_FAILURE_REPORT
+    assert capsys.readouterr().err == ""
+
+
+def _child_env() -> dict:
+    """The environment in which ``python -m cassoc`` imports the package the suite imports."""
+    src = os.path.dirname(os.path.dirname(cassoc.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_python_m_cassoc_prints_what_main_prints(capsys):
     # ``python -m cassoc`` runs cli.main on the same package the suite imports
-    src = os.path.dirname(os.path.dirname(cassoc.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = ["hexagon", "solve", "--degree", "8"]
-    proc = subprocess.run([sys.executable, "-m", "cassoc", *argv], capture_output=True, env=env, check=False)
+    proc = subprocess.run([sys.executable, "-m", "cassoc", *argv], capture_output=True, env=_child_env(), check=False)
     code, out = run_cli(capsys, *argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), b"") and code == 0
+
+
+WRITER_COMMANDS = [
+    ["verify", "all"],
+    ["zeta", "drinfeld", "--degree", "16", "--format", "json"],
+    ["bernoulli"],
+]
+
+
+def _assert_stdout_write_error(proc, reason):
+    # exit 2 and stderr exactly one JSON error line: no traceback, no "Exception ignored"
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    assert json.loads(err) == {"error": f"<stdout>: {reason}"}
+
+
+@pytest.mark.parametrize("argv", WRITER_COMMANDS, ids=" ".join)
+def test_closed_stdout_pipe_is_usage_error(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child starts, so before it writes
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cassoc", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=_child_env(), check=False)
+    finally:
+        os.close(write_end)
+    _assert_stdout_write_error(proc, "[Errno 32] Broken pipe")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", WRITER_COMMANDS, ids=" ".join)
+def test_full_disk_on_stdout_is_usage_error(argv):
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "cassoc", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=_child_env(), check=False)
+    _assert_stdout_write_error(proc, "[Errno 28] No space left on device")
